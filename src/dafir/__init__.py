@@ -53,13 +53,12 @@ from .numerics import (
     DirectFormFir,
     FixedFormat,
     Sample,
-    WideAccumulator,
     dequantize,
     direct_fir,
     min_signed_width,
     quantize_coefficient,
     required_accumulator_width,
 )
-from .report import ArchConfig, ExternalFigures, ResourceReport, adp, compare_architectures, estimate_resources
+from .report import ArchConfig, ArchitectureMismatch, ExternalFigures, ResourceReport, adp, compare_architectures, estimate_resources
 
 __version__ = "0.1.0"

@@ -20,6 +20,7 @@ from .engine import PpgMode, all_windows, da_filter_stream, verify_windows
 from .numerics import CoefficientSet, FixedFormat, quantize_coefficient
 from .report import (
     ArchConfig,
+    ArchitectureMismatch,
     ExternalFigures,
     compare_architectures,
     estimate_resources,
@@ -273,12 +274,11 @@ def cmd_report(args: argparse.Namespace) -> int:
             baseline_external=external,
             candidate_external=external_b,
         )
+    except ArchitectureMismatch as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
     except ValueError as exc:
-        message = str(exc)
-        if "disagree" in message:
-            print(f"error: {message}", file=sys.stderr)
-            return EXIT_MISMATCH
-        raise CliError(message)
+        raise CliError(str(exc))
     print(json.dumps(comparison.to_dict(), indent=2))
     return EXIT_OK
 

@@ -17,7 +17,7 @@ from .engine import (
     PartitionPlan,
     PpgMode,
     build_lut,
-    partial_product_width,
+    check_tables,
     partition_taps,
 )
 from .numerics import CoefficientSet, FixedFormat
@@ -130,33 +130,16 @@ class DesignFile:
             raise DesignError("plan does not match the architecture")
 
         luts = data["luts"]
+        stored = None
         if arch.ppg_mode is PpgMode.STORED:
-            if not isinstance(luts, list) or len(luts) != plan.num_groups:
-                raise DesignError("stored-mode design needs one table per group")
-            want = 1 << plan.group_size
-            bound = 1 << (partial_product_width(arch.coeff_width, arch.group_size) - 1)
-            tables = []
-            for i, entries in enumerate(luts):
-                if (
-                    not isinstance(entries, list)
-                    or len(entries) != want
-                    or not all(isinstance(v, int) for v in entries)
-                ):
-                    raise DesignError(
-                        f"table {i} must be a list of {want} integers"
-                    )
-                for v in entries:
-                    if not (-bound <= v < bound):
-                        raise DesignError(
-                            f"table {i} entry {v} cannot be a sum of "
-                            f"{arch.group_size} coefficients of {arch.coeff_width} bits"
-                        )
-                tables.append(tuple(entries))
-            stored: tuple[tuple[int, ...], ...] | None = tuple(tables)
-        else:
-            if luts is not None:
-                raise DesignError("mux-mode design must not carry tables")
-            stored = None
+            if not isinstance(luts, list):
+                raise DesignError("stored-mode design needs a list of tables")
+            try:
+                stored = check_tables(luts, plan, arch.coeff_width)
+            except ValueError as exc:
+                raise DesignError(str(exc)) from exc
+        elif luts is not None:
+            raise DesignError("mux-mode design must not carry tables")
 
         return cls(arch, coefficients, plan, stored, int(data["version"]))
 

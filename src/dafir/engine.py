@@ -17,7 +17,10 @@ the evaluator must agree with the direct-form oracle on every input.
 from __future__ import annotations
 
 import enum
+import functools
+import sys
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, Iterable, Sequence, Union
 
 from .adders import (
@@ -32,13 +35,11 @@ from .numerics import (
     CoefficientSet,
     FixedFormat,
     Sample,
-    WideAccumulator,
     required_accumulator_width,
 )
 
 __all__ = [
     "AddressWord",
-    "BitSerialState",
     "CycleRecord",
     "CycleTrace",
     "DaFilter",
@@ -48,6 +49,7 @@ __all__ = [
     "PpgMode",
     "address_for_cycle",
     "build_lut",
+    "check_tables",
     "da_filter_stream",
     "da_inner_product",
     "memory_locations",
@@ -158,19 +160,30 @@ class DaLut:
             raise ValueError("a group of M taps needs exactly 2^M entries")
 
 
+def _subset_sums(
+    values: Sequence[int], group: Sequence[TapIndex], addresses: Iterable[int]
+) -> list[int]:
+    """Per address, the sum of the coefficients of the members whose bit is set.
+
+    Address bit j selects group member j; a padding slot adds nothing.
+    """
+    selects = [(1 << j, values[idx]) for j, idx in enumerate(group) if idx is not None]
+    sums = []
+    for address in addresses:
+        total = 0
+        for bit, value in selects:
+            if address & bit:
+                total += value
+        sums.append(total)
+    return sums
+
+
 def build_lut(coeffs: CoefficientSet, group: Sequence[TapIndex]) -> DaLut:
     """Precompute all 2^M subset sums for a group (address bit j selects member j)."""
-    values = coeffs.values
     members = tuple(group)
-    size = len(members)
-    entries = []
-    for address in range(1 << size):
-        total = 0
-        for j, idx in enumerate(members):
-            if idx is not None and (address >> j) & 1:
-                total += values[idx]
-        entries.append(total)
-    return DaLut(members, tuple(entries))
+    return DaLut(
+        members, tuple(_subset_sums(coeffs.values, members, range(1 << len(members))))
+    )
 
 
 def mux_ppg(coeffs: CoefficientSet, group: Sequence[TapIndex], address: int) -> int:
@@ -183,12 +196,40 @@ def mux_ppg(coeffs: CoefficientSet, group: Sequence[TapIndex], address: int) -> 
     members = tuple(group)
     if not (0 <= address < 1 << len(members)):
         raise ValueError(f"address {address} out of range for a {len(members)}-bit group")
-    values = coeffs.values
-    total = 0
-    for j, idx in enumerate(members):
-        if idx is not None and (address >> j) & 1:
-            total += values[idx]
-    return total
+    return _subset_sums(coeffs.values, members, (address,))[0]
+
+
+def check_tables(
+    luts: Sequence[Union[DaLut, Sequence[int]]],
+    plan: PartitionPlan,
+    coeff_width: int,
+) -> tuple[tuple[int, ...], ...]:
+    """Entries of one table of 2^M integers per group, each within the partial-product width.
+
+    An entry no sum of M coefficients could take is refused before it can
+    reach an accumulator; design files and injected tables share this check.
+    """
+    if len(luts) != plan.num_groups:
+        raise ValueError("need exactly one table per group")
+    want = 1 << plan.group_size
+    bound = 1 << (partial_product_width(coeff_width, plan.group_size) - 1)
+    tables = []
+    for i, lut in enumerate(luts):
+        entries = lut.entries if isinstance(lut, DaLut) else lut
+        if (
+            not isinstance(entries, (list, tuple))
+            or len(entries) != want
+            or not all(isinstance(v, int) for v in entries)
+        ):
+            raise ValueError(f"table {i} must be a list of {want} integers")
+        for v in entries:
+            if not (-bound <= v < bound):
+                raise ValueError(
+                    f"table {i} entry {v} cannot be a sum of "
+                    f"{plan.group_size} coefficients of {coeff_width} bits"
+                )
+        tables.append(tuple(entries))
+    return tuple(tables)
 
 
 @dataclass(frozen=True)
@@ -241,41 +282,6 @@ class CycleRecord:
 CycleTrace = tuple[CycleRecord, ...]
 
 
-@dataclass
-class BitSerialState:
-    """Mutable evaluator state: delay line, accumulator, current cycle."""
-
-    delay_line: tuple[int, ...]
-    acc: WideAccumulator
-    cycle: int = 0
-
-
-def _normalize_tables(
-    coeffs: CoefficientSet,
-    plan: PartitionPlan,
-    luts: Sequence[Union[DaLut, Sequence[int]]] | None,
-) -> tuple[tuple[int, ...], ...]:
-    if luts is None:
-        return tuple(build_lut(coeffs, g).entries for g in plan.groups)
-    if len(luts) != plan.num_groups:
-        raise ValueError("need exactly one table per group")
-    tables = []
-    want = 1 << plan.group_size
-    bound = 1 << (partial_product_width(coeffs.format.width, plan.group_size) - 1)
-    for lut in luts:
-        entries = tuple(lut.entries if isinstance(lut, DaLut) else (int(v) for v in lut))
-        if len(entries) != want:
-            raise ValueError(f"each table needs {want} entries")
-        for v in entries:
-            if not (-bound <= v < bound):
-                raise ValueError(
-                    f"table entry {v} cannot be a sum of {plan.group_size} "
-                    f"coefficients of {coeffs.format.width} bits"
-                )
-        tables.append(entries)
-    return tuple(tables)
-
-
 def _check_inputs(
     delay_line: Sequence[int],
     coeffs: CoefficientSet,
@@ -296,77 +302,155 @@ def _check_inputs(
     return dl
 
 
-def _compile_evaluator(
+@functools.lru_cache(maxsize=None)
+def _spreader(input_width: int, field: int) -> Callable[[Sequence[int]], list[int]]:
+    """Map samples to interleaved words: bit n of each L-bit pattern moves to n * field.
+
+    With ``field`` at least the group size M, spread words of group
+    members, shifted by their member index j < M, never overlap, so OR-ing
+    them gives a word whose field n is the group's table address at cycle
+    n. One 256-entry byte table per (L, field) does the spreading, so
+    memory stays flat at any width.
+    """
+    table = tuple(sum(((b >> i) & 1) << (i * field) for i in range(8)) for b in range(256))
+    pattern = (1 << input_width) - 1
+    if input_width <= 8:
+        return lambda samples: [table[x & pattern] for x in samples]
+    steps = tuple((k, k * field) for k in range(8, input_width, 8))
+
+    def spread(samples: Sequence[int]) -> list[int]:
+        words = []
+        for x in samples:
+            u = x & pattern
+            word = table[u & 255]
+            for k, s in steps:
+                word |= table[(u >> k) & 255] << s
+            words.append(word)
+        return words
+
+    return spread
+
+
+# observe(cycle, addresses, partials, tree_sum, acc_after), called after each cycle
+Observer = Callable[[int, list, list, int, int], None]
+
+
+def _schedule(
     coeffs: CoefficientSet,
     plan: PartitionPlan,
     ppg_mode: PpgMode,
     input_width: int,
-    tables: tuple[tuple[int, ...], ...] | None,
-) -> Callable[[Sequence[int]], int]:
-    """Bind the bit-serial loop over precomputed group structures.
+    luts: Sequence[Union[DaLut, Sequence[int]]] | None,
+    tree: AdderKind = AdderKind.CLA,
+    bit_level: bool = False,
+    cost_model: CostModel = DEFAULT_COST_MODEL,
+) -> tuple[Callable[..., int], Callable[[Sequence[int]], list[int]]]:
+    """Bind the one L-cycle bit-serial loop to a plan, a mode and a tree step.
 
-    The returned callable runs the full L-cycle schedule on one delay line
-    and returns the accumulator; everything it touches is a local, which
-    matters when a verification sweep calls it millions of times.
+    Each cycle takes one partial product per group, sums them in the tree
+    step (native, or the gate-level adders with ``bit_level``), then
+    shifts and accumulates, subtracting on the sign cycle. Stored and mux
+    modes differ only in the read: stored mode reads every cycle's tables
+    at addresses taken from interleaved group words, mux mode tests select
+    bits straight from the samples, in one bank when nothing consumes
+    per-group partials. Address fields are one byte wide (M <= 8) or two
+    (M <= 16), so a group word's bytes list its addresses in cycle order.
+    Returns the loop and the spreader whose words it reads.
     """
     length = input_width
     last = length - 1
     acc_width = required_accumulator_width(len(coeffs), coeffs.format.width, length)
     bound = 1 << (acc_width - 1)
-
-    if ppg_mode is PpgMode.STORED:
-        if tables is None:
-            tables = _normalize_tables(coeffs, plan, None)
-        members = tuple(
-            tuple((j, idx) for j, idx in enumerate(g) if idx is not None)
-            for g in plan.groups
-        )
-        pairs = tuple(zip(tables, members))
-
-        def evaluate(dl: Sequence[int]) -> int:
-            acc = 0
-            for n in range(length):
-                t = 0
-                for tab, mem in pairs:
-                    a = 0
-                    for j, i in mem:
-                        a |= ((dl[i] >> n) & 1) << j
-                    t += tab[a]
-                if n == last:
-                    acc -= t << n
-                else:
-                    acc += t << n
-            if acc >= bound or acc < -bound:
-                raise AccumulatorOverflow(
-                    f"inner product {acc} exceeds the {acc_width}-bit accumulator"
-                )
-            return acc
-
+    size = plan.group_size
+    mask = (1 << size) - 1
+    if size <= 8:
+        field, fields = 8, lambda word: word.to_bytes(length, "little")
     else:
-        # Mux mode: each set address bit steers one coefficient into the sum.
-        values = coeffs.values
-        selects = tuple(
-            (idx, values[idx]) for g in plan.groups for idx in g if idx is not None
+        order = sys.byteorder
+        field, fields = 16, lambda word: memoryview(word.to_bytes(2 * length, order)).cast("H")
+    shifts = tuple(range(0, length * field, field))
+    members = tuple(
+        tuple((j, idx) for j, idx in enumerate(g) if idx is not None) for g in plan.groups
+    )
+    stored = ppg_mode is PpgMode.STORED
+    if not stored:
+        tables = None
+    elif luts is None:
+        tables = tuple(build_lut(coeffs, g).entries for g in plan.groups)
+    else:
+        tables = check_tables(luts, plan, coeffs.format.width)
+    values = coeffs.values
+    per_group = tuple(tuple((i, values[i]) for _, i in mem) for mem in members)
+    merged = (tuple(sel for bank in per_group for sel in bank),)
+    spread = _spreader(input_width, field)
+    tree_sum = sum
+    if bit_level:
+        merged = per_group
+        width = partial_product_width(coeffs.format.width, size)
+
+        def tree_sum(partials: list) -> int:
+            operands = [BitVector(width, p) for p in partials]
+            return adder_tree_sum(operands, tree, cost_model, bit_level=True)[0]
+
+    def run(
+        dl: Sequence[int],
+        spread_line: Sequence[int] | None = None,
+        observe: Observer | None = None,
+    ) -> int:
+        """Inner product of ``dl``, newest sample first, whose spread words are ``spread_line``."""
+        banks = merged if observe is None else per_group
+        if stored or observe is not None:
+            if spread_line is None:
+                spread_line = spread(dl)
+            words = []
+            for mem in members:
+                w = 0
+                for j, i in mem:
+                    w |= spread_line[i] << j
+                words.append(w)
+            if stored:
+                # Group-major table reads; cycle n's partials are reads[n::length].
+                reads = [tab[a] for tab, w in zip(tables, words) for a in fields(w)]
+        acc = 0
+        for n in range(length):
+            if stored:
+                partials = reads[n::length]
+            else:
+                bit = 1 << n
+                partials = []
+                for bank in banks:
+                    t = 0
+                    for i, c in bank:
+                        if dl[i] & bit:
+                            t += c
+                    partials.append(t)
+            t = tree_sum(partials)
+            if n == last:
+                acc -= t << n
+            else:
+                acc += t << n
+            if observe is not None:
+                s = shifts[n]
+                observe(n, [(w >> s) & mask for w in words], partials, t, acc)
+        if acc >= bound or acc < -bound:
+            raise AccumulatorOverflow(
+                f"inner product {acc} exceeds the {acc_width}-bit accumulator"
+            )
+        return acc
+
+    return run, spread
+
+
+def _recorder(records: list, input_width: int) -> Observer:
+    """Observer that appends one CycleRecord per cycle to ``records``."""
+    last = input_width - 1
+
+    def observe(n: int, addresses: list, partials: list, tree_sum: int, acc: int) -> None:
+        records.append(
+            CycleRecord(n, tuple(addresses), tuple(partials), tree_sum, n, n == last, acc)
         )
 
-        def evaluate(dl: Sequence[int]) -> int:
-            acc = 0
-            for n in range(length):
-                t = 0
-                for i, c in selects:
-                    if (dl[i] >> n) & 1:
-                        t += c
-                if n == last:
-                    acc -= t << n
-                else:
-                    acc += t << n
-            if acc >= bound or acc < -bound:
-                raise AccumulatorOverflow(
-                    f"inner product {acc} exceeds the {acc_width}-bit accumulator"
-                )
-            return acc
-
-    return evaluate
+    return observe
 
 
 def da_inner_product(
@@ -394,47 +478,21 @@ def da_inner_product(
     verifier exercise exactly the entries a design file carries.
     """
     dl = _check_inputs(delay_line, coeffs, plan, input_width)
-    tables = _normalize_tables(coeffs, plan, luts) if ppg_mode is PpgMode.STORED else None
-
-    if not collect_trace and not bit_level:
-        return _compile_evaluator(coeffs, plan, ppg_mode, input_width, tables)(dl), None
-
-    width = partial_product_width(coeffs.format.width, plan.group_size)
-    acc_width = required_accumulator_width(len(coeffs), coeffs.format.width, input_width)
-    state = BitSerialState(dl, WideAccumulator(acc_width))
-    records = []
-    last = input_width - 1
-    for n in range(input_width):
-        word = address_for_cycle(dl, plan, n, input_width)
-        if ppg_mode is PpgMode.STORED:
-            assert tables is not None
-            partials = tuple(tab[a] for tab, a in zip(tables, word.per_group))
-        else:
-            partials = tuple(
-                mux_ppg(coeffs, g, a) for g, a in zip(plan.groups, word.per_group)
-            )
-        tree_sum, _ = adder_tree_sum(
-            [BitVector(width, p) for p in partials], tree, cost_model, bit_level=bit_level
-        )
-        subtract = n == last
-        if subtract:
-            state.acc.subtract(tree_sum << n)
-        else:
-            state.acc.add(tree_sum << n)
-        state.cycle = n + 1
-        records.append(
-            CycleRecord(n, word.per_group, partials, tree_sum, n, subtract, state.acc.value)
-        )
-    trace: CycleTrace = tuple(records)
-    return state.acc.value, trace
+    run, _ = _schedule(coeffs, plan, ppg_mode, input_width, luts, tree, bit_level, cost_model)
+    if not collect_trace:
+        return run(dl), None
+    records: list[CycleRecord] = []
+    value = run(dl, observe=_recorder(records, input_width))
+    return value, tuple(records)
 
 
 class DaFilter:
     """Streaming DA evaluator: one inner product per pushed sample.
 
-    Owns a private delay line (newest sample first, zeros initially); one
-    instance per thread, instances independent. Output matches
-    :func:`dafir.numerics.direct_fir` sample for sample.
+    Owns a private delay line (newest sample first, zeros initially) and,
+    in stored mode, the spread word of every sample in it, formed once as
+    the sample enters; one instance per thread, instances independent.
+    Output matches :func:`dafir.numerics.direct_fir` sample for sample.
     """
 
     def __init__(
@@ -460,13 +518,12 @@ class DaFilter:
         self.input_format = FixedFormat(input_width)
         self.bit_level = bit_level
         self.cost_model = cost_model
-        self._tables = (
-            _normalize_tables(coeffs, plan, luts) if ppg_mode is PpgMode.STORED else None
+        self._run, self._spreader = _schedule(
+            coeffs, plan, ppg_mode, input_width, luts, tree, bit_level, cost_model
         )
-        self._fast = _compile_evaluator(coeffs, plan, ppg_mode, input_width, self._tables)
-        self._delay = [0] * len(coeffs)
+        self.reset()
 
-    def _admit(self, sample: Union[int, Sample]) -> int:
+    def _admit(self, sample: Union[int, Sample]) -> None:
         if isinstance(sample, Sample):
             if sample.format != self.input_format:
                 raise ValueError(
@@ -477,34 +534,26 @@ class DaFilter:
             x = self.input_format.check(int(sample), "sample")
         self._delay.insert(0, x)
         self._delay.pop()
-        return x
+        if self._spread is not None:
+            self._spread.insert(0, self._spreader((x,))[0])
+            self._spread.pop()
 
     def push(self, sample: Union[int, Sample]) -> int:
         self._admit(sample)
-        return self._fast(self._delay)
+        return self._run(self._delay, self._spread)
 
     def push_traced(self, sample: Union[int, Sample]) -> tuple[int, CycleTrace]:
         self._admit(sample)
-        value, trace = da_inner_product(
-            tuple(self._delay),
-            self.coeffs,
-            self.plan,
-            self.ppg_mode,
-            self.tree,
-            input_width=self.input_format.width,
-            luts=self._tables,
-            collect_trace=True,
-            bit_level=self.bit_level,
-            cost_model=self.cost_model,
-        )
-        assert trace is not None
-        return value, trace
+        records: list[CycleRecord] = []
+        value = self._run(self._delay, self._spread, _recorder(records, self.input_format.width))
+        return value, tuple(records)
 
     def process(self, samples: Iterable[Union[int, Sample]]) -> list[int]:
         return [self.push(s) for s in samples]
 
     def reset(self) -> None:
         self._delay = [0] * len(self.coeffs)
+        self._spread = [0] * len(self.coeffs) if self.ppg_mode is PpgMode.STORED else None
 
 
 def da_filter_stream(
@@ -533,13 +582,8 @@ def da_filter_stream(
     )
     if not trace:
         return filt.process(samples), None
-    outputs = []
-    traces = []
-    for s in samples:
-        value, t = filt.push_traced(s)
-        outputs.append(value)
-        traces.append(t)
-    return outputs, traces
+    results = [filt.push_traced(s) for s in samples]
+    return [value for value, _ in results], [t for _, t in results]
 
 
 @dataclass(frozen=True)
@@ -568,15 +612,13 @@ def verify_windows(
     means full agreement. The oracle side is an independent plain
     multiply-accumulate, never a table.
     """
-    tables = _normalize_tables(coeffs, plan, luts) if ppg_mode is PpgMode.STORED else None
-    evaluate = _compile_evaluator(coeffs, plan, ppg_mode, input_width, tables)
+    evaluate, _ = _schedule(coeffs, plan, ppg_mode, input_width, luts)
     taps = coeffs.values
     checked = 0
     mismatches: list[Mismatch] = []
-    for window in windows:
+    for checked, window in enumerate(windows, 1):
         got = evaluate(window)
-        expected = sum(a * x for a, x in zip(taps, window))
-        checked += 1
+        expected = sum(map(mul, taps, window))
         if got != expected:
             mismatches.append(Mismatch(tuple(window), got, expected))
             if len(mismatches) >= limit:

@@ -10,7 +10,7 @@ so it deliberately uses Python's unbounded integers and nothing else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -22,7 +22,6 @@ __all__ = [
     "DirectFormFir",
     "FixedFormat",
     "Sample",
-    "WideAccumulator",
     "dequantize",
     "direct_fir",
     "min_signed_width",
@@ -141,40 +140,6 @@ class CoefficientSet:
             taps.append(coeff)
             flags.append(saturated)
         return cls(tuple(taps), fmt), tuple(flags)
-
-
-@dataclass
-class WideAccumulator:
-    """Signed accumulator that treats leaving its range as a hard error.
-
-    Unlike hardware registers this never wraps; a trip means the declared
-    width was mis-sized, not that the data was unlucky.
-    """
-
-    width: int
-    value: int = 0
-    _bound: int = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.width < 2:
-            raise ValueError("accumulator width must be at least 2")
-        self._bound = 1 << (self.width - 1)
-        self._check(self.value)
-
-    def _check(self, v: int) -> int:
-        if v >= self._bound or v < -self._bound:
-            raise AccumulatorOverflow(
-                f"accumulator value {v} exceeds signed {self.width}-bit range"
-            )
-        return v
-
-    def add(self, v: int) -> int:
-        self.value = self._check(self.value + v)
-        return self.value
-
-    def subtract(self, v: int) -> int:
-        self.value = self._check(self.value - v)
-        return self.value
 
 
 def _to_fraction(real: RealLike) -> Fraction:

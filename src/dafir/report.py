@@ -27,6 +27,7 @@ from .adders import (
 from .engine import (
     DaFilter,
     PpgMode,
+    memory_locations,
     partial_product_width,
     partition_taps,
 )
@@ -40,6 +41,7 @@ from .numerics import (
 __all__ = [
     "ArchConfig",
     "ArchComparison",
+    "ArchitectureMismatch",
     "ExternalFigures",
     "ResourceReport",
     "adp",
@@ -229,7 +231,7 @@ def estimate_resources(
     )
 
     if config.ppg_mode is PpgMode.STORED:
-        locations = plan.num_groups * (1 << plan.group_size)
+        locations = memory_locations(plan)
         ppg = GateCost(0, 0)
     else:
         locations = 0
@@ -266,6 +268,10 @@ def _pct_delta(a: DecimalLike | None, b: DecimalLike | None) -> float | None:
         return None
     pct = (da_ - db) / da_ * 100
     return float(pct.quantize(_TENTH, rounding=ROUND_HALF_EVEN))
+
+
+class ArchitectureMismatch(ValueError):
+    """Two architectures of one filter produced different outputs on the probe stream."""
 
 
 @dataclass(frozen=True)
@@ -313,8 +319,8 @@ def compare_architectures(
     Both must share tap count and widths; only structure may differ. When
     coefficients are available (and identical on both sides) the two
     datapaths are run on a probe stream first and must produce identical
-    outputs; a mismatch aborts the comparison because it means an engine
-    bug, not an interesting report.
+    outputs; a mismatch raises :class:`ArchitectureMismatch` because it
+    means an engine bug or a corrupted table, not an interesting report.
     """
     same = (
         baseline.num_taps == candidate.num_taps
@@ -353,7 +359,7 @@ def compare_architectures(
         ).process(stream)
         if out_a != out_b:
             first = next(i for i, (x, y) in enumerate(zip(out_a, out_b)) if x != y)
-            raise ValueError(
+            raise ArchitectureMismatch(
                 f"architectures disagree at sample {first}: {out_a[first]} vs {out_b[first]}"
             )
         output_check = f"ok ({len(stream)} samples)"

@@ -378,6 +378,33 @@ class TestCmdReport:
         assert code == 1
         assert "disagree" in capsys.readouterr().err
 
+    def test_compare_edited_table_exits_one_through_the_type(
+        self, workspace, capsys, monkeypatch
+    ):
+        import dafir.cli as cli
+        from dafir.report import ArchitectureMismatch
+
+        raised = []
+        real = cli.compare_architectures
+
+        def spy(*args, **kwargs):
+            try:
+                return real(*args, **kwargs)
+            except Exception as exc:
+                raised.append(exc)
+                raise
+
+        monkeypatch.setattr(cli, "compare_architectures", spy)
+        stored = run_design(workspace, "stored.json")
+        other = run_design(workspace, "other.json", "--tree", "ripple")
+        data = json.loads(other.read_text())
+        data["luts"][1][1] -= 1
+        other.write_text(json.dumps(data))
+        code = main(["report", "--design", str(stored), "--compare", str(other)])
+        assert code == 1
+        assert [type(exc) for exc in raised] == [ArchitectureMismatch]
+        assert str(raised[0]) in capsys.readouterr().err
+
     def test_cost_model_file(self, workspace, capsys):
         design = run_design(workspace)
         cm = workspace / "cm.json"

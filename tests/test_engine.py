@@ -4,10 +4,12 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dafir.engine as engine
 from dafir.adders import AdderKind
+from dafir.design import DesignError, DesignFile
 from dafir.engine import (
     DaFilter,
     PartitionPlan,
@@ -23,7 +25,14 @@ from dafir.engine import (
     partition_taps,
     verify_windows,
 )
-from dafir.numerics import CoefficientSet, FixedFormat, direct_fir
+from dafir.numerics import (
+    AccumulatorOverflow,
+    CoefficientSet,
+    DirectFormFir,
+    FixedFormat,
+    direct_fir,
+)
+from dafir.report import ArchConfig
 
 FMT8 = FixedFormat(8)
 FMT16 = FixedFormat(16)
@@ -430,3 +439,205 @@ class TestVerifyWindows:
         assert len(windows) == 16
         assert len(set(windows)) == 16
         assert all(-2 <= x <= 1 for w in windows for x in w)
+
+
+@st.composite
+def streaming_cases(draw):
+    """Filter shapes across group sizes, padding and input widths, plus an op script."""
+    num_taps = draw(st.integers(1, 20))
+    group_size = draw(st.integers(1, 16))
+    input_width = draw(st.integers(2, 20))
+    coeff_width = draw(st.integers(2, 16))
+    bound = 1 << (coeff_width - 1)
+    taps = draw(
+        st.lists(st.integers(-bound, bound - 1), min_size=num_taps, max_size=num_taps)
+    )
+    half = 1 << (input_width - 1)
+    sample = st.integers(-half, half - 1)
+    ops = draw(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("push"), sample),
+                st.tuples(st.just("traced"), sample),
+                st.just(("reset", None)),
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    # The most negative sample sets only the sign bit, read on the subtracted cycle.
+    ops.insert(draw(st.integers(0, len(ops))), ("push", -half))
+    mode = draw(st.sampled_from(PpgMode))
+    return coeff_set(taps, coeff_width), group_size, input_width, mode, ops
+
+
+class TestSchedule:
+    """The one bit-serial schedule on spread address words."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(streaming_cases())
+    @example(
+        (
+            coeff_set([(-1) ** k * (1000 * k + 7) for k in range(20)], 16),
+            16,
+            20,
+            PpgMode.STORED,
+            [("push", -(1 << 19)), ("traced", (1 << 19) - 1), ("reset", None),
+             ("traced", -(1 << 19)), ("push", 12345)],
+        )
+    )
+    @example(
+        (
+            coeff_set([3, -5], 8),
+            16,
+            9,
+            PpgMode.MUX,
+            [("traced", -256), ("push", 255), ("traced", -1), ("reset", None), ("push", -256)],
+        )
+    )
+    def test_streaming_mix_matches_direct_form(self, case):
+        coeffs, group_size, input_width, mode, ops = case
+        plan = partition_taps(len(coeffs), group_size)
+        filt = DaFilter(coeffs, plan, mode, input_width=input_width)
+        oracle = DirectFormFir(coeffs)
+        for op, x in ops:
+            if op == "reset":
+                filt.reset()
+                oracle = DirectFormFir(coeffs)
+            elif op == "push":
+                assert filt.push(x) == oracle.push(x)
+            else:
+                value, trace = filt.push_traced(x)
+                assert value == oracle.push(x)
+                assert len(trace) == input_width
+                assert trace[-1].acc_after == value
+                assert all(len(r.addresses) == plan.num_groups for r in trace)
+                assert all(0 <= a < 1 << group_size for r in trace for a in r.addresses)
+
+    def test_addresses_match_address_for_cycle(self):
+        rng = random.Random(3)
+        coeffs = coeff_set([rng.randint(-128, 127) for _ in range(7)])
+        plan = partition_taps(7, 3)
+        for mode in PpgMode:
+            window = [rng.randint(-512, 511) for _ in range(7)]
+            _, trace = da_inner_product(window, coeffs, plan, mode, input_width=10)
+            for r in trace:
+                assert r.addresses == address_for_cycle(window, plan, r.cycle, 10).per_group
+
+    def test_gate_level_flag_reaches_the_adders(self, monkeypatch):
+        calls = []
+        real = engine.adder_tree_sum
+
+        def spy(operands, kind, model, bit_level=False):
+            calls.append(bit_level)
+            return real(operands, kind, model, bit_level=bit_level)
+
+        monkeypatch.setattr(engine, "adder_tree_sum", spy)
+        rng = random.Random(17)
+        coeffs = coeff_set([rng.randint(-128, 127) for _ in range(5)])
+        plan = partition_taps(5, 2)
+        samples = [rng.randint(-32, 31) for _ in range(12)]
+        want = direct_fir(samples, coeffs)
+        for mode in PpgMode:
+            for tree in AdderKind:
+                calls.clear()
+                filt = DaFilter(coeffs, plan, mode, tree, input_width=6, bit_level=True)
+                assert [filt.push(x) for x in samples] == want
+                assert calls and all(calls)
+                calls.clear()
+                got, _ = da_filter_stream(
+                    samples, coeffs, plan, mode, tree, input_width=6, bit_level=True
+                )
+                assert got == want
+                assert len(calls) == len(samples) * 6
+
+    def test_garbage_at_padding_addresses_is_never_read(self):
+        # Group (4, None): addresses with bit 1 set select the padding slot,
+        # which no sample can drive, so those entries may hold anything.
+        rng = random.Random(29)
+        coeffs = coeff_set([rng.randint(-128, 127) for _ in range(5)])
+        plan = partition_taps(5, 2)
+        clean = [build_lut(coeffs, g).entries for g in plan.groups]
+        dirty = [list(t) for t in clean]
+        dirty[2][2], dirty[2][3] = 255, -256
+        samples = [rng.randint(-128, 127) for _ in range(40)] + [-128, -1]
+        a = DaFilter(coeffs, plan, input_width=8, luts=clean)
+        b = DaFilter(coeffs, plan, input_width=8, luts=dirty)
+        for i, x in enumerate(samples):
+            if i % 3:
+                assert a.push(x) == b.push(x)
+            else:
+                assert a.push_traced(x) == b.push_traced(x)
+        want = direct_fir(samples, coeffs)
+        assert da_filter_stream(samples, coeffs, plan, input_width=8, luts=dirty)[0] == want
+
+    @pytest.mark.parametrize(
+        "groups, padded",
+        [
+            (((0, 2), (1, 3)), 0),
+            (((3, None, 0), (4, 1, 2)), 1),
+        ],
+    )
+    def test_non_consecutive_plan_from_design_file(self, groups, padded):
+        num_taps = len(groups) * len(groups[0]) - padded
+        group_size = len(groups[0])
+        rng = random.Random(num_taps)
+        coeffs = coeff_set([rng.randint(-128, 127) for _ in range(num_taps)])
+        for mode in PpgMode:
+            data = DesignFile.create(
+                ArchConfig(num_taps, 8, 3, group_size, mode), coeffs
+            ).to_dict()
+            data["plan"]["groups"] = [list(g) for g in groups]
+            if mode is PpgMode.STORED:
+                data["luts"] = [list(build_lut(coeffs, g).entries) for g in groups]
+                # Entries whose address sets a padding bit are never read.
+                for g, table in zip(groups, data["luts"]):
+                    for j in (j for j, idx in enumerate(g) if idx is None):
+                        for a in range(len(table)):
+                            if a >> j & 1:
+                                table[a] = 255 - a
+            design = DesignFile.from_dict(data)
+            assert design.plan.groups == groups
+            samples = [rng.randint(-4, 3) for _ in range(30)] + [-4, -4, -4]
+            got, traces = da_filter_stream(
+                samples, coeffs, design.plan, mode, input_width=3,
+                luts=design.luts, trace=True,
+            )
+            assert got == direct_fir(samples, coeffs)
+            assert [t[-1].acc_after for t in traces] == got
+            checked, mismatches = verify_windows(
+                coeffs, design.plan, mode, input_width=3,
+                windows=all_windows(num_taps, 3), luts=design.luts,
+            )
+            assert checked == 1 << (3 * num_taps) and mismatches == []
+
+    def test_accumulator_overflow_raises(self):
+        # One tap in a padded group of four: entries may reach 2^9 - 1, but
+        # the accumulator is sized for one 8-bit coefficient, 2^11.
+        coeffs = coeff_set([1])
+        plan = partition_taps(1, 4)
+        luts = [[0, 511] + [0] * 14]
+        for collect in (False, True):
+            with pytest.raises(AccumulatorOverflow):
+                da_inner_product(
+                    [7], coeffs, plan, input_width=4, luts=luts, collect_trace=collect
+                )
+        filt = DaFilter(coeffs, plan, input_width=4, luts=luts)
+        assert filt.push(1) == 511
+        with pytest.raises(AccumulatorOverflow):
+            filt.push(7)
+        with pytest.raises(AccumulatorOverflow):
+            filt.push_traced(7)
+
+    def test_design_file_and_engine_share_table_checks(self):
+        coeffs = coeff_set([5, 6])
+        plan = partition_taps(2, 2)
+        bad = [[0, 5, 6, 1 << 12]]
+        data = DesignFile.create(ArchConfig(2, 8, 8, 2), coeffs).to_dict()
+        data["luts"] = bad
+        with pytest.raises(DesignError) as from_file:
+            DesignFile.from_dict(data)
+        with pytest.raises(ValueError) as from_engine:
+            DaFilter(coeffs, plan, input_width=8, luts=bad)
+        assert str(from_file.value) == str(from_engine.value)
+        assert "table 0 entry 4096 cannot be a sum" in str(from_engine.value)

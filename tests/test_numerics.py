@@ -8,13 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dafir.numerics import (
-    AccumulatorOverflow,
     Coefficient,
     CoefficientSet,
     DirectFormFir,
     FixedFormat,
     Sample,
-    WideAccumulator,
     dequantize,
     direct_fir,
     min_signed_width,
@@ -194,23 +192,6 @@ class TestAccumulatorWidth:
             for samples in product(sample_range, repeat=K):
                 total = sum(a * x for a, x in zip(coeffs, samples))
                 assert -bound < total < bound
-
-
-class TestWideAccumulator:
-    def test_tracks_value(self):
-        acc = WideAccumulator(8)
-        acc.add(100)
-        acc.subtract(30)
-        assert acc.value == 70
-
-    def test_overflow_raises(self):
-        acc = WideAccumulator(4)
-        acc.add(7)
-        with pytest.raises(AccumulatorOverflow):
-            acc.add(1)
-        acc2 = WideAccumulator(4, -8)
-        with pytest.raises(AccumulatorOverflow):
-            acc2.subtract(1)
 
 
 class TestMinSignedWidth:
