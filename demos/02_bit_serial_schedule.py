@@ -10,6 +10,7 @@ L cycles the accumulator holds the exact inner product.
 
 from dafir import (
     CoefficientSet,
+    DaFilter,
     FixedFormat,
     da_inner_product,
     direct_fir,
@@ -43,9 +44,7 @@ def main() -> None:
 
     print("\nthe same machinery filters a stream (delay line shifts per sample):")
     samples = [1, -2, 3, -4, 5]
-    from dafir import da_filter_stream
-
-    outputs, _ = da_filter_stream(samples, coeffs, plan, input_width=8)
+    outputs = DaFilter(coeffs, plan, input_width=8).process(samples)
     print(f"  samples: {samples}")
     print(f"  outputs: {outputs}")
     print(f"  oracle:  {direct_fir(samples, coeffs)}")

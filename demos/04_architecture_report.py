@@ -15,6 +15,7 @@ from dafir import (
     AdderKind,
     ArchConfig,
     CoefficientSet,
+    DesignFile,
     ExternalFigures,
     FixedFormat,
     PpgMode,
@@ -30,26 +31,28 @@ def main() -> None:
         [rng.randint(-32768, 32767) for _ in range(8)], fmt
     )
 
-    stored = ArchConfig(8, 16, 16, 2, PpgMode.STORED, AdderKind.CLA)
-    mux = ArchConfig(8, 16, 16, 2, PpgMode.MUX, AdderKind.CLA)
+    def design(ppg_mode: PpgMode, tree: AdderKind) -> DesignFile:
+        return DesignFile.create(ArchConfig(8, 16, 16, 2, ppg_mode, tree), coeffs)
+
+    stored = design(PpgMode.STORED, AdderKind.CLA)
+    mux = design(PpgMode.MUX, AdderKind.CLA)
 
     print("stored-table architecture, K=8 / W=16 / L=16 / pairs:")
     print(json.dumps(estimate_resources(stored).to_dict(), indent=2))
 
     print("\nstored tables vs mux generation (same filter, outputs checked first):")
-    comparison = compare_architectures(stored, mux, coeffs=coeffs)
+    comparison = compare_architectures(stored, mux)
     print(f"  output check: {comparison.output_check}")
     print(f"  memory locations: {comparison.baseline.memory_locations} -> "
           f"{comparison.candidate.memory_locations}")
     print(f"  deltas vs baseline (%): {comparison.deltas_pct}")
 
     print("\ncarry-save tree vs lookahead tree, with synthesis figures attached:")
-    csa = ArchConfig(8, 16, 16, 2, PpgMode.MUX, AdderKind.CSA_TREE)
-    cla = ArchConfig(8, 16, 16, 2, PpgMode.MUX, AdderKind.CLA)
+    csa = design(PpgMode.MUX, AdderKind.CSA_TREE)
+    cla = design(PpgMode.MUX, AdderKind.CLA)
     comparison = compare_architectures(
         csa,
         cla,
-        coeffs=coeffs,
         baseline_external=ExternalFigures(606, Decimal("2.375"), Decimal("387")),
         candidate_external=ExternalFigures(357, Decimal("2.523"), Decimal("379")),
     )

@@ -8,9 +8,11 @@ The package splits into:
   partial-product generator and the L-cycle bit-serial evaluator.
 - :mod:`dafir.adders`: gate-level ripple / carry-save / carry-lookahead
   models with a declared unit-gate cost model.
+- :mod:`dafir.design`: the architecture and design-file format; a design
+  carries the plan and tables every other layer reads.
 - :mod:`dafir.report`: memory, gate-count, depth and area-delay-product
-  accounting plus architecture comparisons.
-- :mod:`dafir.design` / :mod:`dafir.cli`: design files and the command line.
+  accounting of a design plus comparisons of two designs.
+- :mod:`dafir.cli`: the command line.
 """
 
 from .adders import (
@@ -25,7 +27,7 @@ from .adders import (
     csa_compress,
     ripple_add,
 )
-from .design import DesignFile, rederive_luts
+from .design import ArchConfig, DesignFile, rederive_luts
 from .engine import (
     AddressWord,
     CycleRecord,
@@ -38,7 +40,6 @@ from .engine import (
     address_for_cycle,
     all_windows,
     build_lut,
-    da_filter_stream,
     da_inner_product,
     memory_locations,
     mux_ppg,
@@ -59,6 +60,6 @@ from .numerics import (
     quantize_coefficient,
     required_accumulator_width,
 )
-from .report import ArchConfig, ArchitectureMismatch, ExternalFigures, ResourceReport, adp, compare_architectures, estimate_resources
+from .report import ArchitectureMismatch, ExternalFigures, ResourceReport, adp, compare_architectures, estimate_resources
 
 __version__ = "0.1.0"

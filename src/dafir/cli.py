@@ -15,11 +15,10 @@ from decimal import Decimal, InvalidOperation
 from typing import Sequence
 
 from .adders import DEFAULT_COST_MODEL, AdderKind, CostModel
-from .design import DesignError, DesignFile
-from .engine import PpgMode, all_windows, da_filter_stream, verify_windows
+from .design import ArchConfig, DesignError, DesignFile
+from .engine import PpgMode, all_windows, verify_windows
 from .numerics import CoefficientSet, FixedFormat, quantize_coefficient
 from .report import (
-    ArchConfig,
     ArchitectureMismatch,
     ExternalFigures,
     compare_architectures,
@@ -162,31 +161,25 @@ def cmd_design(args: argparse.Namespace) -> int:
     )
     design = DesignFile.create(arch, CoefficientSet.from_integers(values, fmt))
     design.save(args.out)
-    print(f"memory locations: {estimate_resources(arch).memory_locations}")
+    print(f"memory locations: {estimate_resources(design).memory_locations}")
     return EXIT_OK
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     design = _load_design(args.design)
     samples = _parse_samples(args.samples, FixedFormat(design.arch.input_width))
-    outputs, traces = da_filter_stream(
-        samples,
-        design.coefficients,
-        design.plan,
-        design.arch.ppg_mode,
-        design.arch.tree,
-        input_width=design.arch.input_width,
-        luts=design.luts,
-        trace=args.trace is not None,
-    )
-    with open(args.out, "w", encoding="utf-8") as f:
-        for y in outputs:
-            f.write(f"{y}\n")
-    if args.trace is not None:
-        with open(args.trace, "w", encoding="utf-8") as f:
-            for i, trace in enumerate(traces or []):
-                for rec in trace:
-                    f.write(
+    filt = design.filter()
+    with open(args.out, "w", encoding="utf-8") as out:
+        if args.trace is None:
+            for x in samples:
+                out.write(f"{filt.push(x)}\n")
+            return EXIT_OK
+        with open(args.trace, "w", encoding="utf-8") as trace:
+            for i, x in enumerate(samples):
+                y, records = filt.push_traced(x)
+                out.write(f"{y}\n")
+                for rec in records:
+                    trace.write(
                         json.dumps(
                             {
                                 "sample_index": i,
@@ -250,7 +243,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     external = _external_figures(args.cells, args.time_ns, args.power_mw, "")
 
     if args.compare is None:
-        report = estimate_resources(design.arch, model, external)
+        report = estimate_resources(design, model, external)
         print(json.dumps(report.to_dict(), indent=2))
         return EXIT_OK
 
@@ -263,13 +256,9 @@ def cmd_report(args: argparse.Namespace) -> int:
         samples = _parse_samples(args.samples, FixedFormat(design.arch.input_width))
     try:
         comparison = compare_architectures(
-            design.arch,
-            other.arch,
-            coeffs=design.coefficients,
-            candidate_coeffs=other.coefficients,
+            design,
+            other,
             samples=samples,
-            baseline_luts=design.luts,
-            candidate_luts=other.luts,
             model=model,
             baseline_external=external,
             candidate_external=external_b,

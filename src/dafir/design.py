@@ -2,10 +2,12 @@
 
 A design file is a strict JSON document: architecture, quantized
 coefficients, the partition plan, and (in stored mode) every table entry.
-Unknown keys are rejected so golden files stay frozen. Loading performs
-structural validation only; it deliberately does not re-derive the tables
-from the coefficients, so a verifier can catch a corrupted entry instead
-of silently repairing it.
+It is the one description of a filter: running, verifying and reporting
+all read its plan and tables rather than rebuilding them. Unknown keys,
+booleans and non-integers in integer fields are rejected so golden files
+stay frozen. Loading performs structural validation only; it deliberately
+does not re-derive the tables from the coefficients, so a verifier can
+catch a corrupted entry instead of silently repairing it.
 """
 
 from __future__ import annotations
@@ -13,17 +15,18 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .adders import AdderKind
 from .engine import (
+    DaFilter,
     PartitionPlan,
     PpgMode,
     build_lut,
     check_tables,
     partition_taps,
 )
-from .numerics import CoefficientSet, FixedFormat
-from .report import ArchConfig
+from .numerics import MAX_WIDTH, MIN_WIDTH, CoefficientSet, FixedFormat
 
-__all__ = ["DesignFile", "DesignError", "rederive_luts"]
+__all__ = ["ArchConfig", "DesignFile", "DesignError", "rederive_luts"]
 
 DESIGN_VERSION = 1
 
@@ -36,6 +39,13 @@ class DesignError(ValueError):
     """A design document is malformed or internally inconsistent."""
 
 
+def _integer(value: object, where: str) -> int:
+    """``value`` itself if it is a JSON integer; ``true`` and ``1.0`` are not."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DesignError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
 def _require_keys(data: dict, keys: set, where: str) -> None:
     if not isinstance(data, dict):
         raise DesignError(f"{where} must be a JSON object")
@@ -45,6 +55,50 @@ def _require_keys(data: dict, keys: set, where: str) -> None:
         raise DesignError(f"{where} is missing keys: {sorted(missing)}")
     if unknown:
         raise DesignError(f"{where} has unknown keys: {sorted(unknown)}")
+
+
+@dataclass(frozen=True)
+class ArchConfig:
+    """One filter architecture, the ``arch`` block of a design: sizes plus structural choices."""
+
+    num_taps: int
+    coeff_width: int
+    input_width: int
+    group_size: int
+    ppg_mode: PpgMode = PpgMode.STORED
+    tree: AdderKind = AdderKind.CLA
+
+    def __post_init__(self) -> None:
+        if self.num_taps < 1:
+            raise ValueError("num_taps must be at least 1")
+        for name in ("coeff_width", "input_width"):
+            w = getattr(self, name)
+            if not (MIN_WIDTH <= w <= MAX_WIDTH):
+                raise ValueError(f"{name} must be in [{MIN_WIDTH}, {MAX_WIDTH}]")
+        # group_size larger than num_taps just pads; the plan constructor
+        # enforces the absolute cap.
+        partition_taps(self.num_taps, self.group_size)
+
+    def to_dict(self) -> dict:
+        return {
+            "num_taps": self.num_taps,
+            "coeff_width": self.coeff_width,
+            "input_width": self.input_width,
+            "group_size": self.group_size,
+            "ppg_mode": self.ppg_mode.value,
+            "tree": self.tree.value,
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "ArchConfig":
+        return cls(
+            num_taps=_integer(data["num_taps"], "num_taps"),
+            coeff_width=_integer(data["coeff_width"], "coeff_width"),
+            input_width=_integer(data["input_width"], "input_width"),
+            group_size=_integer(data["group_size"], "group_size"),
+            ppg_mode=PpgMode(data["ppg_mode"]),
+            tree=AdderKind(data["tree"]),
+        )
 
 
 @dataclass
@@ -72,6 +126,17 @@ class DesignFile:
             luts = tuple(build_lut(coefficients, g).entries for g in plan.groups)
         return cls(arch, coefficients, plan, luts)
 
+    def filter(self) -> DaFilter:
+        """A streaming evaluator running this design's own plan, mode, tree and tables."""
+        return DaFilter(
+            self.coefficients,
+            self.plan,
+            self.arch.ppg_mode,
+            self.arch.tree,
+            input_width=self.arch.input_width,
+            luts=self.luts,
+        )
+
     def to_dict(self) -> dict:
         return {
             "version": self.version,
@@ -93,7 +158,7 @@ class DesignFile:
     @classmethod
     def from_dict(cls, data: dict) -> "DesignFile":
         _require_keys(data, _TOP_KEYS, "design")
-        if data["version"] != DESIGN_VERSION:
+        if _integer(data["version"], "design.version") != DESIGN_VERSION:
             raise DesignError(f"unsupported design version {data['version']!r}")
         _require_keys(data["arch"], _ARCH_KEYS, "design.arch")
         try:
@@ -102,10 +167,10 @@ class DesignFile:
             raise DesignError(f"bad architecture: {exc}") from exc
 
         coeff_values = data["coefficients"]
-        if not isinstance(coeff_values, list) or not all(
-            isinstance(v, int) for v in coeff_values
-        ):
+        if not isinstance(coeff_values, list):
             raise DesignError("design.coefficients must be a list of integers")
+        for v in coeff_values:
+            _integer(v, "every coefficient")
         try:
             coefficients = CoefficientSet.from_integers(
                 coeff_values, FixedFormat(arch.coeff_width)
@@ -117,12 +182,12 @@ class DesignFile:
         raw_plan = data["plan"]
         try:
             plan = PartitionPlan(
-                int(raw_plan["group_size"]),
+                _integer(raw_plan["group_size"], "group_size"),
                 tuple(
-                    tuple(None if v is None else int(v) for v in g)
+                    tuple(None if v is None else _integer(v, "a group member") for v in g)
                     for g in raw_plan["groups"]
                 ),
-                int(raw_plan["padded_taps"]),
+                _integer(raw_plan["padded_taps"], "padded_taps"),
             )
         except (TypeError, ValueError) as exc:
             raise DesignError(f"bad plan: {exc}") from exc
@@ -141,7 +206,7 @@ class DesignFile:
         elif luts is not None:
             raise DesignError("mux-mode design must not carry tables")
 
-        return cls(arch, coefficients, plan, stored, int(data["version"]))
+        return cls(arch, coefficients, plan, stored)
 
     @classmethod
     def load(cls, path: str) -> "DesignFile":

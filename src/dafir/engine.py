@@ -23,13 +23,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Callable, Iterable, Sequence, Union
 
-from .adders import (
-    DEFAULT_COST_MODEL,
-    AdderKind,
-    BitVector,
-    CostModel,
-    adder_tree_sum,
-)
+from .adders import DEFAULT_COST_MODEL, AdderKind, BitVector, adder_tree_sum
 from .numerics import (
     AccumulatorOverflow,
     CoefficientSet,
@@ -50,7 +44,6 @@ __all__ = [
     "address_for_cycle",
     "build_lut",
     "check_tables",
-    "da_filter_stream",
     "da_inner_product",
     "memory_locations",
     "mux_ppg",
@@ -219,7 +212,7 @@ def check_tables(
         if (
             not isinstance(entries, (list, tuple))
             or len(entries) != want
-            or not all(isinstance(v, int) for v in entries)
+            or not all(type(v) is int for v in entries)
         ):
             raise ValueError(f"table {i} must be a list of {want} integers")
         for v in entries:
@@ -343,7 +336,6 @@ def _schedule(
     luts: Sequence[Union[DaLut, Sequence[int]]] | None,
     tree: AdderKind = AdderKind.CLA,
     bit_level: bool = False,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
 ) -> tuple[Callable[..., int], Callable[[Sequence[int]], list[int]]]:
     """Bind the one L-cycle bit-serial loop to a plan, a mode and a tree step.
 
@@ -390,7 +382,7 @@ def _schedule(
 
         def tree_sum(partials: list) -> int:
             operands = [BitVector(width, p) for p in partials]
-            return adder_tree_sum(operands, tree, cost_model, bit_level=True)[0]
+            return adder_tree_sum(operands, tree, DEFAULT_COST_MODEL, bit_level=True)[0]
 
     def run(
         dl: Sequence[int],
@@ -464,7 +456,6 @@ def da_inner_product(
     luts: Sequence[Union[DaLut, Sequence[int]]] | None = None,
     collect_trace: bool = True,
     bit_level: bool = False,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
 ) -> tuple[int, CycleTrace | None]:
     """Run the L-cycle bit-serial schedule on one delay-line snapshot.
 
@@ -478,7 +469,7 @@ def da_inner_product(
     verifier exercise exactly the entries a design file carries.
     """
     dl = _check_inputs(delay_line, coeffs, plan, input_width)
-    run, _ = _schedule(coeffs, plan, ppg_mode, input_width, luts, tree, bit_level, cost_model)
+    run, _ = _schedule(coeffs, plan, ppg_mode, input_width, luts, tree, bit_level)
     if not collect_trace:
         return run(dl), None
     records: list[CycleRecord] = []
@@ -505,7 +496,6 @@ class DaFilter:
         input_width: int,
         luts: Sequence[Union[DaLut, Sequence[int]]] | None = None,
         bit_level: bool = False,
-        cost_model: CostModel = DEFAULT_COST_MODEL,
     ) -> None:
         if plan.num_taps != len(coeffs):
             raise ValueError(
@@ -517,9 +507,8 @@ class DaFilter:
         self.tree = tree
         self.input_format = FixedFormat(input_width)
         self.bit_level = bit_level
-        self.cost_model = cost_model
         self._run, self._spreader = _schedule(
-            coeffs, plan, ppg_mode, input_width, luts, tree, bit_level, cost_model
+            coeffs, plan, ppg_mode, input_width, luts, tree, bit_level
         )
         self.reset()
 
@@ -556,36 +545,6 @@ class DaFilter:
         self._spread = [0] * len(self.coeffs) if self.ppg_mode is PpgMode.STORED else None
 
 
-def da_filter_stream(
-    samples: Iterable[Union[int, Sample]],
-    coeffs: CoefficientSet,
-    plan: PartitionPlan,
-    ppg_mode: PpgMode = PpgMode.STORED,
-    tree: AdderKind = AdderKind.CLA,
-    *,
-    input_width: int,
-    luts: Sequence[Union[DaLut, Sequence[int]]] | None = None,
-    trace: bool = False,
-    bit_level: bool = False,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
-) -> tuple[list[int], list[CycleTrace] | None]:
-    """Filter a whole stream; optionally keep every sample's cycle trace."""
-    filt = DaFilter(
-        coeffs,
-        plan,
-        ppg_mode,
-        tree,
-        input_width=input_width,
-        luts=luts,
-        bit_level=bit_level,
-        cost_model=cost_model,
-    )
-    if not trace:
-        return filt.process(samples), None
-    results = [filt.push_traced(s) for s in samples]
-    return [value for value, _ in results], [t for _, t in results]
-
-
 @dataclass(frozen=True)
 class Mismatch:
     """First place a DA evaluation and the direct-form oracle disagreed."""
@@ -607,16 +566,23 @@ def verify_windows(
 ) -> tuple[int, list[Mismatch]]:
     """Compare the DA path against the direct dot product on many windows.
 
-    A window is one delay-line snapshot (newest sample first). Returns the
+    A window is one delay-line snapshot (newest sample first) of
+    ``input_width``-bit samples; a sample outside that range raises
+    ValueError, since the DA path reads only its low bits. Returns the
     number of windows checked and up to ``limit`` mismatches; an empty list
     means full agreement. The oracle side is an independent plain
     multiply-accumulate, never a table.
     """
     evaluate, _ = _schedule(coeffs, plan, ppg_mode, input_width, luts)
     taps = coeffs.values
+    fmt = FixedFormat(input_width)
+    lo, hi = fmt.min_value, fmt.max_value
     checked = 0
     mismatches: list[Mismatch] = []
     for checked, window in enumerate(windows, 1):
+        if min(window) < lo or max(window) > hi:
+            for x in window:
+                fmt.check(x, "sample")
         got = evaluate(window)
         expected = sum(map(mul, taps, window))
         if got != expected:

@@ -145,18 +145,27 @@ class CoefficientSet:
 def _to_fraction(real: RealLike) -> Fraction:
     # Text goes through Decimal so "0.1" means the decimal 1/10, not the
     # nearest binary float; floats are taken at their exact binary value.
-    if isinstance(real, str):
-        try:
-            return Fraction(Decimal(real))
-        except InvalidOperation as exc:
-            raise ValueError(f"cannot parse {real!r} as a number") from exc
     if isinstance(real, (int, Fraction)):
         return Fraction(real)
-    if isinstance(real, Decimal):
-        return Fraction(real)
-    if isinstance(real, float):
-        return Fraction(real)
-    raise TypeError(f"unsupported value type {type(real).__name__}")
+    if isinstance(real, str):
+        try:
+            real = Decimal(real)
+        except InvalidOperation as exc:
+            raise ValueError(f"cannot parse {real!r} as a number") from exc
+    elif isinstance(real, float):
+        real = Decimal(real)
+    elif not isinstance(real, Decimal):
+        raise TypeError(f"unsupported value type {type(real).__name__}")
+    if not real.is_finite():
+        raise ValueError(f"cannot quantize the non-finite value {real}")
+    # Beyond 10^(+-MAX_WIDTH) every code of every width saturates or rounds
+    # to zero. Clamping first keeps Fraction from building an integer with
+    # as many digits as the exponent.
+    if real.adjusted() > MAX_WIDTH:
+        return Fraction(1 << MAX_WIDTH if real > 0 else -(1 << MAX_WIDTH))
+    if real.adjusted() < -MAX_WIDTH:
+        return Fraction(0)
+    return Fraction(real)
 
 
 def quantize_coefficient(real: RealLike, fmt: FixedFormat) -> tuple[Coefficient, bool]:

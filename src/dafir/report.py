@@ -24,22 +24,11 @@ from .adders import (
     cla_cost,
     ripple_cost,
 )
-from .engine import (
-    DaFilter,
-    PpgMode,
-    memory_locations,
-    partial_product_width,
-    partition_taps,
-)
-from .numerics import (
-    MAX_WIDTH,
-    MIN_WIDTH,
-    CoefficientSet,
-    required_accumulator_width,
-)
+from .design import ArchConfig, DesignFile
+from .engine import PpgMode, memory_locations, partial_product_width
+from .numerics import required_accumulator_width
 
 __all__ = [
-    "ArchConfig",
     "ArchComparison",
     "ArchitectureMismatch",
     "ExternalFigures",
@@ -80,50 +69,6 @@ def adp(cells: DecimalLike, time: DecimalLike) -> Decimal:
 def format_adp(value: Decimal) -> Decimal:
     """Render an ADP to two decimals (ties to even)."""
     return value.quantize(_CENT, rounding=ROUND_HALF_EVEN)
-
-
-@dataclass(frozen=True)
-class ArchConfig:
-    """One filter architecture: sizes plus structural choices."""
-
-    num_taps: int
-    coeff_width: int
-    input_width: int
-    group_size: int
-    ppg_mode: PpgMode = PpgMode.STORED
-    tree: AdderKind = AdderKind.CLA
-
-    def __post_init__(self) -> None:
-        if self.num_taps < 1:
-            raise ValueError("num_taps must be at least 1")
-        for name in ("coeff_width", "input_width"):
-            w = getattr(self, name)
-            if not (MIN_WIDTH <= w <= MAX_WIDTH):
-                raise ValueError(f"{name} must be in [{MIN_WIDTH}, {MAX_WIDTH}]")
-        # group_size larger than num_taps just pads; the plan constructor
-        # enforces the absolute cap.
-        partition_taps(self.num_taps, self.group_size)
-
-    def to_dict(self) -> dict:
-        return {
-            "num_taps": self.num_taps,
-            "coeff_width": self.coeff_width,
-            "input_width": self.input_width,
-            "group_size": self.group_size,
-            "ppg_mode": self.ppg_mode.value,
-            "tree": self.tree.value,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ArchConfig":
-        return cls(
-            num_taps=int(data["num_taps"]),
-            coeff_width=int(data["coeff_width"]),
-            input_width=int(data["input_width"]),
-            group_size=int(data["group_size"]),
-            ppg_mode=PpgMode(data["ppg_mode"]),
-            tree=AdderKind(data["tree"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -212,11 +157,11 @@ def _mux_ppg_cost(group_size: int, entry_width: int, model: CostModel) -> GateCo
 
 
 def estimate_resources(
-    config: ArchConfig,
+    design: DesignFile,
     model: CostModel = DEFAULT_COST_MODEL,
     external: ExternalFigures | None = None,
 ) -> ResourceReport:
-    """Deterministic resource accounting for one architecture.
+    """Deterministic resource accounting for one design, as its plan lays it out.
 
     Stored mode pays in memory locations (groups times 2^M entries of the
     partial-product width); mux mode stores nothing and pays gates in the
@@ -224,7 +169,7 @@ def estimate_resources(
     accumulator adds the shifted tree output at the safe accumulator width
     every one of the L cycles.
     """
-    plan = partition_taps(config.num_taps, config.group_size)
+    config, plan = design.arch, design.plan
     entry_width = partial_product_width(config.coeff_width, config.group_size)
     acc_width = required_accumulator_width(
         config.num_taps, config.coeff_width, config.input_width
@@ -302,61 +247,39 @@ def _default_probe_stream(input_width: int, count: int = 128) -> list[int]:
 
 
 def compare_architectures(
-    baseline: ArchConfig,
-    candidate: ArchConfig,
+    baseline: DesignFile,
+    candidate: DesignFile,
     *,
-    coeffs: CoefficientSet | None = None,
-    candidate_coeffs: CoefficientSet | None = None,
     samples: Sequence[int] | None = None,
-    baseline_luts: Sequence[Sequence[int]] | None = None,
-    candidate_luts: Sequence[Sequence[int]] | None = None,
     model: CostModel = DEFAULT_COST_MODEL,
     baseline_external: ExternalFigures | None = None,
     candidate_external: ExternalFigures | None = None,
 ) -> ArchComparison:
-    """Report two architectures of the same filter size side by side.
+    """Report two designs of the same filter size side by side.
 
     Both must share tap count and widths; only structure may differ. When
-    coefficients are available (and identical on both sides) the two
-    datapaths are run on a probe stream first and must produce identical
+    the coefficients are identical on both sides, each design's own plan
+    and tables are run on a probe stream first and must produce identical
     outputs; a mismatch raises :class:`ArchitectureMismatch` because it
     means an engine bug or a corrupted table, not an interesting report.
     """
+    a, b = baseline.arch, candidate.arch
     same = (
-        baseline.num_taps == candidate.num_taps
-        and baseline.coeff_width == candidate.coeff_width
-        and baseline.input_width == candidate.input_width
+        a.num_taps == b.num_taps
+        and a.coeff_width == b.coeff_width
+        and a.input_width == b.input_width
     )
     if not same:
         raise ValueError("architectures must share num_taps, coeff_width and input_width")
 
-    if coeffs is not None and candidate_coeffs is None:
-        candidate_coeffs = coeffs
-
-    if coeffs is None:
-        output_check = "skipped (no coefficients supplied)"
-    elif candidate_coeffs is not None and candidate_coeffs.values != coeffs.values:
+    if baseline.coefficients.values != candidate.coefficients.values:
         output_check = "skipped (different coefficient sets)"
     else:
         stream = list(samples) if samples is not None else _default_probe_stream(
-            baseline.input_width
+            a.input_width
         )
-        out_a = DaFilter(
-            coeffs,
-            partition_taps(baseline.num_taps, baseline.group_size),
-            baseline.ppg_mode,
-            baseline.tree,
-            input_width=baseline.input_width,
-            luts=baseline_luts,
-        ).process(stream)
-        out_b = DaFilter(
-            coeffs,
-            partition_taps(candidate.num_taps, candidate.group_size),
-            candidate.ppg_mode,
-            candidate.tree,
-            input_width=candidate.input_width,
-            luts=candidate_luts,
-        ).process(stream)
+        out_a = baseline.filter().process(stream)
+        out_b = candidate.filter().process(stream)
         if out_a != out_b:
             first = next(i for i, (x, y) in enumerate(zip(out_a, out_b)) if x != y)
             raise ArchitectureMismatch(

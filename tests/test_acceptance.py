@@ -24,9 +24,9 @@ from dafir.adders import (
 from dafir.cli import main
 from dafir.design import DesignFile, rederive_luts
 from dafir.engine import (
+    DaFilter,
     PpgMode,
     all_windows,
-    da_filter_stream,
     da_inner_product,
     memory_locations,
     mux_ppg,
@@ -212,11 +212,8 @@ def test_criterion_7_cycle_count_contract():
         plan = partition_taps(num_taps, group_size)
         lo, hi = -(1 << (input_width - 1)), (1 << (input_width - 1)) - 1
         samples = [rng.randint(lo, hi) for _ in range(25)]
-        _, traces = da_filter_stream(
-            samples, coeffs, plan, input_width=input_width, trace=True
-        )
-        assert traces is not None and len(traces) == len(samples)
-        for trace in traces:
+        filt = DaFilter(coeffs, plan, input_width=input_width)
+        for trace in (filt.push_traced(x)[1] for x in samples):
             assert len(trace) == input_width
             flags = [r.subtract for r in trace]
             assert flags.count(True) == 1

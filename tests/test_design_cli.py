@@ -1,14 +1,20 @@
 """Design files and the command-line front end."""
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
+import dafir.cli as cli
+import dafir.design
+import dafir.report
+from dafir.adders import AdderKind
 from dafir.cli import main
-from dafir.design import DesignError, DesignFile, rederive_luts
-from dafir.engine import PpgMode
+from dafir.design import ArchConfig, DesignError, DesignFile, rederive_luts
+from dafir.engine import PpgMode, build_lut
 from dafir.numerics import CoefficientSet, FixedFormat
-from dafir.report import ArchConfig
+from dafir.report import ArchitectureMismatch
 
 
 @pytest.fixture
@@ -39,6 +45,70 @@ def run_design(workspace, out_name="design.json", *extra):
     )
     assert code == 0
     return out
+
+
+def compare_raising(monkeypatch) -> list:
+    """Spy on the CLI's compare_architectures; returns the exceptions it raised."""
+    raised = []
+    real = cli.compare_architectures
+
+    def spy(*args, **kwargs):
+        try:
+            return real(*args, **kwargs)
+        except Exception as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(cli, "compare_architectures", spy)
+    return raised
+
+
+def replan(path, groups, padded_taps=0) -> None:
+    """Give a stored design file another plan, with the tables that plan needs."""
+    data = json.loads(path.read_text())
+    fmt = FixedFormat(data["arch"]["coeff_width"])
+    coeffs = CoefficientSet.from_integers(data["coefficients"], fmt)
+    data["plan"]["groups"] = [list(g) for g in groups]
+    data["plan"]["padded_taps"] = padded_taps
+    data["luts"] = [list(build_lut(coeffs, g).entries) for g in groups]
+    path.write_text(json.dumps(data))
+
+
+def module_ast(module) -> ast.Module:
+    return ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+
+
+class TestLayering:
+    def test_design_does_not_import_report(self):
+        imported = set()
+        for node in ast.walk(module_ast(dafir.design)):
+            if isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+        assert imported and not any(m.split(".")[-1] == "report" for m in imported)
+
+    def test_report_never_rebuilds_a_plan(self):
+        names = {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(module_ast(dafir.report))
+            if isinstance(node, (ast.Name, ast.Attribute))
+        }
+        assert "partition_taps" not in names
+
+
+class TestArchConfig:
+    def test_round_trips_through_dict(self):
+        a = ArchConfig(4, 16, 16, 4, PpgMode.MUX, AdderKind.CSA_TREE)
+        assert ArchConfig.from_dict(a.to_dict()) == a
+
+    def test_rejects_bad_widths(self):
+        with pytest.raises(ValueError):
+            ArchConfig(4, 1, 16, 2)
+        with pytest.raises(ValueError):
+            ArchConfig(4, 16, 80, 2)
+        with pytest.raises(ValueError):
+            ArchConfig(0, 16, 16, 2)
 
 
 class TestDesignFile:
@@ -98,6 +168,34 @@ class TestDesignFile:
         path.write_text(json.dumps(data))
         with pytest.raises(DesignError, match="cannot be a sum"):
             DesignFile.load(str(path))
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("version",), True),
+            (("arch", "input_width"), 8.9),
+            (("arch", "group_size"), "2"),
+            (("coefficients", 0), True),
+            (("luts", 0, 1), True),
+            (("plan", "groups", 0, 1), 1.7),
+        ],
+        ids=["version", "input_width", "group_size", "coefficient", "table_entry", "plan_member"],
+    )
+    def test_integer_fields_take_only_integers(self, path, value):
+        # Each edit used to load: bool is an int subclass, and int()
+        # truncated floats and parsed strings.
+        fmt = FixedFormat(16)
+        design = DesignFile.create(
+            ArchConfig(2, 16, 16, 2), CoefficientSet.from_integers([1, 6], fmt)
+        )
+        data = design.to_dict()
+        *parents, last = path
+        target = data
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        with pytest.raises(DesignError):
+            DesignFile.from_dict(data)
 
 
 class TestCmdDesign:
@@ -381,20 +479,7 @@ class TestCmdReport:
     def test_compare_edited_table_exits_one_through_the_type(
         self, workspace, capsys, monkeypatch
     ):
-        import dafir.cli as cli
-        from dafir.report import ArchitectureMismatch
-
-        raised = []
-        real = cli.compare_architectures
-
-        def spy(*args, **kwargs):
-            try:
-                return real(*args, **kwargs)
-            except Exception as exc:
-                raised.append(exc)
-                raise
-
-        monkeypatch.setattr(cli, "compare_architectures", spy)
+        raised = compare_raising(monkeypatch)
         stored = run_design(workspace, "stored.json")
         other = run_design(workspace, "other.json", "--tree", "ripple")
         data = json.loads(other.read_text())
@@ -404,6 +489,44 @@ class TestCmdReport:
         assert code == 1
         assert [type(exc) for exc in raised] == [ArchitectureMismatch]
         assert str(raised[0]) in capsys.readouterr().err
+
+    def test_compare_runs_the_designs_own_plan(self, workspace, capsys):
+        stored = run_design(workspace, "stored.json")
+        replan(stored, ((0, 2), (1, 3)))
+        mux = run_design(workspace, "mux.json", "--ppg", "mux")
+        assert main(["verify", "--design", str(stored), "--random", "200"]) == 0
+        assert "200/200 ok" in capsys.readouterr().out
+        code = main(["report", "--design", str(stored), "--compare", str(mux)])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["output_check"] == "ok (128 samples)"
+
+    def test_compare_reads_the_plans_own_table_entries(self, workspace, capsys, monkeypatch):
+        raised = compare_raising(monkeypatch)
+        stored = run_design(workspace, "stored.json")
+        replan(stored, ((0, 2), (1, 3)))
+        mux = run_design(workspace, "mux.json", "--ppg", "mux")
+        data = json.loads(stored.read_text())
+        data["luts"][1][1] += 1  # read when tap 1's sample bit is set and tap 3's is not
+        stored.write_text(json.dumps(data))
+        # Tap 1 first sees a set bit at sample 3, cycle 0: the stored side
+        # reads -16384 + 1 where the mux side sums coefficient 1, -16384.
+        probe = workspace / "probe.txt"
+        probe.write_text("0\n0\n1\n0\n")
+        code = main(
+            ["report", "--design", str(stored), "--compare", str(mux), "--samples", str(probe)]
+        )
+        assert code == 1
+        assert [type(exc) for exc in raised] == [ArchitectureMismatch]
+        assert str(raised[0]) == "architectures disagree at sample 3: -16383 vs -16384"
+
+    def test_memory_locations_follow_the_loaded_plan(self, workspace, capsys):
+        stored = run_design(workspace, "stored.json")
+        replan(stored, ((0, None), (1, None), (2, 3)), padded_taps=2)
+        capsys.readouterr()
+        assert main(["report", "--design", str(stored)]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["memory_locations"] == 12
+        assert data["lut_bits"] == 12 * 17
 
     def test_cost_model_file(self, workspace, capsys):
         design = run_design(workspace)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import dafir.engine as engine
 from dafir.adders import AdderKind
-from dafir.design import DesignError, DesignFile
+from dafir.design import ArchConfig, DesignError, DesignFile
 from dafir.engine import (
     DaFilter,
     PartitionPlan,
@@ -17,7 +17,6 @@ from dafir.engine import (
     address_for_cycle,
     all_windows,
     build_lut,
-    da_filter_stream,
     da_inner_product,
     memory_locations,
     mux_ppg,
@@ -32,7 +31,6 @@ from dafir.numerics import (
     FixedFormat,
     direct_fir,
 )
-from dafir.report import ArchConfig
 
 FMT8 = FixedFormat(8)
 FMT16 = FixedFormat(16)
@@ -334,26 +332,17 @@ class TestInnerProduct:
 
 class TestStreaming:
     def test_identity_tap(self):
-        outputs, _ = da_filter_stream(
-            [9, -3], coeff_set([1]), partition_taps(1, 1), input_width=8
-        )
-        assert outputs == [9, -3]
+        filt = DaFilter(coeff_set([1]), partition_taps(1, 1), input_width=8)
+        assert filt.process([9, -3]) == [9, -3]
 
     def test_pairwise_sums(self):
-        outputs, _ = da_filter_stream(
-            [1, 2, 3], coeff_set([1, 1]), partition_taps(2, 2), input_width=8
-        )
-        assert outputs == [1, 3, 5]
+        filt = DaFilter(coeff_set([1, 1]), partition_taps(2, 2), input_width=8)
+        assert filt.process([1, 2, 3]) == [1, 3, 5]
 
     def test_trace_stream_shape(self):
-        outputs, traces = da_filter_stream(
-            [4, 5, 6],
-            coeff_set([1, 2]),
-            partition_taps(2, 2),
-            input_width=5,
-            trace=True,
-        )
-        assert len(outputs) == len(traces) == 3
+        filt = DaFilter(coeff_set([1, 2]), partition_taps(2, 2), input_width=5)
+        traces = [filt.push_traced(x)[1] for x in [4, 5, 6]]
+        assert len(traces) == 3
         assert all(len(t) == 5 for t in traces)
 
     def test_filter_reset(self):
@@ -369,9 +358,7 @@ class TestStreaming:
         plan = partition_taps(len(coeffs), group_size)
         want = direct_fir(samples, coeffs)
         for mode in (PpgMode.STORED, PpgMode.MUX):
-            got, _ = da_filter_stream(
-                samples, coeffs, plan, mode, input_width=input_width
-            )
+            got = DaFilter(coeffs, plan, mode, input_width=input_width).process(samples)
             assert got == want
 
     def test_long_stream_at_sixteen_bits(self):
@@ -382,7 +369,7 @@ class TestStreaming:
         samples = [rng.randint(-32768, 32767) for _ in range(1000)]
         want = direct_fir(samples, coeffs)
         for mode in (PpgMode.STORED, PpgMode.MUX):
-            got, _ = da_filter_stream(samples, coeffs, plan, mode, input_width=16)
+            got = DaFilter(coeffs, plan, mode, input_width=16).process(samples)
             assert got == want
 
     def test_padded_plan_matches_unpadded(self):
@@ -390,12 +377,8 @@ class TestStreaming:
         values = [rng.randint(-128, 127) for _ in range(5)]
         coeffs = coeff_set(values)
         samples = [rng.randint(-128, 127) for _ in range(40)]
-        padded, _ = da_filter_stream(
-            samples, coeffs, partition_taps(5, 2), input_width=8
-        )
-        unpadded, _ = da_filter_stream(
-            samples, coeffs, partition_taps(5, 1), input_width=8
-        )
+        padded = DaFilter(coeffs, partition_taps(5, 2), input_width=8).process(samples)
+        unpadded = DaFilter(coeffs, partition_taps(5, 1), input_width=8).process(samples)
         assert padded == unpadded == direct_fir(samples, coeffs)
 
 
@@ -433,6 +416,17 @@ class TestVerifyWindows:
             luts=[[0, 3, 5, 9]],
         )
         assert again == bad.got
+
+    def test_sample_out_of_range(self):
+        # 100 is not a 4-bit sample; its low bits alone would give 12.
+        with pytest.raises(ValueError, match="sample 100"):
+            verify_windows(
+                coeff_set([3, 5]),
+                partition_taps(2, 2),
+                PpgMode.STORED,
+                input_width=4,
+                windows=[(100, 0)],
+            )
 
     def test_all_windows_covers_the_space(self):
         windows = list(all_windows(2, 2))
@@ -542,14 +536,8 @@ class TestSchedule:
             for tree in AdderKind:
                 calls.clear()
                 filt = DaFilter(coeffs, plan, mode, tree, input_width=6, bit_level=True)
-                assert [filt.push(x) for x in samples] == want
-                assert calls and all(calls)
-                calls.clear()
-                got, _ = da_filter_stream(
-                    samples, coeffs, plan, mode, tree, input_width=6, bit_level=True
-                )
-                assert got == want
-                assert len(calls) == len(samples) * 6
+                assert filt.process(samples) == want
+                assert len(calls) == len(samples) * 6 and all(calls)
 
     def test_garbage_at_padding_addresses_is_never_read(self):
         # Group (4, None): addresses with bit 1 set select the padding slot,
@@ -569,7 +557,7 @@ class TestSchedule:
             else:
                 assert a.push_traced(x) == b.push_traced(x)
         want = direct_fir(samples, coeffs)
-        assert da_filter_stream(samples, coeffs, plan, input_width=8, luts=dirty)[0] == want
+        assert DaFilter(coeffs, plan, input_width=8, luts=dirty).process(samples) == want
 
     @pytest.mark.parametrize(
         "groups, padded",
@@ -599,12 +587,11 @@ class TestSchedule:
             design = DesignFile.from_dict(data)
             assert design.plan.groups == groups
             samples = [rng.randint(-4, 3) for _ in range(30)] + [-4, -4, -4]
-            got, traces = da_filter_stream(
-                samples, coeffs, design.plan, mode, input_width=3,
-                luts=design.luts, trace=True,
-            )
+            filt = design.filter()
+            results = [filt.push_traced(x) for x in samples]
+            got = [y for y, _ in results]
             assert got == direct_fir(samples, coeffs)
-            assert [t[-1].acc_after for t in traces] == got
+            assert [t[-1].acc_after for _, t in results] == got
             checked, mismatches = verify_windows(
                 coeffs, design.plan, mode, input_width=3,
                 windows=all_windows(num_taps, 3), luts=design.luts,

@@ -1,5 +1,7 @@
 """Formats, quantization, the direct-form oracle and accumulator sizing."""
 
+import time
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 
@@ -115,6 +117,33 @@ class TestQuantize:
     def test_rejects_garbage_text(self):
         with pytest.raises(ValueError):
             quantize_coefficient("not-a-number", FMT8)
+
+    @pytest.mark.parametrize(
+        "text, want",
+        [
+            ("1e999999999", (32767, True)),
+            ("-1e999999999", (-32768, True)),
+            ("1e-999999999", (0, False)),
+            ("Infinity", ValueError),
+        ],
+        ids=["1e999999999", "-1e999999999", "1e-999999999", "Infinity"],
+    )
+    def test_extreme_text_is_bounded(self, text, want):
+        # Exact conversion of these would build integers with a billion digits.
+        start = time.perf_counter()
+        if want is ValueError:
+            with pytest.raises(ValueError):
+                quantize_coefficient(text, FMT16)
+        else:
+            coeff, saturated = quantize_coefficient(text, FMT16)
+            assert (coeff.value, saturated) == want
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("width", [2, 64])
+    def test_exponent_clamp_edges_match_rational_oracle(self, width):
+        for text in ("9.9e64", "1e65", "-1e65", "9.9e-64", "1e-64", "9.9e-65", "-1e-65"):
+            got = quantize_coefficient(text, FixedFormat(width))
+            assert (got[0].value, got[1]) == quantize_oracle(Fraction(Decimal(text)), width)
 
 
 class TestDirectFir:

@@ -1,5 +1,6 @@
 """Resource accounting, ADP arithmetic and architecture comparisons."""
 
+import dataclasses
 import json
 import random
 from decimal import Decimal
@@ -7,10 +8,11 @@ from decimal import Decimal
 import pytest
 
 from dafir.adders import AdderKind, CostModel
+from dafir.design import ArchConfig, DesignFile
 from dafir.engine import PpgMode
 from dafir.numerics import CoefficientSet, FixedFormat
 from dafir.report import (
-    ArchConfig,
+    ArchitectureMismatch,
     ExternalFigures,
     adp,
     compare_architectures,
@@ -19,8 +21,13 @@ from dafir.report import (
 )
 
 
-def arch(K=4, W=16, L=16, M=2, ppg=PpgMode.STORED, tree=AdderKind.CLA):
-    return ArchConfig(K, W, L, M, ppg, tree)
+def design(K=4, W=16, L=16, M=2, ppg=PpgMode.STORED, tree=AdderKind.CLA, values=None):
+    """A design of K taps; coefficients 1..K unless ``values`` are given."""
+    fmt = FixedFormat(W)
+    values = values if values is not None else range(1, K + 1)
+    return DesignFile.create(
+        ArchConfig(K, W, L, M, ppg, tree), CoefficientSet.from_integers(values, fmt)
+    )
 
 
 class TestAdp:
@@ -43,64 +50,50 @@ class TestAdp:
             adp(-1, "2.0")
 
 
-class TestArchConfig:
-    def test_round_trips_through_dict(self):
-        a = arch(M=4, ppg=PpgMode.MUX, tree=AdderKind.CSA_TREE)
-        assert ArchConfig.from_dict(a.to_dict()) == a
-
-    def test_rejects_bad_widths(self):
-        with pytest.raises(ValueError):
-            ArchConfig(4, 1, 16, 2)
-        with pytest.raises(ValueError):
-            ArchConfig(4, 16, 80, 2)
-        with pytest.raises(ValueError):
-            ArchConfig(0, 16, 16, 2)
-
-
 class TestEstimateResources:
     def test_partitioned_memory(self):
-        assert estimate_resources(arch(K=4, M=2)).memory_locations == 8
+        assert estimate_resources(design(K=4, M=2)).memory_locations == 8
 
     def test_unpartitioned_memory(self):
-        assert estimate_resources(arch(K=4, M=4)).memory_locations == 16
+        assert estimate_resources(design(K=4, M=4)).memory_locations == 16
 
     def test_eight_groups_of_two(self):
-        assert estimate_resources(arch(K=16, M=2)).memory_locations == 32
+        assert estimate_resources(design(K=16, M=2)).memory_locations == 32
 
     def test_mux_mode_stores_nothing_but_pays_gates(self):
-        report = estimate_resources(arch(K=8, M=2, ppg=PpgMode.MUX))
+        report = estimate_resources(design(K=8, M=2, ppg=PpgMode.MUX))
         assert report.memory_locations == 0
         assert report.lut_bits == 0
         assert report.ppg_cost.gate_count > 0
         assert report.cycles_per_output == 16
 
     def test_lut_bits_scale_with_entry_width(self):
-        report = estimate_resources(arch(K=4, W=16, M=2))
+        report = estimate_resources(design(K=4, W=16, M=2))
         assert report.entry_width == 17
         assert report.lut_bits == 8 * 17
 
     def test_accumulator_width_at_eight_taps(self):
-        assert estimate_resources(arch(K=8)).accumulator_width == 35
+        assert estimate_resources(design(K=8)).accumulator_width == 35
 
     def test_memory_shrinks_as_groups_shrink(self):
         for K in (4, 8, 12, 16):
             sizes = [M for M in range(2, K + 1) if K % M == 0]
             locations = [
-                estimate_resources(arch(K=K, M=M)).memory_locations for M in sizes
+                estimate_resources(design(K=K, M=M)).memory_locations for M in sizes
             ]
             # ordered by decreasing M, memory strictly decreases
             by_decreasing_m = list(reversed(locations))
             assert all(a > b for a, b in zip(by_decreasing_m, by_decreasing_m[1:]))
 
     def test_deterministic_reports(self):
-        a = json.dumps(estimate_resources(arch()).to_dict(), sort_keys=True)
-        b = json.dumps(estimate_resources(arch()).to_dict(), sort_keys=True)
+        a = json.dumps(estimate_resources(design()).to_dict(), sort_keys=True)
+        b = json.dumps(estimate_resources(design()).to_dict(), sort_keys=True)
         assert a == b
 
     def test_golden_eight_tap_mux_cla(self):
         # Frozen from the default cost model; a change here means the
         # declared constants or the composition rules moved.
-        report = estimate_resources(arch(K=8, M=2, ppg=PpgMode.MUX, tree=AdderKind.CLA))
+        report = estimate_resources(design(K=8, M=2, ppg=PpgMode.MUX, tree=AdderKind.CLA))
         assert report.memory_locations == 0
         assert report.entry_width == 17
         assert report.accumulator_width == 35
@@ -111,16 +104,16 @@ class TestEstimateResources:
         assert report.adp_model == 2422 * 36 == 87192
 
     def test_cost_model_override_moves_costs(self):
-        base = estimate_resources(arch(tree=AdderKind.RIPPLE))
+        base = estimate_resources(design(tree=AdderKind.RIPPLE))
         slow = estimate_resources(
-            arch(tree=AdderKind.RIPPLE), CostModel(fa_gates=10, fa_depth=4)
+            design(tree=AdderKind.RIPPLE), CostModel(fa_gates=10, fa_depth=4)
         )
         assert slow.total_cost.gate_count > base.total_cost.gate_count
         assert slow.adp_model > base.adp_model
 
     def test_external_figures_echoed(self):
         fig = ExternalFigures(606, Decimal("2.375"), Decimal("387"))
-        report = estimate_resources(arch(), external=fig)
+        report = estimate_resources(design(), external=fig)
         data = report.to_dict()["external"]
         assert data == {
             "cells": 606,
@@ -132,13 +125,14 @@ class TestEstimateResources:
 
 class TestCompare:
     def test_identical_configs_all_zero_deltas(self):
-        comparison = compare_architectures(arch(), arch())
+        comparison = compare_architectures(design(), design())
+        assert comparison.output_check == "ok (128 samples)"
         assert all(v == 0.0 for v in comparison.deltas_pct.values())
 
     def test_external_cell_delta_matches_exact_arithmetic(self):
         comparison = compare_architectures(
-            arch(tree=AdderKind.CSA_TREE),
-            arch(tree=AdderKind.CLA),
+            design(tree=AdderKind.CSA_TREE),
+            design(tree=AdderKind.CLA),
             baseline_external=ExternalFigures(606, Decimal("2.375"), Decimal("387")),
             candidate_external=ExternalFigures(357, Decimal("2.523"), Decimal("379")),
         )
@@ -150,27 +144,21 @@ class TestCompare:
 
     def test_tree_choice_keeps_outputs_and_changes_costs(self):
         rng = random.Random(99)
-        fmt = FixedFormat(16)
-        coeffs = CoefficientSet.from_integers(
-            [rng.randint(-32768, 32767) for _ in range(8)], fmt
-        )
+        values = [rng.randint(-32768, 32767) for _ in range(8)]
         samples = [rng.randint(-32768, 32767) for _ in range(100)]
         comparison = compare_architectures(
-            arch(K=8, tree=AdderKind.CSA_TREE),
-            arch(K=8, tree=AdderKind.CLA),
-            coeffs=coeffs,
+            design(K=8, tree=AdderKind.CSA_TREE, values=values),
+            design(K=8, tree=AdderKind.CLA, values=values),
             samples=samples,
         )
         assert comparison.output_check == "ok (100 samples)"
         assert comparison.baseline.total_cost != comparison.candidate.total_cost
 
     def test_stored_vs_mux_memory(self):
-        fmt = FixedFormat(16)
-        coeffs = CoefficientSet.from_integers([100, -200, 300, -400], fmt)
+        values = [100, -200, 300, -400]
         comparison = compare_architectures(
-            arch(K=4, M=2, ppg=PpgMode.STORED),
-            arch(K=4, M=2, ppg=PpgMode.MUX),
-            coeffs=coeffs,
+            design(K=4, M=2, ppg=PpgMode.STORED, values=values),
+            design(K=4, M=2, ppg=PpgMode.MUX, values=values),
         )
         assert comparison.output_check.startswith("ok")
         assert comparison.baseline.memory_locations == 8
@@ -178,44 +166,28 @@ class TestCompare:
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            compare_architectures(arch(K=4), arch(K=8))
+            compare_architectures(design(K=4), design(K=8))
         with pytest.raises(ValueError):
-            compare_architectures(arch(W=16), arch(W=8))
+            compare_architectures(design(W=16), design(W=8))
 
     def test_different_coefficients_skip_output_check(self):
-        fmt = FixedFormat(16)
-        a = CoefficientSet.from_integers([1, 2, 3, 4], fmt)
-        b = CoefficientSet.from_integers([1, 2, 3, 5], fmt)
         comparison = compare_architectures(
-            arch(), arch(), coeffs=a, candidate_coeffs=b
+            design(values=[1, 2, 3, 4]), design(values=[1, 2, 3, 5])
         )
         assert comparison.output_check == "skipped (different coefficient sets)"
 
     def test_corrupt_tables_abort_comparison(self):
-        fmt = FixedFormat(8)
-        coeffs = CoefficientSet.from_integers([3, 5], fmt)
-        good = [[0, 3, 5, 8]]
-        bad = [[0, 3, 5, 9]]
-        with pytest.raises(ValueError, match="disagree"):
-            compare_architectures(
-                ArchConfig(2, 8, 8, 2, PpgMode.STORED, AdderKind.CLA),
-                ArchConfig(2, 8, 8, 2, PpgMode.STORED, AdderKind.CLA),
-                coeffs=coeffs,
-                baseline_luts=good,
-                candidate_luts=bad,
-            )
+        good = design(K=2, W=8, L=8, values=[3, 5])
+        assert good.luts == ((0, 3, 5, 8),)
+        bad = dataclasses.replace(good, luts=((0, 3, 5, 9),))
+        with pytest.raises(ArchitectureMismatch):
+            compare_architectures(good, bad)
 
     def test_never_reports_while_outputs_differ(self):
-        fmt = FixedFormat(8)
-        coeffs = CoefficientSet.from_integers([3, 5], fmt)
-        bad = [[0, 3, 5, 9]]
+        good = design(K=2, W=8, L=8, values=[3, 5])
+        bad = dataclasses.replace(good, luts=((0, 3, 5, 9),))
         try:
-            compare_architectures(
-                ArchConfig(2, 8, 8, 2, PpgMode.STORED, AdderKind.CLA),
-                ArchConfig(2, 8, 8, 2, PpgMode.STORED, AdderKind.CLA),
-                coeffs=coeffs,
-                candidate_luts=bad,
-            )
+            compare_architectures(good, bad)
         except ValueError:
             return
         pytest.fail("comparison of disagreeing architectures must not return")
