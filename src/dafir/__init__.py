@@ -29,7 +29,6 @@ from .adders import (
 )
 from .design import ArchConfig, DesignFile, rederive_luts
 from .engine import (
-    AddressWord,
     CycleRecord,
     CycleTrace,
     DaFilter,
@@ -49,11 +48,9 @@ from .engine import (
 )
 from .numerics import (
     AccumulatorOverflow,
-    Coefficient,
     CoefficientSet,
     DirectFormFir,
     FixedFormat,
-    Sample,
     dequantize,
     direct_fir,
     min_signed_width,

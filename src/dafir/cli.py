@@ -1,8 +1,10 @@
 """Command line: design, run, verify and report on DA filter designs.
 
 Exit codes: 0 on success, 1 when a verification or cross-architecture
-check found a mismatch, 2 for usage and parse errors. Every file error is
-reported as a single line with the offending line number.
+check found a mismatch or a table drove the accumulator out of its range
+(tables consistent with the coefficients never can), 2 for usage and
+parse errors. Every file error is reported as a single line with the
+offending line number.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Sequence
 from .adders import DEFAULT_COST_MODEL, AdderKind, CostModel
 from .design import ArchConfig, DesignError, DesignFile
 from .engine import PpgMode, all_windows, verify_windows
-from .numerics import CoefficientSet, FixedFormat, quantize_coefficient
+from .numerics import AccumulatorOverflow, CoefficientSet, FixedFormat, quantize_coefficient
 from .report import (
     ArchitectureMismatch,
     ExternalFigures,
@@ -60,14 +62,12 @@ def _parse_coefficients(path: str, fmt: FixedFormat):
     for lineno, text in _read_lines(path):
         if any(ch in text for ch in ".eE"):
             try:
-                coeff, saturated = quantize_coefficient(text, fmt)
+                code, saturated = quantize_coefficient(text, fmt)
             except ValueError:
                 raise CliError(f"{path}:{lineno}: cannot parse coefficient {text!r}")
             if saturated:
-                warnings.append(
-                    f"{path}:{lineno}: {text} saturated to {coeff.value}"
-                )
-            values.append(coeff.value)
+                warnings.append(f"{path}:{lineno}: {text} saturated to {code}")
+            values.append(code)
         else:
             try:
                 v = int(text)
@@ -328,6 +328,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except AccumulatorOverflow as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
     except ValueError as exc:
         # bad widths, group sizes and other parameter validation
         print(f"error: {exc}", file=sys.stderr)

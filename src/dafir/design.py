@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .adders import AdderKind
 from .engine import (
+    MAX_GROUP_SIZE,
     DaFilter,
     PartitionPlan,
     PpgMode,
@@ -75,9 +76,9 @@ class ArchConfig:
             w = getattr(self, name)
             if not (MIN_WIDTH <= w <= MAX_WIDTH):
                 raise ValueError(f"{name} must be in [{MIN_WIDTH}, {MAX_WIDTH}]")
-        # group_size larger than num_taps just pads; the plan constructor
-        # enforces the absolute cap.
-        partition_taps(self.num_taps, self.group_size)
+        # group_size larger than num_taps just pads
+        if not (1 <= self.group_size <= MAX_GROUP_SIZE):
+            raise ValueError(f"group_size must be in [1, {MAX_GROUP_SIZE}]")
 
     def to_dict(self) -> dict:
         return {

@@ -28,12 +28,10 @@ from .numerics import (
     AccumulatorOverflow,
     CoefficientSet,
     FixedFormat,
-    Sample,
     required_accumulator_width,
 )
 
 __all__ = [
-    "AddressWord",
     "CycleRecord",
     "CycleTrace",
     "DaFilter",
@@ -42,6 +40,7 @@ __all__ = [
     "PartitionPlan",
     "PpgMode",
     "address_for_cycle",
+    "all_windows",
     "build_lut",
     "check_tables",
     "da_inner_product",
@@ -193,7 +192,7 @@ def mux_ppg(coeffs: CoefficientSet, group: Sequence[TapIndex], address: int) -> 
 
 
 def check_tables(
-    luts: Sequence[Union[DaLut, Sequence[int]]],
+    luts: Sequence[Sequence[int]],
     plan: PartitionPlan,
     coeff_width: int,
 ) -> tuple[tuple[int, ...], ...]:
@@ -207,8 +206,7 @@ def check_tables(
     want = 1 << plan.group_size
     bound = 1 << (partial_product_width(coeff_width, plan.group_size) - 1)
     tables = []
-    for i, lut in enumerate(luts):
-        entries = lut.entries if isinstance(lut, DaLut) else lut
+    for i, entries in enumerate(luts):
         if (
             not isinstance(entries, (list, tuple))
             or len(entries) != want
@@ -225,21 +223,13 @@ def check_tables(
     return tuple(tables)
 
 
-@dataclass(frozen=True)
-class AddressWord:
-    """Per-group table addresses formed from bit ``cycle`` of every sample."""
-
-    cycle: int
-    per_group: tuple[int, ...]
-
-
 def address_for_cycle(
     delay_line: Sequence[int],
     plan: PartitionPlan,
     cycle: int,
     input_width: int,
-) -> AddressWord:
-    """Gather bit ``cycle`` of each group member's sample into an address.
+) -> tuple[int, ...]:
+    """Per-group table addresses formed from bit ``cycle`` of every sample.
 
     ``delay_line[i]`` holds x(current - i), so tap i multiplies the sample
     it should. Address bit j of a group belongs to group member j; padding
@@ -256,7 +246,7 @@ def address_for_cycle(
             if idx is not None:
                 a |= ((delay_line[idx] >> cycle) & 1) << j
         addresses.append(a)
-    return AddressWord(cycle, tuple(addresses))
+    return tuple(addresses)
 
 
 @dataclass(frozen=True)
@@ -286,7 +276,7 @@ def _check_inputs(
         raise ValueError(
             f"plan covers {plan.num_taps} taps but the filter has {num_taps}"
         )
-    dl = tuple(int(x) for x in delay_line)
+    dl = tuple(delay_line)
     if len(dl) != num_taps:
         raise ValueError(f"delay line has {len(dl)} entries, expected {num_taps}")
     fmt = FixedFormat(input_width)
@@ -333,7 +323,7 @@ def _schedule(
     plan: PartitionPlan,
     ppg_mode: PpgMode,
     input_width: int,
-    luts: Sequence[Union[DaLut, Sequence[int]]] | None,
+    luts: Sequence[Sequence[int]] | None,
     tree: AdderKind = AdderKind.CLA,
     bit_level: bool = False,
 ) -> tuple[Callable[..., int], Callable[[Sequence[int]], list[int]]]:
@@ -453,7 +443,7 @@ def da_inner_product(
     tree: AdderKind = AdderKind.CLA,
     *,
     input_width: int,
-    luts: Sequence[Union[DaLut, Sequence[int]]] | None = None,
+    luts: Sequence[Sequence[int]] | None = None,
     collect_trace: bool = True,
     bit_level: bool = False,
 ) -> tuple[int, CycleTrace | None]:
@@ -494,7 +484,7 @@ class DaFilter:
         tree: AdderKind = AdderKind.CLA,
         *,
         input_width: int,
-        luts: Sequence[Union[DaLut, Sequence[int]]] | None = None,
+        luts: Sequence[Sequence[int]] | None = None,
         bit_level: bool = False,
     ) -> None:
         if plan.num_taps != len(coeffs):
@@ -512,32 +502,25 @@ class DaFilter:
         )
         self.reset()
 
-    def _admit(self, sample: Union[int, Sample]) -> None:
-        if isinstance(sample, Sample):
-            if sample.format != self.input_format:
-                raise ValueError(
-                    f"sample format {sample.format} does not match {self.input_format}"
-                )
-            x = sample.value
-        else:
-            x = self.input_format.check(int(sample), "sample")
+    def _admit(self, sample: int) -> None:
+        x = self.input_format.check(sample, "sample")
         self._delay.insert(0, x)
         self._delay.pop()
         if self._spread is not None:
             self._spread.insert(0, self._spreader((x,))[0])
             self._spread.pop()
 
-    def push(self, sample: Union[int, Sample]) -> int:
+    def push(self, sample: int) -> int:
         self._admit(sample)
         return self._run(self._delay, self._spread)
 
-    def push_traced(self, sample: Union[int, Sample]) -> tuple[int, CycleTrace]:
+    def push_traced(self, sample: int) -> tuple[int, CycleTrace]:
         self._admit(sample)
         records: list[CycleRecord] = []
         value = self._run(self._delay, self._spread, _recorder(records, self.input_format.width))
         return value, tuple(records)
 
-    def process(self, samples: Iterable[Union[int, Sample]]) -> list[int]:
+    def process(self, samples: Iterable[int]) -> list[int]:
         return [self.push(s) for s in samples]
 
     def reset(self) -> None:
@@ -561,7 +544,7 @@ def verify_windows(
     *,
     input_width: int,
     windows: Iterable[Sequence[int]],
-    luts: Sequence[Union[DaLut, Sequence[int]]] | None = None,
+    luts: Sequence[Sequence[int]] | None = None,
     limit: int = 1,
 ) -> tuple[int, list[Mismatch]]:
     """Compare the DA path against the direct dot product on many windows.

@@ -1,8 +1,9 @@
 """Fixed-point formats, coefficient quantization and the direct-form FIR oracle.
 
 Everything here is exact integer (or rational) arithmetic. Samples and
-coefficients are signed two's-complement integers described by a
-:class:`FixedFormat`; quantization maps real values onto the Q1.(W-1)
+coefficients are plain ``int`` values within a signed two's-complement
+:class:`FixedFormat`, whose :meth:`~FixedFormat.check` is the one test of
+their type and range; quantization maps real values onto the Q1.(W-1)
 grid with round-half-to-even and saturation. :func:`direct_fir` is the
 golden reference every table-driven evaluation path is checked against,
 so it deliberately uses Python's unbounded integers and nothing else.
@@ -17,11 +18,9 @@ from typing import Iterable, Sequence, Union
 
 __all__ = [
     "AccumulatorOverflow",
-    "Coefficient",
     "CoefficientSet",
     "DirectFormFir",
     "FixedFormat",
-    "Sample",
     "dequantize",
     "direct_fir",
     "min_signed_width",
@@ -48,13 +47,10 @@ class FixedFormat:
     """
 
     width: int
-    signed: bool = True
 
     def __post_init__(self) -> None:
         if not (MIN_WIDTH <= self.width <= MAX_WIDTH):
             raise ValueError(f"width must be in [{MIN_WIDTH}, {MAX_WIDTH}], got {self.width}")
-        if not self.signed:
-            raise ValueError("only signed formats are supported")
 
     @property
     def min_value(self) -> int:
@@ -73,6 +69,12 @@ class FixedFormat:
         return self.min_value <= value <= self.max_value
 
     def check(self, value: int, what: str = "value") -> int:
+        """``value`` itself if it is an ``int`` (not a ``bool``) within range.
+
+        Nothing is coerced: a float, a bool or a numeric string raises
+        TypeError, so 2.9 is never silently taken as 2.
+        """
+        _require_int(value, what)
         if not self.contains(value):
             raise ValueError(
                 f"{what} {value} outside signed {self.width}-bit range "
@@ -81,65 +83,39 @@ class FixedFormat:
         return value
 
 
-@dataclass(frozen=True)
-class Coefficient:
-    """One filter tap, an exact integer within its format's range."""
-
-    value: int
-    format: FixedFormat
-
-    def __post_init__(self) -> None:
-        self.format.check(self.value, "coefficient")
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One input word, an exact integer within its format's range."""
-
-    value: int
-    format: FixedFormat
-
-    def __post_init__(self) -> None:
-        self.format.check(self.value, "sample")
+def _require_int(value: int, what: str) -> int:
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an int, got {type(value).__name__} {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Ordered taps of a filter, all sharing one coefficient format."""
+    """Ordered taps of a filter, each an ``int`` within one coefficient format."""
 
-    taps: tuple[Coefficient, ...]
+    values: tuple[int, ...]
     format: FixedFormat
 
     def __post_init__(self) -> None:
-        if len(self.taps) < 1:
+        if len(self.values) < 1:
             raise ValueError("a filter needs at least one tap")
-        for tap in self.taps:
-            if tap.format != self.format:
-                raise ValueError("all taps must share the set's format")
+        for value in self.values:
+            self.format.check(value, "coefficient")
 
     def __len__(self) -> int:
-        return len(self.taps)
-
-    @property
-    def values(self) -> tuple[int, ...]:
-        return tuple(tap.value for tap in self.taps)
+        return len(self.values)
 
     @classmethod
     def from_integers(cls, values: Sequence[int], fmt: FixedFormat) -> "CoefficientSet":
-        return cls(tuple(Coefficient(int(v), fmt) for v in values), fmt)
+        return cls(tuple(values), fmt)
 
     @classmethod
     def from_reals(
         cls, reals: Sequence[RealLike], fmt: FixedFormat
     ) -> tuple["CoefficientSet", tuple[bool, ...]]:
         """Quantize real-valued taps; returns the set plus per-tap saturation flags."""
-        taps = []
-        flags = []
-        for r in reals:
-            coeff, saturated = quantize_coefficient(r, fmt)
-            taps.append(coeff)
-            flags.append(saturated)
-        return cls(tuple(taps), fmt), tuple(flags)
+        pairs = [quantize_coefficient(r, fmt) for r in reals]
+        return cls(tuple(code for code, _ in pairs), fmt), tuple(flag for _, flag in pairs)
 
 
 def _to_fraction(real: RealLike) -> Fraction:
@@ -165,26 +141,36 @@ def _to_fraction(real: RealLike) -> Fraction:
         return Fraction(1 << MAX_WIDTH if real > 0 else -(1 << MAX_WIDTH))
     if real.adjusted() < -MAX_WIDTH:
         return Fraction(0)
+    # Every rounding tie point of every width up to MAX_WIDTH is an odd
+    # multiple of 2^-width, which has at most MAX_WIDTH fractional decimal
+    # digits. Cutting below 10^-MAX_WIDTH and keeping one sticky digit for
+    # whatever was cut leaves the value between the same two tie points,
+    # so the result is unchanged while a long mantissa costs no Fraction
+    # of its length.
+    sign, digits, exponent = real.as_tuple()
+    if exponent < -MAX_WIDTH:
+        keep = len(digits) + exponent + MAX_WIDTH  # digits at or above 10^-MAX_WIDTH
+        sticky = 1 if any(digits[keep:]) else 0
+        real = Decimal((sign, digits[:keep] + (sticky,), -MAX_WIDTH - 1))
     return Fraction(real)
 
 
-def quantize_coefficient(real: RealLike, fmt: FixedFormat) -> tuple[Coefficient, bool]:
+def quantize_coefficient(real: RealLike, fmt: FixedFormat) -> tuple[int, bool]:
     """Map a real value onto the Q1.(width-1) integer grid.
 
     Rounds real * 2^(width-1) to the nearest integer with ties to even,
-    then saturates to the representable range. Returns the coefficient and
-    a flag telling whether saturation clipped the value.
+    then saturates to the representable range. Returns the code and a
+    flag telling whether saturation clipped the value.
     """
     scaled = _to_fraction(real) * fmt.scale
     code = round(scaled)  # round() on Fraction is exact half-to-even
     saturated = code < fmt.min_value or code > fmt.max_value
-    code = max(fmt.min_value, min(fmt.max_value, code))
-    return Coefficient(code, fmt), saturated
+    return max(fmt.min_value, min(fmt.max_value, code)), saturated
 
 
-def dequantize(coeff: Coefficient) -> Fraction:
-    """Exact real value a coefficient code stands for."""
-    return Fraction(coeff.value, coeff.format.scale)
+def dequantize(code: int, fmt: FixedFormat) -> Fraction:
+    """Exact real value a coefficient code of format ``fmt`` stands for."""
+    return Fraction(fmt.check(code, "code"), fmt.scale)
 
 
 def required_accumulator_width(num_taps: int, coeff_width: int, input_width: int) -> int:
@@ -213,7 +199,7 @@ def min_signed_width(value: int) -> int:
 def _tap_values(coeffs: Union[CoefficientSet, Sequence[int]]) -> tuple[int, ...]:
     if isinstance(coeffs, CoefficientSet):
         return coeffs.values
-    return tuple(int(v) for v in coeffs)
+    return tuple(_require_int(v, "tap") for v in coeffs)
 
 
 class DirectFormFir:
@@ -230,22 +216,11 @@ class DirectFormFir:
         input_format: FixedFormat | None = None,
     ) -> None:
         self._taps = _tap_values(coeffs)
-        self._input_format = input_format
+        self._check = _require_int if input_format is None else input_format.check
         self._delay = [0] * len(self._taps)
 
-    def push(self, sample: Union[int, Sample]) -> int:
-        if isinstance(sample, Sample):
-            if self._input_format is not None and sample.format != self._input_format:
-                raise ValueError(
-                    f"sample format {sample.format} does not match "
-                    f"declared input format {self._input_format}"
-                )
-            x = sample.value
-        else:
-            x = int(sample)
-            if self._input_format is not None:
-                self._input_format.check(x, "sample")
-        self._delay.insert(0, x)
+    def push(self, sample: int) -> int:
+        self._delay.insert(0, self._check(sample, "sample"))
         self._delay.pop()
         return sum(a * x for a, x in zip(self._taps, self._delay))
 
@@ -254,7 +229,7 @@ class DirectFormFir:
 
 
 def direct_fir(
-    samples: Iterable[Union[int, Sample]],
+    samples: Iterable[int],
     coeffs: Union[CoefficientSet, Sequence[int]],
     input_format: FixedFormat | None = None,
 ) -> list[int]:

@@ -2,9 +2,12 @@
 
 import ast
 import json
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import dafir.cli as cli
 import dafir.design
@@ -78,6 +81,65 @@ def module_ast(module) -> ast.Module:
     return ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
 
 
+def overflow_design(tmp_path) -> Path:
+    """K=1, coefficient 5, W=8, L=4, M=4, with table 0 entry 1 edited to 511.
+
+    511 fits the 10-bit partial-product width that check_tables allows, but
+    no sum of the coefficients gives it: the sample 7 reads it on three
+    cycles, and 511 * 7 = 3577 leaves the 12-bit accumulator, which
+    consistent tables never leave.
+    """
+    design = DesignFile.create(
+        ArchConfig(1, 8, 4, 4), CoefficientSet.from_integers([5], FixedFormat(8))
+    )
+    data = design.to_dict()
+    data["luts"][0][1] = 511
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+def json_paths(node, path=()):
+    """Every path into a JSON document, the root () included."""
+    yield path
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from json_paths(child, path + (key,))
+    elif isinstance(node, list):
+        for index, child in enumerate(node):
+            yield from json_paths(child, path + (index,))
+
+
+def replaced(data, path, value):
+    """A copy of ``data`` with the node at ``path`` replaced by ``value``."""
+    if not path:
+        return value
+    data = json.loads(json.dumps(data))
+    *parents, last = path
+    target = data
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return data
+
+
+# Three taps in groups of two: a padding slot, two tables and a null member.
+BASE_DESIGN = DesignFile.create(
+    ArchConfig(3, 8, 4, 2), CoefficientSet.from_integers([3, -5, 7], FixedFormat(8))
+).to_dict()
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=5)
+    | st.dictionaries(st.text(max_size=8), children, max_size=5),
+    max_leaves=12,
+)
+
+
 class TestLayering:
     def test_design_does_not_import_report(self):
         imported = set()
@@ -101,6 +163,13 @@ class TestArchConfig:
     def test_round_trips_through_dict(self):
         a = ArchConfig(4, 16, 16, 4, PpgMode.MUX, AdderKind.CSA_TREE)
         assert ArchConfig.from_dict(a.to_dict()) == a
+
+    def test_group_size_checked_directly(self):
+        for size in (0, 17):
+            with pytest.raises(ValueError, match=r"group_size must be in \[1, 16\]"):
+                ArchConfig(4, 16, 16, size)
+        # only sizes are checked: a group larger than the filter pads
+        assert ArchConfig(1, 16, 16, 16).group_size == 16
 
     def test_rejects_bad_widths(self):
         with pytest.raises(ValueError):
@@ -196,6 +265,28 @@ class TestDesignFile:
         target[last] = value
         with pytest.raises(DesignError):
             DesignFile.from_dict(data)
+
+    def test_huge_tap_count_rejected_without_building_a_plan(self):
+        data = replaced(BASE_DESIGN, ("arch", "num_taps"), 10**9)
+        start = time.perf_counter()
+        with pytest.raises(DesignError):
+            DesignFile.from_dict(data)
+        assert time.perf_counter() - start < 0.5
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.sampled_from(list(json_paths(BASE_DESIGN))), json_values)
+    @example(("arch", "num_taps"), 10**9)
+    @example(("plan", "groups", 1, 1), True)
+    @example(("plan", "groups", 1, 1), 2)
+    @example(("arch", "ppg_mode"), {})
+    def test_one_edited_node_loads_or_is_refused(self, path, value):
+        data = replaced(BASE_DESIGN, path, value)
+        start = time.perf_counter()
+        try:
+            DesignFile.from_dict(data)
+        except DesignError:
+            pass
+        assert time.perf_counter() - start < 0.5
 
 
 class TestCmdDesign:
@@ -296,6 +387,21 @@ class TestCmdRun:
             assert [r["cycle"] for r in records] == list(range(16))
             assert [r["subtract"] for r in records].count(True) == 1
             assert records[-1]["subtract"]
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    def test_accumulator_overflow_exits_one(self, tmp_path, capsys, traced):
+        design = overflow_design(tmp_path)
+        samples = tmp_path / "s.txt"
+        samples.write_text("1\n7\n")
+        out = tmp_path / "y.txt"
+        argv = ["run", "--design", str(design), "--samples", str(samples), "--out", str(out)]
+        if traced:
+            argv += ["--trace", str(tmp_path / "t.jsonl")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: inner product 3577 exceeds the 12-bit accumulator\n"
+        )
+        assert out.read_text() == "511\n"
 
     def test_repeated_runs_byte_identical(self, workspace):
         design = run_design(workspace)
@@ -527,6 +633,13 @@ class TestCmdReport:
         data = json.loads(capsys.readouterr().out)
         assert data["memory_locations"] == 12
         assert data["lut_bits"] == 12 * 17
+
+    def test_compare_accumulator_overflow_exits_one(self, tmp_path, capsys):
+        design = str(overflow_design(tmp_path))
+        assert main(["report", "--design", design, "--compare", design]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: inner product -4088 exceeds the 12-bit accumulator\n"
 
     def test_cost_model_file(self, workspace, capsys):
         design = run_design(workspace)

@@ -171,17 +171,16 @@ class TestLutAndMux:
 class TestAddressing:
     def test_lsb_cycle(self):
         plan = partition_taps(2, 2)
-        word = address_for_cycle([5, 3], plan, 0, 4)
-        assert word.per_group == (3,)  # LSBs of 5 and 3 are both 1
+        assert address_for_cycle([5, 3], plan, 0, 4) == (3,)  # LSBs of 5 and 3 are both 1
 
     def test_msb_cycle_of_positive_samples(self):
         plan = partition_taps(2, 2)
-        assert address_for_cycle([5, 3], plan, 3, 4).per_group == (0,)
+        assert address_for_cycle([5, 3], plan, 3, 4) == (0,)
 
     def test_minus_one_sets_every_cycle(self):
         plan = partition_taps(1, 1)
         for n in range(4):
-            assert address_for_cycle([-1], plan, n, 4).per_group == (1,)
+            assert address_for_cycle([-1], plan, n, 4) == (1,)
 
     def test_cycle_out_of_range(self):
         plan = partition_taps(1, 1)
@@ -313,6 +312,15 @@ class TestInnerProduct:
         with pytest.raises(ValueError):
             da_inner_product([8], coeff_set([1]), partition_taps(1, 1), input_width=4)
 
+    @pytest.mark.parametrize("window", [[2.9, 0], [True, 0], [0, 2.0]])
+    def test_non_integer_sample_rejected(self, window):
+        for collect in (False, True):
+            with pytest.raises(TypeError):
+                da_inner_product(
+                    window, coeff_set([3, 5]), partition_taps(2, 2),
+                    input_width=4, collect_trace=collect,
+                )
+
     def test_absurd_injected_tables_rejected(self):
         # Entries no subset of coefficients could produce are refused at
         # injection, before they can reach the accumulator.
@@ -344,6 +352,17 @@ class TestStreaming:
         traces = [filt.push_traced(x)[1] for x in [4, 5, 6]]
         assert len(traces) == 3
         assert all(len(t) == 5 for t in traces)
+
+    @pytest.mark.parametrize("mode", list(PpgMode))
+    def test_non_integer_sample_rejected_not_truncated(self, mode):
+        filt = DaFilter(coeff_set([3, 5]), partition_taps(2, 2), mode, input_width=4)
+        for sample in (2.9, True, "2"):
+            with pytest.raises(TypeError):
+                filt.push(sample)
+            with pytest.raises(TypeError):
+                filt.push_traced(sample)
+        # a refused sample never entered the delay line
+        assert filt.process([2, 1]) == direct_fir([2, 1], [3, 5])
 
     def test_filter_reset(self):
         filt = DaFilter(coeff_set([1, 1]), partition_taps(2, 2), input_width=8)
@@ -516,7 +535,7 @@ class TestSchedule:
             window = [rng.randint(-512, 511) for _ in range(7)]
             _, trace = da_inner_product(window, coeffs, plan, mode, input_width=10)
             for r in trace:
-                assert r.addresses == address_for_cycle(window, plan, r.cycle, 10).per_group
+                assert r.addresses == address_for_cycle(window, plan, r.cycle, 10)
 
     def test_gate_level_flag_reaches_the_adders(self, monkeypatch):
         calls = []

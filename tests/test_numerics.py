@@ -1,20 +1,19 @@
 """Formats, quantization, the direct-form oracle and accumulator sizing."""
 
+import random
 import time
-from decimal import Decimal
+from decimal import ROUND_HALF_EVEN, Context, Decimal, Inexact, localcontext
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dafir.numerics import (
-    Coefficient,
     CoefficientSet,
     DirectFormFir,
     FixedFormat,
-    Sample,
     dequantize,
     direct_fir,
     min_signed_width,
@@ -38,6 +37,16 @@ def quantize_oracle(value: Fraction, width: int) -> tuple[int, bool]:
     return max(lo, min(hi, floor)), not lo <= floor <= hi
 
 
+def decimal_oracle(text: str, width: int) -> tuple[int, bool]:
+    # Exact at any length: the context keeps every digit and traps any
+    # rounding, so the only rounding is the explicit half-even one.
+    with localcontext(Context(prec=len(text) + 40, traps=[Inexact])):
+        scaled = Decimal(text) * (1 << (width - 1))
+        code = int(scaled.to_integral_value(ROUND_HALF_EVEN))
+    lo, hi = -(1 << (width - 1)), (1 << (width - 1)) - 1
+    return max(lo, min(hi, code)), not lo <= code <= hi
+
+
 class TestFixedFormat:
     def test_range(self):
         assert FMT16.min_value == -32768
@@ -53,66 +62,78 @@ class TestFixedFormat:
         with pytest.raises(ValueError):
             FMT8.check(128)
         with pytest.raises(ValueError):
-            Coefficient(-129, FMT8)
+            CoefficientSet.from_integers([-129], FMT8)
         with pytest.raises(ValueError):
-            Sample(40000, FMT16)
+            DirectFormFir([1], FMT16).push(40000)
+
+    @pytest.mark.parametrize("value", [2.9, 2.0, True, False, "3", Fraction(2), Decimal(2)])
+    def test_check_takes_only_ints(self, value):
+        # Type before range: 2.9 is refused, never truncated to 2.
+        with pytest.raises(TypeError):
+            FMT8.check(value)
+        with pytest.raises(TypeError):
+            CoefficientSet.from_integers([value], FMT8)
+
+    def test_coefficient_set_holds_plain_ints(self):
+        coeffs = CoefficientSet.from_integers([3, -5], FMT8)
+        assert coeffs == CoefficientSet((3, -5), FMT8)
+        assert coeffs.values == (3, -5) and len(coeffs) == 2
+        with pytest.raises(ValueError):
+            CoefficientSet((), FMT8)
 
 
 class TestQuantize:
     def test_zero(self):
-        coeff, saturated = quantize_coefficient(0.0, FMT16)
-        assert coeff.value == 0 and not saturated
+        assert quantize_coefficient(0.0, FMT16) == (0, False)
 
     def test_negative_one_is_min_code(self):
-        coeff, saturated = quantize_coefficient("-1.0", FMT16)
-        assert coeff.value == -32768 and not saturated
+        assert quantize_coefficient("-1.0", FMT16) == (-32768, False)
 
     def test_near_half_rounds_up(self):
         # 0.4999999 * 128 = 63.9999872, nearest integer 64
-        coeff, saturated = quantize_coefficient("0.4999999", FMT8)
-        assert coeff.value == 64 and not saturated
+        assert quantize_coefficient("0.4999999", FMT8) == (64, False)
         assert quantize_oracle(Fraction(4999999, 10000000), 8) == (64, False)
 
     def test_saturation_above_max(self):
-        coeff, saturated = quantize_coefficient("1.5", FMT16)
-        assert coeff.value == 32767 and saturated
+        assert quantize_coefficient("1.5", FMT16) == (32767, True)
 
     def test_saturation_threshold(self):
         # Anything at or above (2^(w-1) - 0.5) / 2^(w-1) lands on the max code.
         threshold = Fraction(127 * 2 + 1, 256)  # 127.5 / 128
-        coeff, saturated = quantize_coefficient(threshold, FMT8)
-        assert coeff.value == 127 and saturated
+        assert quantize_coefficient(threshold, FMT8) == (127, True)
         below = threshold - Fraction(1, 10**9)
-        coeff, saturated = quantize_coefficient(below, FMT8)
-        assert coeff.value == 127 and not saturated
+        assert quantize_coefficient(below, FMT8) == (127, False)
 
     def test_ties_go_to_even(self):
-        assert quantize_coefficient(Fraction(5, 256), FMT8)[0].value == 2  # 2.5 -> 2
-        assert quantize_coefficient(Fraction(7, 256), FMT8)[0].value == 4  # 3.5 -> 4
+        assert quantize_coefficient(Fraction(5, 256), FMT8)[0] == 2  # 2.5 -> 2
+        assert quantize_coefficient(Fraction(7, 256), FMT8)[0] == 4  # 3.5 -> 4
 
     def test_text_is_decimal_not_float(self):
         # "0.1" must mean 1/10 exactly; 0.1 * 32768 = 3276.8 rounds to 3277.
-        assert quantize_coefficient("0.1", FMT16)[0].value == 3277
+        assert quantize_coefficient("0.1", FMT16)[0] == 3277
 
     @given(
         st.fractions(min_value=-4, max_value=4, max_denominator=10**6),
         st.sampled_from([4, 8, 12, 16]),
     )
     def test_matches_rational_oracle(self, value, width):
-        fmt = FixedFormat(width)
-        coeff, saturated = quantize_coefficient(value, fmt)
-        assert (coeff.value, saturated) == quantize_oracle(value, width)
+        assert quantize_coefficient(value, FixedFormat(width)) == quantize_oracle(value, width)
 
     @given(st.integers(-128, 127))
     def test_idempotent_on_codes(self, code):
-        coeff = Coefficient(code, FMT8)
-        again, saturated = quantize_coefficient(dequantize(coeff), FMT8)
-        assert again == coeff and not saturated
+        assert quantize_coefficient(dequantize(code, FMT8), FMT8) == (code, False)
+
+    def test_dequantize_checks_the_code(self):
+        assert dequantize(-128, FMT8) == -1
+        with pytest.raises(ValueError):
+            dequantize(128, FMT8)
+        with pytest.raises(TypeError):
+            dequantize(1.0, FMT8)
 
     @given(st.floats(allow_nan=False, allow_infinity=False, width=32))
     def test_always_in_range(self, value):
-        coeff, _ = quantize_coefficient(value, FMT8)
-        assert FMT8.contains(coeff.value)
+        code, _ = quantize_coefficient(value, FMT8)
+        assert FMT8.contains(code)
 
     def test_rejects_garbage_text(self):
         with pytest.raises(ValueError):
@@ -135,15 +156,59 @@ class TestQuantize:
             with pytest.raises(ValueError):
                 quantize_coefficient(text, FMT16)
         else:
-            coeff, saturated = quantize_coefficient(text, FMT16)
-            assert (coeff.value, saturated) == want
+            assert quantize_coefficient(text, FMT16) == want
         assert time.perf_counter() - start < 0.5
 
     @pytest.mark.parametrize("width", [2, 64])
     def test_exponent_clamp_edges_match_rational_oracle(self, width):
         for text in ("9.9e64", "1e65", "-1e65", "9.9e-64", "1e-64", "9.9e-65", "-1e-65"):
             got = quantize_coefficient(text, FixedFormat(width))
-            assert (got[0].value, got[1]) == quantize_oracle(Fraction(Decimal(text)), width)
+            assert got == quantize_oracle(Fraction(Decimal(text)), width)
+
+    @pytest.mark.parametrize(
+        "text, want",
+        [
+            ("0.25" + "0" * 10**6 + "1", (1, False)),  # just above the W=2 tie at 0.25
+            ("0.25" + "0" * 10**6, (0, False)),  # the tie itself goes to even
+            ("-0.25" + "0" * 10**6 + "1", (-1, False)),
+            ("0." + "9" * 10**6, (1, True)),
+        ],
+        ids=["above-tie", "tie", "below-negative-tie", "nines"],
+    )
+    def test_long_mantissa_is_bounded(self, text, want):
+        start = time.perf_counter()
+        assert quantize_coefficient(text, FixedFormat(2)) == want
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("width", [2, 16, 64])
+    def test_long_random_mantissa_matches_exact_oracle(self, width):
+        rng = random.Random(width)
+        text = "-0." + "".join(rng.choice("0123456789") for _ in range(10**6))
+        start = time.perf_counter()
+        got = quantize_coefficient(text, FixedFormat(width))
+        assert time.perf_counter() - start < 0.5
+        assert got == decimal_oracle(text, width)
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        st.one_of(
+            st.text(),
+            st.from_regex(r"[+-]?[0-9]{0,80}\.?[0-9]{0,80}([eE][+-]?[0-9]{1,12})?", fullmatch=True),
+        )
+    )
+    @example("0." + "1" * 10**6)
+    @example("1" * 10**5 + "." + "1" * 10**5)
+    @example("1e-99999999999999999999")
+    @example("-0." + "0" * 63 + "5" + "0" * 10**5 + "1")
+    def test_any_text_quantizes_within_the_bound_or_is_refused(self, text):
+        start = time.perf_counter()
+        try:
+            code, _ = quantize_coefficient(text, FMT16)
+        except ValueError:
+            pass
+        else:
+            assert FMT16.contains(code)
+        assert time.perf_counter() - start < 0.5
 
 
 class TestDirectFir:
@@ -164,9 +229,18 @@ class TestDirectFir:
     def test_format_mismatch_rejected(self):
         fir = DirectFormFir([1, 2], input_format=FMT8)
         with pytest.raises(ValueError):
-            fir.push(Sample(0, FMT16))
-        with pytest.raises(ValueError):
             fir.push(1000)
+
+    def test_non_integers_rejected_not_truncated(self):
+        # With or without an input format, 2.9 is not taken as 2 nor True as 1.
+        for fir in (DirectFormFir([3, 5]), DirectFormFir([3, 5], FixedFormat(4))):
+            for sample in (2.9, True, "2"):
+                with pytest.raises(TypeError):
+                    fir.push(sample)
+        with pytest.raises(TypeError):
+            direct_fir([2.9, True], [3, 5], FixedFormat(4))
+        with pytest.raises(TypeError):
+            DirectFormFir([3, 5.0])
 
     def test_reset_clears_delay_line(self):
         fir = DirectFormFir([1, 1])
