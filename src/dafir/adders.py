@@ -19,6 +19,7 @@ cross-check rather than the same code twice.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -144,6 +145,130 @@ def _require_equal_widths(a: BitVector, b: BitVector) -> int:
     return a.width
 
 
+# The gate-level core works on bit-planes. An operand of width w is a list
+# of w lane ints, least significant bit first, and bit i of every plane is
+# that wire's value in lane (test vector) i, so one pass of & | ^ on whole
+# planes evaluates every lane at once. ``mask`` has one bit set per lane:
+# it is the all-ones wire, the value of an empty AND. The scalar adders and
+# the bit-level tree are the one-lane case (mask 1).
+
+Planes = list[int]
+
+
+def _to_planes(value: int, width: int) -> Planes:
+    """One-lane planes of the low ``width`` bits of ``value`` (negative values sign-extend)."""
+    return [(value >> i) & 1 for i in range(width)]
+
+
+def _from_planes(planes: Sequence[int]) -> int:
+    """Unsigned value of one-lane planes."""
+    bits = 0
+    for i, bit in enumerate(planes):
+        bits |= bit << i
+    return bits
+
+
+def _ripple_planes(a: Planes, b: Planes, carry: int) -> tuple[Planes, int]:
+    """Chain of full adders; the sum planes and the carry-out plane."""
+    out = []
+    for x, y in zip(a, b):
+        t = x ^ y
+        out.append(t ^ carry)
+        carry = (x & y) | (t & carry)
+    return out, carry
+
+
+def _prefix_terms(gs: Sequence[int], ps: Sequence[int], mask: int) -> list[tuple[int, int]]:
+    """Flat lookahead terms of one block, O(m^2) through shared suffix products.
+
+    Entry j is (G, P) with G = OR_{i<j} (g_i AND p_{i+1..j-1}) and
+    P = p_0..p_{j-1}, so the carry into position j is G OR (P AND cin): an
+    expansion over the block's inputs that never reads carry j-1. Entry m
+    is the block's own generate and propagate.
+    """
+    terms = [(0, mask)]
+    for top in range(len(gs)):  # entry top + 1
+        generate = 0
+        suffix = mask  # p_{i+1..top} as i falls from top
+        for g, p in zip(gs[top::-1], ps[top::-1]):
+            generate |= g & suffix
+            suffix &= p
+        terms.append((generate, suffix))
+    return terms
+
+
+def _lookahead_carries(
+    gs: Sequence[int], ps: Sequence[int], cin: int, block: int, mask: int
+) -> tuple[list[int], int]:
+    # Hierarchical lookahead: blocks of `block` positions, recursing over
+    # block (G, P) pairs until one block covers everything.
+    if len(gs) <= block:
+        carries = [g | (p & cin) for g, p in _prefix_terms(gs, ps, mask)]
+        return carries[:-1], carries[-1]
+    blocks = [
+        _prefix_terms(gs[i : i + block], ps[i : i + block], mask)
+        for i in range(0, len(gs), block)
+    ]
+    block_cins, carry_out = _lookahead_carries(
+        [t[-1][0] for t in blocks], [t[-1][1] for t in blocks], cin, block, mask
+    )
+    carries = [g | (p & c) for t, c in zip(blocks, block_cins) for g, p in t[:-1]]
+    return carries, carry_out
+
+
+def _cla_planes(a: Planes, b: Planes, carry: int, mask: int, block: int) -> tuple[Planes, int]:
+    """Block carry-lookahead addition; the sum planes and the carry-out plane."""
+    gs = [x & y for x, y in zip(a, b)]
+    ps = [x ^ y for x, y in zip(a, b)]
+    carries, carry_out = _lookahead_carries(gs, ps, carry, block, mask)
+    return [p ^ c for p, c in zip(ps, carries)], carry_out
+
+
+def _csa_planes(operands: list[Planes]) -> list[Planes]:
+    """3:2 compression layers until two operands remain; carries past the top plane drop."""
+    while len(operands) > 2:
+        cut = len(operands) - len(operands) % 3
+        nxt = []
+        for i in range(0, cut, 3):
+            x, y, z = operands[i : i + 3]
+            nxt.append([a ^ b ^ c for a, b, c in zip(x, y, z)])
+            majority = [(a & b) | (c & (a | b)) for a, b, c in zip(x, y, z)]
+            nxt.append([0] + majority[:-1])
+        nxt.extend(operands[cut:])
+        operands = nxt
+    return operands
+
+
+def _cpa_planes(
+    kind: AdderKind, a: Planes, b: Planes, carry: int, mask: int, block: int
+) -> Planes:
+    """Sum planes of the carry-propagate adder a tree of ``kind`` uses: ripple or cla."""
+    if kind is AdderKind.RIPPLE:
+        return _ripple_planes(a, b, carry)[0]
+    return _cla_planes(a, b, carry, mask, block)[0]
+
+
+def _tree_planes(operands: list[Planes], kind: AdderKind, mask: int, block: int) -> Planes:
+    """Sum of equal-width operands through the configured tree, modulo 2^width.
+
+    Ripple and cla reduce pairwise; the carry-save tree compresses to two
+    operands and finishes with a cla.
+    """
+    if kind is AdderKind.CSA_TREE and len(operands) >= 3:
+        s, c = _csa_planes(operands)
+        return _cla_planes(s, c, 0, mask, block)[0]
+    while len(operands) > 1:
+        nxt = [
+            _cpa_planes(kind, x, y, 0, mask, block)
+            for x, y in zip(operands[0::2], operands[1::2])
+        ]
+        if len(operands) % 2:
+            nxt.append(operands[-1])
+        operands = nxt
+    return operands[0]
+
+
+@functools.lru_cache(maxsize=256)
 def ripple_cost(width: int, model: CostModel = DEFAULT_COST_MODEL) -> GateCost:
     return GateCost(width * model.fa_gates, width * model.fa_depth)
 
@@ -156,62 +281,13 @@ def ripple_add(
 ) -> tuple[BitVector, int, GateCost]:
     """Chain of full adders; two's-complement sum modulo 2^width plus carry-out."""
     width = _require_equal_widths(a, b)
-    carry = carry_in & 1
-    bits = 0
-    for i in range(width):
-        ai = a.bit(i)
-        bi = b.bit(i)
-        axb = ai ^ bi
-        bits |= (axb ^ carry) << i
-        carry = (ai & bi) | (axb & carry)
-    return BitVector.from_unsigned(width, bits), carry, ripple_cost(width, model)
+    planes, carry = _ripple_planes(
+        _to_planes(a.value, width), _to_planes(b.value, width), carry_in & 1
+    )
+    return BitVector.from_unsigned(width, _from_planes(planes)), carry, ripple_cost(width, model)
 
 
-def _expand_carries(gs: Sequence[int], ps: Sequence[int], cin: int) -> tuple[list[int], int]:
-    # Flat lookahead expansion for one block:
-    #   c_j = OR_{i<j} (g_i AND p_{i+1..j-1}) OR (p_0..p_{j-1} AND cin)
-    m = len(gs)
-    out = []
-    for j in range(m + 1):
-        c = cin
-        for k in range(j):
-            c &= ps[k]
-        for i in range(j):
-            term = gs[i]
-            for k in range(i + 1, j):
-                term &= ps[k]
-            c |= term
-        out.append(c)
-    return out[:m], out[m]
-
-
-def _lookahead_carries(
-    gs: Sequence[int], ps: Sequence[int], cin: int, block: int
-) -> tuple[list[int], int]:
-    # Hierarchical lookahead: blocks of `block` units, recursing over block
-    # (G, P) pairs until one block covers everything.
-    if len(gs) <= block:
-        return _expand_carries(gs, ps, cin)
-    block_g = []
-    block_p = []
-    chunks = []
-    for i in range(0, len(gs), block):
-        cg, cp = gs[i : i + block], ps[i : i + block]
-        chunks.append((cg, cp))
-        _, g_out = _expand_carries(cg, cp, 0)
-        p_all = 1
-        for p in cp:
-            p_all &= p
-        block_g.append(g_out)
-        block_p.append(p_all)
-    block_cins, carry_out = _lookahead_carries(block_g, block_p, cin, block)
-    carries: list[int] = []
-    for (cg, cp), bc in zip(chunks, block_cins):
-        inner, _ = _expand_carries(cg, cp, bc)
-        carries.extend(inner)
-    return carries, carry_out
-
-
+@functools.lru_cache(maxsize=256)
 def cla_cost(width: int, model: CostModel = DEFAULT_COST_MODEL) -> GateCost:
     blocks = -(-width // model.cla_block_size)
     lookahead_nodes = 0
@@ -244,13 +320,14 @@ def cla_add(
 ) -> tuple[BitVector, int, GateCost]:
     """Block carry-lookahead addition; numerically identical to ripple_add."""
     width = _require_equal_widths(a, b)
-    gs = [a.bit(i) & b.bit(i) for i in range(width)]
-    ps = [a.bit(i) ^ b.bit(i) for i in range(width)]
-    carries, carry_out = _lookahead_carries(gs, ps, carry_in & 1, model.cla_block_size)
-    bits = 0
-    for i in range(width):
-        bits |= (ps[i] ^ carries[i]) << i
-    return BitVector.from_unsigned(width, bits), carry_out, cla_cost(width, model)
+    planes, carry = _cla_planes(
+        _to_planes(a.value, width),
+        _to_planes(b.value, width),
+        carry_in & 1,
+        1,
+        model.cla_block_size,
+    )
+    return BitVector.from_unsigned(width, _from_planes(planes)), carry, cla_cost(width, model)
 
 
 def csa_stage_count(operand_count: int) -> int:
@@ -271,7 +348,8 @@ def csa_compress(
 
     The two outputs sum to the input total modulo 2^width; any carry pushed
     past the top bit is dropped, so callers that need the exact total must
-    pre-extend the operands.
+    pre-extend the operands. Each 3:2 application removes one operand, so
+    n operands take n - 2 of them.
     """
     if len(operands) < 3:
         raise ValueError("csa_compress needs at least 3 operands")
@@ -279,26 +357,15 @@ def csa_compress(
     for op in operands:
         if op.width != width:
             raise ValueError(f"width mismatch: {op.width} vs {width}")
-    mask = (1 << width) - 1
-    current = [op.unsigned for op in operands]
-    applications = 0
-    stages = 0
-    while len(current) > 2:
-        nxt = []
-        i = 0
-        while i + 3 <= len(current):
-            x, y, z = current[i : i + 3]
-            nxt.append(x ^ y ^ z)
-            nxt.append((((x & y) | (x & z) | (y & z)) << 1) & mask)
-            applications += 1
-            i += 3
-        nxt.extend(current[i:])
-        current = nxt
-        stages += 1
-    cost = GateCost(applications * width * model.fa_gates, stages * model.fa_depth)
-    s = BitVector.from_unsigned(width, current[0])
-    c = BitVector.from_unsigned(width, current[1])
-    return (s, c), cost
+    s, c = _csa_planes([_to_planes(op.value, width) for op in operands])
+    count = len(operands)
+    cost = GateCost(
+        (count - 2) * width * model.fa_gates, csa_stage_count(count) * model.fa_depth
+    )
+    return (
+        BitVector.from_unsigned(width, _from_planes(s)),
+        BitVector.from_unsigned(width, _from_planes(c)),
+    ), cost
 
 
 def tree_output_width(operand_width: int, operand_count: int) -> int:
@@ -308,6 +375,7 @@ def tree_output_width(operand_width: int, operand_count: int) -> int:
     return operand_width + (operand_count - 1).bit_length()
 
 
+@functools.lru_cache(maxsize=256)
 def adder_tree_cost(
     operand_count: int,
     operand_width: int,
@@ -341,23 +409,6 @@ def adder_tree_cost(
     return GateCost(gates, depth)
 
 
-def _pairwise_reduce(
-    values: list[BitVector], kind: AdderKind, model: CostModel
-) -> BitVector:
-    while len(values) > 1:
-        nxt = []
-        for i in range(0, len(values) - 1, 2):
-            if kind is AdderKind.RIPPLE:
-                s, _, _ = ripple_add(values[i], values[i + 1], 0, model)
-            else:
-                s, _, _ = cla_add(values[i], values[i + 1], 0, model)
-            nxt.append(s)
-        if len(values) % 2:
-            nxt.append(values[-1])
-        values = nxt
-    return values[0]
-
-
 def adder_tree_sum(
     operands: Sequence[BitVector],
     kind: AdderKind,
@@ -368,10 +419,10 @@ def adder_tree_sum(
 
     The total is the exact integer sum for every kind; the output width is
     sized so no wrap can occur. With ``bit_level=True`` the value is pushed
-    through the gate-level adders themselves (pairwise tree for ripple/cla,
-    3:2 compression plus a final cla for the carry-save tree) instead of
-    native integer addition; both routes must agree and tests hold them to
-    that.
+    through the gate-level core, one lane wide (pairwise tree for
+    ripple/cla, 3:2 compression plus a final cla for the carry-save tree),
+    instead of native integer addition; both routes must agree and tests
+    hold them to that.
     """
     if len(operands) == 0:
         raise ValueError("empty operand list")
@@ -386,9 +437,7 @@ def adder_tree_sum(
     if not bit_level:
         return sum(op.value for op in operands), cost
     out_width = tree_output_width(width, count)
-    extended = [op.extend(out_width) for op in operands]
-    if kind is AdderKind.CSA_TREE and count >= 3:
-        (s, c), _ = csa_compress(extended, model)
-        total, _, _ = cla_add(s, c, 0, model)
-        return total.value, cost
-    return _pairwise_reduce(extended, kind, model).value, cost
+    planes = _tree_planes(
+        [_to_planes(op.value, out_width) for op in operands], kind, 1, model.cla_block_size
+    )
+    return BitVector.from_unsigned(out_width, _from_planes(planes)).value, cost

@@ -221,6 +221,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         design.coefficients,
         design.plan,
         arch.ppg_mode,
+        arch.tree,
         input_width=arch.input_width,
         windows=windows,
         luts=design.luts,

@@ -172,6 +172,11 @@ class DesignFile:
             raise DesignError("design.coefficients must be a list of integers")
         for v in coeff_values:
             _integer(v, "every coefficient")
+        if len(coeff_values) != arch.num_taps:
+            raise DesignError(
+                f"design.coefficients has {len(coeff_values)} values but "
+                f"design.arch.num_taps is {arch.num_taps}"
+            )
         try:
             coefficients = CoefficientSet.from_integers(
                 coeff_values, FixedFormat(arch.coeff_width)

@@ -19,11 +19,21 @@ from __future__ import annotations
 import enum
 import functools
 import sys
+from array import array
 from dataclasses import dataclass
-from operator import mul
-from typing import Callable, Iterable, Sequence, Union
+from itertools import chain, islice, product, repeat
+from operator import and_, itemgetter, mul
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
-from .adders import DEFAULT_COST_MODEL, AdderKind, BitVector, adder_tree_sum
+from .adders import (
+    DEFAULT_COST_MODEL,
+    AdderKind,
+    BitVector,
+    _cpa_planes,
+    _tree_planes,
+    adder_tree_sum,
+    tree_output_width,
+)
 from .numerics import (
     AccumulatorOverflow,
     CoefficientSet,
@@ -537,56 +547,218 @@ class Mismatch:
     expected: int
 
 
+LANES = 1024  # windows per bit-sliced chunk of verify_windows
+
+_SIGNED_CODES = {array(c).itemsize: c for c in "bhiq"}
+_UNSIGNED_CODES = {array(c).itemsize: c for c in "BHIQ"}
+_TRANSPOSE = (0x00AA00AA00AA00AA, 0x0000CCCC0000CCCC, 0x00000000F0F0F0F0)
+
+
+def _item_size(bits: int) -> int:
+    """Smallest array item size, in bytes, with at least ``bits`` bits."""
+    return min(size for size in _SIGNED_CODES if size * 8 >= bits)
+
+
+def _little_endian(items: array) -> array:
+    """``items`` with their bytes in little-endian order (a swap is its own inverse)."""
+    if sys.byteorder == "big":
+        items.byteswap()
+    return items
+
+
+def _pack(values: Iterable[int], width: int) -> tuple[bytes, int]:
+    """Signed ``width``-bit values as little-endian items; the bytes and the item size."""
+    if width <= 64:
+        items = array(_SIGNED_CODES[_item_size(width)], values)
+        return _little_endian(items).tobytes(), items.itemsize
+    size = (width + 7) // 8
+    codes = map(and_, values, repeat((1 << (8 * size)) - 1))
+    return b"".join(map(int.to_bytes, codes, repeat(size), repeat("little"))), size
+
+
+def _lane_planes(values: Iterable[int], width: int) -> list[int]:
+    """Bit-planes of signed ``width``-bit values: bit i of plane b is bit b of value i.
+
+    Each byte column of the packed values is read as one integer, eight
+    lanes to a 64-bit word, and every word's 8x8 bit matrix is transposed
+    at once by three masked shift-and-swap rounds (Hacker's Delight, 7-3),
+    after which byte c of each word holds bit c of its eight lanes. All of
+    it is whole-integer and byte-slice work at C level.
+    """
+    data, size = _pack(values, width)
+    words = -(-len(data) // (8 * size))
+    m1, m2, m3 = (int.from_bytes(m.to_bytes(8, "little") * words, "little") for m in _TRANSPOSE)
+    planes = []
+    for e in range(0, width, 8):
+        x = int.from_bytes(data[e // 8 :: size], "little")
+        t = (x ^ (x >> 7)) & m1
+        x ^= t ^ (t << 7)
+        t = (x ^ (x >> 14)) & m2
+        x ^= t ^ (t << 14)
+        t = (x ^ (x >> 28)) & m3
+        x ^= t ^ (t << 28)
+        rows = x.to_bytes(8 * words, "little")
+        planes += [int.from_bytes(rows[c::8], "little") for c in range(min(8, width - e))]
+    return planes
+
+
+def _lane_datapath(
+    coeffs: CoefficientSet,
+    plan: PartitionPlan,
+    tables: Sequence[Sequence[int]],
+    input_width: int,
+    tree: AdderKind,
+) -> Callable[[list[int], list[int]], Iterator[tuple[int, int]]]:
+    """Bind the bit-sliced datapath that checks a chunk of windows at once.
+
+    Lane i carries window i. Each group's per-lane addresses for all L
+    cycles are formed with whole-chunk integer operations on the samples,
+    one table read per lane and cycle, then the partial products become
+    bit-planes, go through the gate-level tree of the configured kind (all
+    cycles at once; the tree is combinational) and a gate-level
+    shift-accumulator that subtracts on the sign cycle by adding the
+    inverted operand with every carry-in set. The accumulator has
+    tree width + L bits, so no entry ``check_tables`` accepts can wrap it,
+    and its planes are XOR-compared with the oracle's.
+    """
+    length = input_width
+    num_taps = len(coeffs)
+    members = [[(j, k) for j, k in enumerate(g) if k is not None] for g in plan.groups]
+    partial_width = partial_product_width(coeffs.format.width, plan.group_size)
+    tree_width = tree_output_width(partial_width, plan.num_groups)
+    acc_width = tree_width + length
+    block = DEFAULT_COST_MODEL.cla_block_size
+    # One item per sample, wide enough for the sample and for an address.
+    size = _item_size(max(length, plan.group_size))
+    sample_code, address_code = _SIGNED_CODES[size], _UNSIGNED_CODES[size]
+
+    def run(flat: list[int], expected: list[int]) -> Iterator[tuple[int, int]]:
+        """(lane, datapath value) of each window, in order, whose value is not ``expected``."""
+        count = len(expected)
+        samples = array(sample_code, flat)
+        # Column k holds tap k's sample of lane i in item i, 8 * size bits.
+        columns = [
+            int.from_bytes(_little_endian(samples[k::num_taps]).tobytes(), "little")
+            for k in range(num_taps)
+        ]
+        ones = int.from_bytes(b"\1".ljust(size, b"\0") * count, "little")
+        operands = []
+        for table, group in zip(tables, members):
+            # Address fields of all cycles, cycle-major: item n*count + i is lane i at cycle n.
+            fields = b"".join(
+                sum(((columns[k] >> n) & ones) << j for j, k in group).to_bytes(
+                    size * count, "little"
+                )
+                for n in range(length)
+            )
+            addresses = _little_endian(array(address_code, fields))
+            # count * length >= 2 addresses, so itemgetter returns a tuple
+            planes = _lane_planes(itemgetter(*addresses)(table), partial_width)
+            operands.append(planes + planes[-1:] * (tree_width - partial_width))
+        # Cycle n is lanes [n*count, (n+1)*count) of the tree's planes.
+        sums = _tree_planes(operands, tree, (1 << (count * length)) - 1, block)
+        lanes = (1 << count) - 1
+        acc = [0] * acc_width
+        for n in range(length):
+            t = [(p >> (n * count)) & lanes for p in sums]
+            addend = ([0] * n + t + t[-1:] * (acc_width - tree_width))[:acc_width]
+            if n == length - 1:
+                acc = _cpa_planes(tree, acc, [p ^ lanes for p in addend], lanes, lanes, block)
+            else:
+                acc = _cpa_planes(tree, acc, addend, 0, lanes, block)
+        diff = 0
+        for got, want in zip(acc, _lane_planes(expected, acc_width)):
+            diff |= got ^ want
+        while diff:
+            low = diff & -diff
+            i = low.bit_length() - 1
+            value = sum(((p >> i) & 1) << b for b, p in enumerate(acc))
+            yield i, value - ((value >> (acc_width - 1)) << acc_width)
+            diff ^= low
+
+    return run
+
+
 def verify_windows(
     coeffs: CoefficientSet,
     plan: PartitionPlan,
     ppg_mode: PpgMode,
+    tree: AdderKind = AdderKind.CLA,
     *,
     input_width: int,
     windows: Iterable[Sequence[int]],
     luts: Sequence[Sequence[int]] | None = None,
     limit: int = 1,
 ) -> tuple[int, list[Mismatch]]:
-    """Compare the DA path against the direct dot product on many windows.
+    """Compare the gate-level DA datapath against the direct dot product on many windows.
 
     A window is one delay-line snapshot (newest sample first) of
-    ``input_width``-bit samples; a sample outside that range raises
-    ValueError, since the DA path reads only its low bits. Returns the
-    number of windows checked and up to ``limit`` mismatches; an empty list
-    means full agreement. The oracle side is an independent plain
-    multiply-accumulate, never a table.
+    ``input_width``-bit integer samples; a sample of another type raises
+    TypeError and one outside that range ValueError, since the DA path
+    reads only its low bits. Returns the number of windows checked and up
+    to ``limit`` mismatches; an empty list means full agreement. The oracle
+    side is an independent plain multiply-accumulate, never a table.
+
+    Windows run ``LANES`` at a time through a bit-sliced datapath: the
+    design's tables (mux mode: the same subset sums, formed once), the
+    gate-level ``tree`` and a gate-level accumulator. Only a window it
+    flags is run again through the scalar schedule, which yields each
+    Mismatch or raises AccumulatorOverflow just as a window-by-window loop
+    would; a chunk holding a sample that is not an in-range ``int`` is
+    checked window by window, so the first event in window order wins.
     """
-    evaluate, _ = _schedule(coeffs, plan, ppg_mode, input_width, luts)
     taps = coeffs.values
     fmt = FixedFormat(input_width)
     lo, hi = fmt.min_value, fmt.max_value
+    if ppg_mode is PpgMode.STORED and luts is not None:
+        tables = check_tables(luts, plan, coeffs.format.width)
+    else:
+        tables = tuple(_subset_sums(taps, g, range(1 << plan.group_size)) for g in plan.groups)
+    datapath = _lane_datapath(coeffs, plan, tables, input_width, tree)
+    evaluate = None  # the scalar schedule, bound when a window first needs it
+    windows = iter(windows)
     checked = 0
     mismatches: list[Mismatch] = []
-    for checked, window in enumerate(windows, 1):
-        if min(window) < lo or max(window) > hi:
-            for x in window:
-                fmt.check(x, "sample")
-        got = evaluate(window)
-        expected = sum(map(mul, taps, window))
-        if got != expected:
-            mismatches.append(Mismatch(tuple(window), got, expected))
-            if len(mismatches) >= limit:
-                break
+    while chunk := list(islice(windows, LANES)):
+        flat = list(chain.from_iterable(chunk))
+        if (
+            set(map(len, chunk)) == {len(taps)}
+            and set(map(type, flat)) == {int}
+            and lo <= min(flat)
+            and max(flat) <= hi
+        ):
+            expected = [sum(map(mul, taps, window)) for window in chunk]
+            suspects = datapath(flat, expected)
+        else:
+            expected = None
+            suspects = ((i, None) for i in range(len(chunk)))
+        for i, lane_value in suspects:
+            window = chunk[i]
+            if expected is None:
+                for x in window:
+                    fmt.check(x, "sample")
+                want = sum(map(mul, taps, window))
+            else:
+                want = expected[i]
+            if evaluate is None:
+                evaluate, _ = _schedule(coeffs, plan, ppg_mode, input_width, tables)
+            got = evaluate(window)
+            if got == want and lane_value is not None:
+                got = lane_value  # the gate-level datapath alone disagrees
+            if got != want:
+                mismatches.append(Mismatch(tuple(window), got, want))
+                if len(mismatches) >= limit:
+                    return checked + i + 1, mismatches
+        checked += len(chunk)
     return checked, mismatches
 
 
-def all_windows(num_taps: int, input_width: int) -> Iterable[tuple[int, ...]]:
-    """Every possible delay-line snapshot, all 2^(K*L) of them, in order."""
-    span = 1 << input_width
-    half = span >> 1
-    mask = span - 1
+def all_windows(num_taps: int, input_width: int) -> Iterator[tuple[int, ...]]:
+    """Every possible delay-line snapshot, all 2^(K*L) of them, in order.
 
-    def decode(code: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(num_taps):
-            v = code & mask
-            out.append(v - span if v >= half else v)
-            code >>= input_width
-        return tuple(out)
-
-    return (decode(c) for c in range(1 << (num_taps * input_width)))
+    Window c holds the K signed L-bit digits of c, tap 0 in the lowest, so
+    tap 0 varies fastest.
+    """
+    half = 1 << (input_width - 1)
+    digits = [*range(half), *range(-half, 0)]  # digit d read as a signed L-bit value
+    return map(tuple, map(reversed, product(digits, repeat=num_taps)))

@@ -1,6 +1,8 @@
 """Gate-level adder models: exact values and the declared cost model."""
 
 import random
+from itertools import chain, repeat
+from operator import and_
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,11 @@ from dafir.adders import (
     ripple_add,
     ripple_cost,
     tree_output_width,
+    _cla_planes,
+    _csa_planes,
+    _ripple_planes,
 )
+from dafir.engine import _lane_planes
 
 ALL_KINDS = [AdderKind.RIPPLE, AdderKind.CSA_TREE, AdderKind.CLA]
 
@@ -149,6 +155,46 @@ class TestCsaCompress:
 
     def test_stage_counts(self):
         assert [csa_stage_count(n) for n in (3, 4, 5, 6, 7, 8, 9)] == [1, 2, 3, 3, 4, 4, 4]
+
+
+def counting_planes(bits):
+    """Planes of the lane index over 2^bits lanes: plane p is bit p of every lane's index."""
+    planes = []
+    for p in range(bits):
+        half = 1 << p
+        period = 2 * half
+        span = max(8, period)  # whole bytes
+        block = ((1 << half) - 1) << half  # one period: half the lanes clear, then half set
+        pattern = sum(block << k for k in range(0, span, period)).to_bytes(span // 8, "little")
+        planes.append(int.from_bytes(pattern * ((1 << bits) // span), "little"))
+    return planes
+
+
+class TestLanes:
+    """The gate-level core on many lanes at once, each lane one test vector."""
+
+    def test_every_width_ten_addition_in_one_pass(self):
+        # Lane t = a + 2^10 b + 2^20 cin adds a + b + cin, all 2^21 triples.
+        index = counting_planes(21)
+        a, b, cin = index[:10], index[10:20], index[20]
+        mask = (1 << (1 << 21)) - 1
+        sums = chain.from_iterable(
+            range(high + c, high + c + 1024) for c in (0, 1) for high in range(1024)
+        )
+        want = _lane_planes(sums, 12)
+        assert want[11] == 0
+        for planes, carry in (_ripple_planes(a, b, cin), _cla_planes(a, b, cin, mask, 4)):
+            assert planes + [carry] == want[:11]
+
+    def test_csa_keeps_every_sum_of_three_seven_bit_words(self):
+        # Lane t = x + 2^7 y + 2^14 z; the two outputs add up to x + y + z mod 2^7.
+        index = counting_planes(21)
+        s, c = _csa_planes([index[0:7], index[7:14], index[14:21]])
+        total, _ = _cla_planes(s, c, 0, (1 << (1 << 21)) - 1, 4)
+        sums = chain.from_iterable(
+            range(y + z, y + z + 128) for z in range(128) for y in range(128)
+        )
+        assert total == _lane_planes(map(and_, sums, repeat(127)), 7)
 
 
 class TestAdderTree:

@@ -266,6 +266,31 @@ class TestDesignFile:
         with pytest.raises(DesignError):
             DesignFile.from_dict(data)
 
+    def test_coefficient_count_must_match_num_taps(self, tmp_path, capsys):
+        # A fifth coefficient on a 4-tap design used to load; running it then
+        # failed with the engine's "plan covers 4 taps but the filter has 5".
+        design = DesignFile.create(
+            ArchConfig(4, 4, 4, 2), CoefficientSet.from_integers([1, -2, 3, -4], FixedFormat(4))
+        )
+        for values in ([1, -2, 3, -4, 5], [1, -2, 3]):
+            data = design.to_dict()
+            data["coefficients"] = values
+            with pytest.raises(DesignError, match="design.coefficients"):
+                DesignFile.from_dict(data)
+            path = tmp_path / "design.json"
+            path.write_text(json.dumps(data))
+            samples = tmp_path / "samples.txt"
+            samples.write_text("1\n")
+            code = main(
+                ["run", "--design", str(path), "--samples", str(samples),
+                 "--out", str(tmp_path / "out.txt")]
+            )
+            assert code == 2
+            assert capsys.readouterr().err == (
+                f"error: {path}: design.coefficients has {len(values)} values "
+                "but design.arch.num_taps is 4\n"
+            )
+
     def test_huge_tap_count_rejected_without_building_a_plan(self):
         data = replaced(BASE_DESIGN, ("arch", "num_taps"), 10**9)
         start = time.perf_counter()

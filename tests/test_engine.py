@@ -2,6 +2,7 @@
 
 import random
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -401,6 +402,68 @@ class TestStreaming:
         assert padded == unpadded == direct_fir(samples, coeffs)
 
 
+def scalar_verify(coeffs, plan, mode, input_width, windows, luts=None, limit=1):
+    """Window-by-window reference: the scalar schedule against ``direct_fir``."""
+    run, _ = engine._schedule(coeffs, plan, mode, input_width, luts)
+    checked = 0
+    mismatches = []
+    for checked, window in enumerate(windows, 1):
+        got = run(window)
+        want = direct_fir(list(window)[::-1], coeffs)[-1]
+        if got != want:
+            mismatches.append(engine.Mismatch(tuple(window), got, want))
+            if len(mismatches) >= limit:
+                break
+    return checked, mismatches
+
+
+def outcome(call):
+    """A call's result, or the accumulator overflow it raised."""
+    try:
+        return call()
+    except AccumulatorOverflow as exc:
+        return repr(exc)
+
+
+@st.composite
+def lane_cases(draw):
+    """Filters with shuffled, padded plans; window counts around the chunk size."""
+    num_taps = draw(st.integers(1, 8))
+    group_size = draw(st.integers(1, 16))
+    input_width = draw(st.integers(2, 16))
+    coeff_width = draw(st.integers(2, 16))
+    bound = 1 << (coeff_width - 1)
+    values = draw(
+        st.lists(st.integers(-bound, bound - 1), min_size=num_taps, max_size=num_taps)
+    )
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    pads = -num_taps % group_size
+    slots = draw(st.permutations(range(num_taps))) + [None] * pads
+    groups = [slots[i : i + group_size] for i in range(0, len(slots), group_size)]
+    for group in groups:
+        rng.shuffle(group)
+    plan = PartitionPlan(group_size, tuple(map(tuple, groups)), pads)
+    mode = draw(st.sampled_from(list(PpgMode)))
+    tree = draw(st.sampled_from(list(AdderKind)))
+    lanes = engine.LANES
+    count = draw(st.sampled_from([1, 2, 37, lanes - 1, lanes, lanes + 1, 2 * lanes + 3]))
+    lo, hi = -(1 << (input_width - 1)), (1 << (input_width - 1)) - 1
+    windows = [
+        tuple(rng.choice((lo, hi, -1, 0, rng.randint(lo, hi))) for _ in range(num_taps))
+        for _ in range(count)
+    ]
+    coeffs = coeff_set(values, coeff_width)
+    luts = None
+    if mode is PpgMode.STORED and draw(st.booleans()):
+        luts = [list(build_lut(coeffs, g).entries) for g in plan.groups]
+        top = 1 << (partial_product_width(coeff_width, group_size) - 1)
+        for _ in range(draw(st.integers(0, 3))):
+            table = rng.choice(luts)
+            table[rng.randrange(len(table))] = rng.randint(-top, top - 1)
+    limit = draw(st.integers(1, 4))
+    return coeffs, plan, mode, tree, input_width, windows, luts, limit
+
+
 class TestVerifyWindows:
     def test_clean_sweep(self):
         coeffs = coeff_set([3, -5])
@@ -446,6 +509,132 @@ class TestVerifyWindows:
                 input_width=4,
                 windows=[(100, 0)],
             )
+
+    def test_non_integer_sample_rejected(self):
+        # True used to be taken as 1, and 2.5 failed inside the spreader.
+        for mode in PpgMode:
+            for bad in ((True, 0), (2.5, 0), (0, 1.0)):
+                with pytest.raises(TypeError, match="sample must be an int"):
+                    verify_windows(
+                        coeff_set([3, 5]),
+                        partition_taps(2, 2),
+                        mode,
+                        input_width=4,
+                        windows=[(0, 0), bad],
+                    )
+
+    def test_first_event_in_window_order_wins(self):
+        # (1, 1) reads the corrupted entry 3; a bad sample after it is never
+        # reached, one before it is refused, in the first chunk or a later one.
+        coeffs = coeff_set([3, 5])
+        plan = partition_taps(2, 2)
+        luts = [[0, 3, 5, 9]]
+        for lead in (1, engine.LANES + 3):
+            clean = [(1, 0)] * lead
+            checked, mismatches = verify_windows(
+                coeffs, plan, PpgMode.STORED, input_width=4,
+                windows=clean + [(1, 1), (True, 0)], luts=luts,
+            )
+            assert checked == lead + 1
+            assert mismatches == [engine.Mismatch((1, 1), 9, 8)]
+            with pytest.raises(TypeError):
+                verify_windows(
+                    coeffs, plan, PpgMode.STORED, input_width=4,
+                    windows=clean + [(True, 0), (1, 1)], luts=luts,
+                )
+            with pytest.raises(ValueError, match="sample 100"):
+                verify_windows(
+                    coeffs, plan, PpgMode.STORED, input_width=4,
+                    windows=clean + [(100, 0), (1, 1)], luts=luts,
+                )
+
+    def test_overflow_and_mismatch_in_window_order(self):
+        # One tap in a padded group of four, entry 1 edited to 511: the
+        # sample 1 reads it once (a mismatch), the sample 7 on three cycles,
+        # which leaves the 12-bit accumulator.
+        coeffs = coeff_set([1])
+        plan = partition_taps(1, 4)
+        luts = [[0, 511] + [0] * 14]
+        assert verify_windows(
+            coeffs, plan, PpgMode.STORED, input_width=4, windows=[(0,), (1,), (7,)], luts=luts
+        ) == (2, [engine.Mismatch((1,), 511, 1)])
+        with pytest.raises(AccumulatorOverflow, match="inner product 3577 exceeds the 12-bit"):
+            verify_windows(
+                coeffs, plan, PpgMode.STORED, input_width=4, windows=[(0,), (7,), (1,)], luts=luts
+            )
+        # Entry 1 at -511 gives -8 * -511 = 4088 for the window (-8,), exactly
+        # 4096 above the oracle's -8: a 12-bit lane accumulator would wrap it
+        # onto the oracle and pass the window.
+        luts = [[0, -511] + [0] * 14]
+        with pytest.raises(AccumulatorOverflow, match="inner product 4088 exceeds the 12-bit"):
+            verify_windows(
+                coeffs, plan, PpgMode.STORED, input_width=4, windows=[(0,), (-8,)], luts=luts
+            )
+
+    def test_one_entry_corruption_found_where_the_window_loop_finds_it(self):
+        coeffs = coeff_set([3, -5, 7, 11])
+        plan = partition_taps(4, 2)
+        clean = [list(build_lut(coeffs, g).entries) for g in plan.groups]
+        for table, address in product(range(2), range(4)):
+            luts = [list(t) for t in clean]
+            luts[table][address] += 1
+            want = scalar_verify(coeffs, plan, PpgMode.STORED, 4, all_windows(4, 4), luts)
+            got = verify_windows(
+                coeffs, plan, PpgMode.STORED, input_width=4, windows=all_windows(4, 4), luts=luts
+            )
+            assert want[1] and got == want, (table, address)
+
+    def test_gate_level_disagreement_is_reported(self, monkeypatch):
+        # A tree that flips bit 0 of lane 0 (window 0, cycle 0) while the
+        # scalar schedule stays right: the window still fails, with the
+        # datapath's own value.
+        real = engine._tree_planes
+
+        def flipped(*args):
+            planes = list(real(*args))
+            planes[0] ^= 1
+            return planes
+
+        monkeypatch.setattr(engine, "_tree_planes", flipped)
+        checked, mismatches = verify_windows(
+            coeff_set([3, 5]), partition_taps(2, 2), PpgMode.MUX, input_width=4,
+            windows=[(0, 0), (1, 1)],
+        )
+        assert (checked, mismatches) == (1, [engine.Mismatch((0, 0), 1, 0)])
+
+    @settings(deadline=None, max_examples=60)
+    @given(lane_cases())
+    @example(
+        (coeff_set([-128] * 8), partition_taps(8, 16), PpgMode.MUX, AdderKind.CSA_TREE,
+         16, [(-32768,) * 8] * 3, None, 2)
+    )
+    def test_lanes_agree_with_scalar_schedule_and_direct_fir(self, case):
+        coeffs, plan, mode, tree, input_width, windows, luts, limit = case
+        want = outcome(
+            lambda: scalar_verify(coeffs, plan, mode, input_width, windows, luts, limit)
+        )
+        with mock.patch.object(engine, "_schedule", wraps=engine._schedule) as scalar:
+            got = outcome(
+                lambda: verify_windows(
+                    coeffs, plan, mode, tree, input_width=input_width,
+                    windows=iter(windows), luts=luts, limit=limit,
+                )
+            )
+        assert got == want
+        if want == (len(windows), []):
+            # Full agreement comes from the lanes alone.
+            assert scalar.call_count == 0
+
+    def test_all_windows_order_matches_the_code_decoding(self):
+        # Window c holds the K signed L-bit digits of c, tap 0 lowest.
+        for num_taps in range(1, 7):
+            for input_width in range(2, 12 // num_taps + 1):
+                span = 1 << input_width
+                want = []
+                for code in range(1 << (num_taps * input_width)):
+                    digits = [(code >> (input_width * k)) & (span - 1) for k in range(num_taps)]
+                    want.append(tuple(d - span if d >= span // 2 else d for d in digits))
+                assert list(all_windows(num_taps, input_width)) == want
 
     def test_all_windows_covers_the_space(self):
         windows = list(all_windows(2, 2))
