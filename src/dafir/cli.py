@@ -10,6 +10,7 @@ offending line number.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -86,12 +87,13 @@ def _parse_coefficients(path: str, fmt: FixedFormat):
 
 def _parse_samples(path: str, fmt: FixedFormat) -> list[int]:
     samples = []
+    lo, hi = fmt.min_value, fmt.max_value
     for lineno, text in _read_lines(path):
         try:
             v = int(text)
         except ValueError:
             raise CliError(f"{path}:{lineno}: cannot parse sample {text!r}")
-        if not fmt.contains(v):
+        if not lo <= v <= hi:
             raise CliError(
                 f"{path}:{lineno}: sample {v} outside signed {fmt.width}-bit range"
             )
@@ -171,8 +173,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     filt = design.filter()
     with open(args.out, "w", encoding="utf-8") as out:
         if args.trace is None:
-            for x in samples:
-                out.write(f"{filt.push(x)}\n")
+            # Each block is written before the next is evaluated.
+            for block in filt.blocks(samples):
+                out.write("".join(f"{y}\n" for y in block))
             return EXIT_OK
         with open(args.trace, "w", encoding="utf-8") as trace:
             for i, x in enumerate(samples):
@@ -288,14 +291,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ppg", choices=[m.value for m in PpgMode], default="stored")
     p.add_argument("--tree", choices=[k.value for k in AdderKind], default="cla")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_design)
 
     p = sub.add_parser("run", help="filter a sample file through a design")
     p.add_argument("--design", required=True)
     p.add_argument("--samples", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--trace", help="write a JSONL cycle trace here")
-    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("verify", help="check the DA path against the direct form")
     p.add_argument("--design", required=True)
@@ -303,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--exhaustive", action="store_true")
     mode.add_argument("--random", type=int, metavar="N")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("report", help="print resource accounting as JSON")
     p.add_argument("--design", required=True)
@@ -316,16 +316,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compare-cells", type=int)
     p.add_argument("--compare-time-ns")
     p.add_argument("--compare-power-mw")
-    p.set_defaults(func=cmd_report)
 
     return parser
 
 
+_parser = functools.cache(build_parser)  # built on the first call, once per process
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # Looked up on every call, not bound into the cached parser, so a
+    # cmd_* function replaced after the first call is the one that runs.
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

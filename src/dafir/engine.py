@@ -21,7 +21,7 @@ import functools
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import chain, islice, product, repeat
+from itertools import chain, islice, product, repeat, takewhile
 from operator import and_, itemgetter, mul
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
@@ -162,30 +162,24 @@ class DaLut:
             raise ValueError("a group of M taps needs exactly 2^M entries")
 
 
-def _subset_sums(
-    values: Sequence[int], group: Sequence[TapIndex], addresses: Iterable[int]
-) -> list[int]:
-    """Per address, the sum of the coefficients of the members whose bit is set.
+def _subset_sums(values: Sequence[int], group: Sequence[TapIndex]) -> list[int]:
+    """All 2^M sums of a group's coefficients: entry a sums the members whose bit is set in a.
 
-    Address bit j selects group member j; a padding slot adds nothing.
+    Built by doubling: after member j the table holds every address below
+    2^(j+1), its upper half the lower half plus member j's coefficient (0
+    for a padding slot), so a table costs 2^M additions.
     """
-    selects = [(1 << j, values[idx]) for j, idx in enumerate(group) if idx is not None]
-    sums = []
-    for address in addresses:
-        total = 0
-        for bit, value in selects:
-            if address & bit:
-                total += value
-        sums.append(total)
-    return sums
+    table = [0]
+    for idx in group:
+        c = 0 if idx is None else values[idx]
+        table += [t + c for t in table]
+    return table
 
 
 def build_lut(coeffs: CoefficientSet, group: Sequence[TapIndex]) -> DaLut:
     """Precompute all 2^M subset sums for a group (address bit j selects member j)."""
     members = tuple(group)
-    return DaLut(
-        members, tuple(_subset_sums(coeffs.values, members, range(1 << len(members))))
-    )
+    return DaLut(members, tuple(_subset_sums(coeffs.values, members)))
 
 
 def mux_ppg(coeffs: CoefficientSet, group: Sequence[TapIndex], address: int) -> int:
@@ -198,7 +192,17 @@ def mux_ppg(coeffs: CoefficientSet, group: Sequence[TapIndex], address: int) -> 
     members = tuple(group)
     if not (0 <= address < 1 << len(members)):
         raise ValueError(f"address {address} out of range for a {len(members)}-bit group")
-    return _subset_sums(coeffs.values, members, (address,))[0]
+    return _subset_sums(coeffs.values, members)[address]
+
+
+class _CheckedTables(tuple):
+    """Tables ``check_tables`` returned, with the (M, groups, W) they were checked for.
+
+    Only ``check_tables`` makes one, and its tables are tuples of ints, so
+    the same tables checked for the same shape pass again without a scan.
+    """
+
+    shape: tuple[int, int, int]
 
 
 def check_tables(
@@ -210,7 +214,12 @@ def check_tables(
 
     An entry no sum of M coefficients could take is refused before it can
     reach an accumulator; design files and injected tables share this check.
+    Tables this function returned pass again at once for the same group
+    size, group count and coefficient width (a loaded design's filter).
     """
+    shape = (plan.group_size, plan.num_groups, coeff_width)
+    if type(luts) is _CheckedTables and luts.shape == shape:
+        return luts
     if len(luts) != plan.num_groups:
         raise ValueError("need exactly one table per group")
     want = 1 << plan.group_size
@@ -220,17 +229,33 @@ def check_tables(
         if (
             not isinstance(entries, (list, tuple))
             or len(entries) != want
-            or not all(type(v) is int for v in entries)
+            or set(map(type, entries)) != {int}
         ):
             raise ValueError(f"table {i} must be a list of {want} integers")
-        for v in entries:
-            if not (-bound <= v < bound):
-                raise ValueError(
-                    f"table {i} entry {v} cannot be a sum of "
-                    f"{plan.group_size} coefficients of {coeff_width} bits"
-                )
+        if min(entries) < -bound or max(entries) >= bound:
+            v = next(v for v in entries if not -bound <= v < bound)
+            raise ValueError(
+                f"table {i} entry {v} cannot be a sum of "
+                f"{plan.group_size} coefficients of {coeff_width} bits"
+            )
         tables.append(tuple(entries))
-    return tuple(tables)
+    checked = _CheckedTables(tables)
+    checked.shape = shape
+    return checked
+
+
+def _stored_tables(
+    coeffs: CoefficientSet,
+    plan: PartitionPlan,
+    ppg_mode: PpgMode,
+    luts: Sequence[Sequence[int]] | None,
+) -> tuple[tuple[int, ...], ...] | None:
+    """Stored mode's checked tables, derived when ``luts`` is None; None in mux mode."""
+    if ppg_mode is not PpgMode.STORED:
+        return None
+    if luts is None:
+        return tuple(build_lut(coeffs, g).entries for g in plan.groups)
+    return check_tables(luts, plan, coeffs.format.width)
 
 
 def address_for_cycle(
@@ -328,12 +353,16 @@ def _spreader(input_width: int, field: int) -> Callable[[Sequence[int]], list[in
 Observer = Callable[[int, list, list, int, int], None]
 
 
+def _overflow(acc: int, acc_width: int) -> AccumulatorOverflow:
+    return AccumulatorOverflow(f"inner product {acc} exceeds the {acc_width}-bit accumulator")
+
+
 def _schedule(
     coeffs: CoefficientSet,
     plan: PartitionPlan,
     ppg_mode: PpgMode,
     input_width: int,
-    luts: Sequence[Sequence[int]] | None,
+    tables: Sequence[Sequence[int]] | None,
     tree: AdderKind = AdderKind.CLA,
     bit_level: bool = False,
 ) -> tuple[Callable[..., int], Callable[[Sequence[int]], list[int]]]:
@@ -347,7 +376,9 @@ def _schedule(
     bits straight from the samples, in one bank when nothing consumes
     per-group partials. Address fields are one byte wide (M <= 8) or two
     (M <= 16), so a group word's bytes list its addresses in cycle order.
-    Returns the loop and the spreader whose words it reads.
+    Stored mode reads ``tables`` as given (callers check outside tables),
+    or the derived ones when it is None. Returns the loop and the spreader
+    whose words it reads.
     """
     length = input_width
     last = length - 1
@@ -365,12 +396,8 @@ def _schedule(
         tuple((j, idx) for j, idx in enumerate(g) if idx is not None) for g in plan.groups
     )
     stored = ppg_mode is PpgMode.STORED
-    if not stored:
-        tables = None
-    elif luts is None:
-        tables = tuple(build_lut(coeffs, g).entries for g in plan.groups)
-    else:
-        tables = check_tables(luts, plan, coeffs.format.width)
+    if stored and tables is None:
+        tables = _stored_tables(coeffs, plan, ppg_mode, None)
     values = coeffs.values
     per_group = tuple(tuple((i, values[i]) for _, i in mem) for mem in members)
     merged = (tuple(sel for bank in per_group for sel in bank),)
@@ -425,9 +452,7 @@ def _schedule(
                 s = shifts[n]
                 observe(n, [(w >> s) & mask for w in words], partials, t, acc)
         if acc >= bound or acc < -bound:
-            raise AccumulatorOverflow(
-                f"inner product {acc} exceeds the {acc_width}-bit accumulator"
-            )
+            raise _overflow(acc, acc_width)
         return acc
 
     return run, spread
@@ -469,7 +494,8 @@ def da_inner_product(
     verifier exercise exactly the entries a design file carries.
     """
     dl = _check_inputs(delay_line, coeffs, plan, input_width)
-    run, _ = _schedule(coeffs, plan, ppg_mode, input_width, luts, tree, bit_level)
+    tables = _stored_tables(coeffs, plan, ppg_mode, luts)
+    run, _ = _schedule(coeffs, plan, ppg_mode, input_width, tables, tree, bit_level)
     if not collect_trace:
         return run(dl), None
     records: list[CycleRecord] = []
@@ -484,6 +510,9 @@ class DaFilter:
     in stored mode, the spread word of every sample in it, formed once as
     the sample enters; one instance per thread, instances independent.
     Output matches :func:`dafir.numerics.direct_fir` sample for sample.
+    ``push`` and ``push_traced`` run the bit-serial schedule per sample;
+    ``blocks`` and ``process`` evaluate ``LANES`` outputs at a time on the
+    same delay line, except with ``bit_level``, which keeps the schedule.
     """
 
     def __init__(
@@ -507,9 +536,12 @@ class DaFilter:
         self.tree = tree
         self.input_format = FixedFormat(input_width)
         self.bit_level = bit_level
+        tables = _stored_tables(coeffs, plan, ppg_mode, luts)
         self._run, self._spreader = _schedule(
-            coeffs, plan, ppg_mode, input_width, luts, tree, bit_level
+            coeffs, plan, ppg_mode, input_width, tables, tree, bit_level
         )
+        self._block = None if bit_level else _block_datapath(coeffs, plan, tables, input_width)
+        self._acc_width = required_accumulator_width(len(coeffs), coeffs.format.width, input_width)
         self.reset()
 
     def _admit(self, sample: int) -> None:
@@ -530,8 +562,49 @@ class DaFilter:
         value = self._run(self._delay, self._spread, _recorder(records, self.input_format.width))
         return value, tuple(records)
 
+    def blocks(self, samples: Iterable[int]) -> Iterator[list[int]]:
+        """The outputs ``push`` would give for ``samples``, in lists of up to ``LANES``.
+
+        A block is read from ``samples`` only after the previous list was
+        taken. A sample that is not an in-range ``int``, or an output that
+        leaves the accumulator, raises what ``push`` would raise at that
+        sample, once the outputs before it in its block have been yielded;
+        the delay line is left as ``push`` would leave it.
+        """
+        if self._block is None:
+            for x in samples:
+                yield [self.push(x)]
+            return
+        fmt = self.input_format
+        lo, hi = fmt.min_value, fmt.max_value
+        history = len(self.coeffs) - 1
+        bound = 1 << (self._acc_width - 1)
+        samples = iter(samples)
+        while chunk := list(islice(samples, LANES)):
+            good = chunk
+            if not (set(map(type, chunk)) == {int} and lo <= min(chunk) and max(chunk) <= hi):
+                good = list(takewhile(lambda x: type(x) is int and lo <= x <= hi, chunk))
+            if good:
+                outputs = self._block(self._delay[:history][::-1] + good)
+                if min(outputs) < -bound or max(outputs) >= bound:
+                    bad = next(i for i, y in enumerate(outputs) if not -bound <= y < bound)
+                    self._shift_in(good[: bad + 1])
+                    if bad:
+                        yield outputs[:bad]
+                    raise _overflow(outputs[bad], self._acc_width)
+                self._shift_in(good)
+                yield outputs
+            if len(good) < len(chunk):
+                fmt.check(chunk[len(good)], "sample")
+
     def process(self, samples: Iterable[int]) -> list[int]:
-        return [self.push(s) for s in samples]
+        return list(chain.from_iterable(self.blocks(samples)))
+
+    def _shift_in(self, samples: list[int]) -> None:
+        """Enter checked samples, oldest first, into the delay line."""
+        self._delay = (samples[::-1] + self._delay)[: len(self.coeffs)]
+        if self._spread is not None:
+            self._spread = self._spreader(self._delay)
 
     def reset(self) -> None:
         self._delay = [0] * len(self.coeffs)
@@ -547,7 +620,7 @@ class Mismatch:
     expected: int
 
 
-LANES = 1024  # windows per bit-sliced chunk of verify_windows
+LANES = 1024  # lanes of a bit-sliced chunk: windows in verify_windows, outputs in blocks
 
 _SIGNED_CODES = {array(c).itemsize: c for c in "bhiq"}
 _UNSIGNED_CODES = {array(c).itemsize: c for c in "BHIQ"}
@@ -559,6 +632,11 @@ def _item_size(bits: int) -> int:
     return min(size for size in _SIGNED_CODES if size * 8 >= bits)
 
 
+def _field_size(bits: int) -> int:
+    """Bytes per field of ``bits`` bits: an array item size up to 64 bits, whole bytes above."""
+    return _item_size(bits) if bits <= 64 else -(-bits // 8)
+
+
 def _little_endian(items: array) -> array:
     """``items`` with their bytes in little-endian order (a swap is its own inverse)."""
     if sys.byteorder == "big":
@@ -568,10 +646,9 @@ def _little_endian(items: array) -> array:
 
 def _pack(values: Iterable[int], width: int) -> tuple[bytes, int]:
     """Signed ``width``-bit values as little-endian items; the bytes and the item size."""
-    if width <= 64:
-        items = array(_SIGNED_CODES[_item_size(width)], values)
-        return _little_endian(items).tobytes(), items.itemsize
-    size = (width + 7) // 8
+    size = _field_size(width)
+    if size <= 8:
+        return _little_endian(array(_SIGNED_CODES[size], values)).tobytes(), size
     codes = map(and_, values, repeat((1 << (8 * size)) - 1))
     return b"".join(map(int.to_bytes, codes, repeat(size), repeat("little"))), size
 
@@ -602,6 +679,60 @@ def _lane_planes(values: Iterable[int], width: int) -> list[int]:
     return planes
 
 
+def _bit_planes(samples: bytes, size: int, length: int, width: int) -> bytes:
+    """All ``length`` bit-planes of little-endian samples of ``size`` bytes each.
+
+    Segment n of the result, one item of ``width`` bytes per sample, holds
+    bit n of sample i at bit 0 of item i: the samples' bits, cycle-major.
+    Each sample is first cut into ``width``-byte pieces, piece c holding
+    its bits from 8 * width * c, so every plane is one shift and mask.
+    """
+    step = size // width
+    if step == 1:
+        pieces = [samples]
+    elif width == 1:
+        pieces = [samples[c::step] for c in range(step)]
+    else:
+        pieces = [memoryview(samples).cast("H")[c::step].tobytes() for c in range(step)]
+    nbytes = len(pieces[0])
+    pieces = [int.from_bytes(p, "little") for p in pieces]
+    ones = int.from_bytes(b"\1".ljust(width, b"\0") * (nbytes // width), "little")
+    bits = 8 * width
+    return b"".join(
+        ((pieces[n // bits] >> (n % bits)) & ones).to_bytes(nbytes, "little")
+        for n in range(length)
+    )
+
+
+def _address_former(
+    planes: Sequence[int], lags: Sequence[int], fields: int, lanes: int, width: int, length: int
+) -> Callable[[Sequence[tuple[int, int]]], bytes]:
+    """Bind table address formation for a chunk of lanes: any group, all cycles at once.
+
+    ``planes[k]`` holds bit-planes as :func:`_bit_planes` lays them out,
+    segments of ``fields`` items, in which lane i's bits of tap k's sample
+    are item ``i + lags[k]``, for lanes below ``lanes``. The bound function
+    takes a group's (address bit j, tap k) pairs and returns every lane's
+    address at every cycle, cycle-major, in items of ``width`` bytes.
+
+    A member's part of every address at once is its planes moved up by j
+    and down by its lag, whole: two shifts per member. Items a lag pulls in
+    from above a lane's sample, or from the next segment, lie at or beyond
+    ``lanes`` and are cut.
+    """
+    segment = width * fields
+    keep = width * lanes
+
+    def addresses(group: Sequence[tuple[int, int]]) -> bytes:
+        word = sum((planes[k] << j) >> (8 * width * lags[k]) for j, k in group)
+        data = word.to_bytes(segment * length, "little")
+        if keep == segment:
+            return data
+        return b"".join(data[s : s + keep] for s in range(0, segment * length, segment))
+
+    return addresses
+
+
 def _lane_datapath(
     coeffs: CoefficientSet,
     plan: PartitionPlan,
@@ -628,30 +759,30 @@ def _lane_datapath(
     tree_width = tree_output_width(partial_width, plan.num_groups)
     acc_width = tree_width + length
     block = DEFAULT_COST_MODEL.cla_block_size
-    # One item per sample, wide enough for the sample and for an address.
-    size = _item_size(max(length, plan.group_size))
-    sample_code, address_code = _SIGNED_CODES[size], _UNSIGNED_CODES[size]
+    size = _item_size(max(length, plan.group_size))  # bytes per sample item, >= width
+    width = _item_size(plan.group_size)  # bytes per address item
 
     def run(flat: list[int], expected: list[int]) -> Iterator[tuple[int, int]]:
         """(lane, datapath value) of each window, in order, whose value is not ``expected``."""
         count = len(expected)
-        samples = array(sample_code, flat)
-        # Column k holds tap k's sample of lane i in item i, 8 * size bits.
-        columns = [
-            int.from_bytes(_little_endian(samples[k::num_taps]).tobytes(), "little")
+        samples = array(_SIGNED_CODES[size], flat)
+        # Items [k * count, (k + 1) * count) hold tap k's sample of each lane.
+        columns = b"".join(_little_endian(samples[k::num_taps]).tobytes() for k in range(num_taps))
+        data = _bit_planes(columns, size, length, width)
+        # Tap k's planes: its part of every segment.
+        column, segment = width * count, width * count * num_taps
+        planes = [
+            int.from_bytes(
+                b"".join(data[s : s + column] for s in range(k * column, len(data), segment)),
+                "little",
+            )
             for k in range(num_taps)
         ]
-        ones = int.from_bytes(b"\1".ljust(size, b"\0") * count, "little")
+        address = _address_former(planes, [0] * num_taps, count, count, width, length)
         operands = []
         for table, group in zip(tables, members):
-            # Address fields of all cycles, cycle-major: item n*count + i is lane i at cycle n.
-            fields = b"".join(
-                sum(((columns[k] >> n) & ones) << j for j, k in group).to_bytes(
-                    size * count, "little"
-                )
-                for n in range(length)
-            )
-            addresses = _little_endian(array(address_code, fields))
+            # Item n*count + i is lane i's address at cycle n.
+            addresses = _little_endian(array(_UNSIGNED_CODES[width], address(group)))
             # count * length >= 2 addresses, so itemgetter returns a tuple
             planes = _lane_planes(itemgetter(*addresses)(table), partial_width)
             operands.append(planes + planes[-1:] * (tree_width - partial_width))
@@ -675,6 +806,128 @@ def _lane_datapath(
             value = sum(((p >> i) & 1) << b for b, p in enumerate(acc))
             yield i, value - ((value >> (acc_width - 1)) << acc_width)
             diff ^= low
+
+    return run
+
+
+def _block_datapath(
+    coeffs: CoefficientSet,
+    plan: PartitionPlan,
+    tables: Sequence[Sequence[int]] | None,
+    input_width: int,
+) -> Callable[[list[int]], list[int]]:
+    """Bind block evaluation of a stream: consecutive outputs in lanes, one per lane.
+
+    The bound function takes K - 1 + N samples, oldest first, and returns
+    the N inner products of their last N windows, unchecked against the
+    accumulator range. Output i's tap k is stream item i + K - 1 - k, so
+    the address former ``verify_windows`` uses gives each group's
+    addresses for all L cycles. Table entries are read as packed fields,
+    one per lane and cycle: with M <= 8 each table is kept as byte-planes
+    of its entries biased by the partial-product bound, and a group's reads
+    are one ``bytes.translate`` per entry byte into a strided buffer; above
+    that they are gathered straight from the tables, packed signed, and
+    their signs fixed and bias added by whole-block operations. Mux mode
+    reads the same subset sums, formed on the first block. The sums over
+    groups are widened to accumulator fields, split by cycle, shifted and
+    accumulated with the sign cycle subtracted, and unpacked once.
+
+    Fields hold tree width + L bits, more than any value entries that
+    ``check_tables`` accepts can reach, so no table can wrap one.
+    """
+    length = input_width
+    num_taps = len(coeffs)
+    members = [[(j, k) for j, k in enumerate(g) if k is not None] for g in plan.groups]
+    partial_width = partial_product_width(coeffs.format.width, plan.group_size)
+    bias = 1 << (partial_width - 1)
+    groups = plan.num_groups
+    tree_width = tree_output_width(partial_width, groups)
+    size = _item_size(max(length, plan.group_size))
+    width = _item_size(plan.group_size)
+    bytewise = width == 1
+    # Bytes per lane of a group sum (narrow) and of the accumulator (field):
+    # array item sizes where values pass through arrays, up to 64 bits.
+    narrow = -(-tree_width // 8) if bytewise else _field_size(tree_width)
+    field = _field_size(tree_width + length)
+    reads: list = []  # per group: byte-planes (bytewise) or the table itself
+
+    def bind(tables: Sequence[Sequence[int]]) -> None:
+        if not bytewise:
+            reads.extend(tables)
+            return
+        for table in tables:
+            biased = [v + bias for v in table]
+            reads.append(
+                [
+                    bytes((u >> b) & 255 for u in biased).ljust(256, b"\0")
+                    for b in range(0, partial_width, 8)
+                ]
+            )
+
+    if tables is not None:
+        bind(tables)
+
+    def repeated(value: int, nbytes: int, count: int) -> int:
+        return int.from_bytes(value.to_bytes(nbytes, "little") * count, "little")
+
+    def run(stream: list[int]) -> list[int]:
+        if not reads:
+            bind([_subset_sums(coeffs.values, g) for g in plan.groups])
+        count = len(stream) - num_taps + 1
+        reads_per_group = count * length
+        samples = _little_endian(array(_SIGNED_CODES[size], stream)).tobytes()
+        address = _address_former(
+            [int.from_bytes(_bit_planes(samples, size, length, width), "little")] * num_taps,
+            range(num_taps - 1, -1, -1),
+            len(stream),
+            count,
+            width,
+            length,
+        )
+        # Biased reads of every group, lane-by-cycle, summed over groups.
+        total = 0
+        if bytewise:
+            for planes, group in zip(reads, members):
+                addresses = address(group)
+                buffer = bytearray(narrow * reads_per_group)
+                for b, plane in enumerate(planes):
+                    buffer[b::narrow] = addresses.translate(plane)
+                total += int.from_bytes(buffer, "little")
+        else:
+            signs = repeated(1 << (8 * narrow - 1), narrow, reads_per_group)
+            negatives = 0
+            for table, group in zip(reads, members):
+                # count * length >= 2 addresses, so itemgetter returns a tuple
+                addresses = _little_endian(array(_UNSIGNED_CODES[width], address(group)))
+                data, _ = _pack(itemgetter(*addresses)(table), tree_width)
+                packed = int.from_bytes(data, "little")
+                total += packed
+                negatives += packed & signs
+            # Each field read as unsigned is off by twice its sign bit; the
+            # bias then makes every sum nonnegative, as in the byte-planes.
+            total += repeated(groups * bias, narrow, reads_per_group) - (negatives << 1)
+        # Every sum is nonnegative, so widening its field is a zero fill.
+        sums = total.to_bytes(narrow * reads_per_group, "little")
+        wide = bytearray(field * reads_per_group)
+        for b in range(narrow):
+            wide[b::field] = sums[b::narrow]
+        view = memoryview(wide)
+        lanes = field * count
+        # Reads carried +bias each: -groups*bias per lane in all. Half the
+        # field's range on top makes every field nonnegative; flipping its
+        # top bit then leaves two's complement.
+        top = 1 << (8 * field - 1)
+        acc = repeated(top + groups * bias, field, count)
+        for n in range(length):
+            part = int.from_bytes(view[n * lanes : (n + 1) * lanes], "little") << n
+            acc = acc - part if n == length - 1 else acc + part
+        data = (acc ^ repeated(top, field, count)).to_bytes(lanes, "little")
+        if field > 8:
+            return [
+                int.from_bytes(data[i : i + field], "little", signed=True)
+                for i in range(0, lanes, field)
+            ]
+        return _little_endian(array(_SIGNED_CODES[field], data)).tolist()
 
     return run
 
@@ -713,7 +966,7 @@ def verify_windows(
     if ppg_mode is PpgMode.STORED and luts is not None:
         tables = check_tables(luts, plan, coeffs.format.width)
     else:
-        tables = tuple(_subset_sums(taps, g, range(1 << plan.group_size)) for g in plan.groups)
+        tables = tuple(_subset_sums(taps, g) for g in plan.groups)
     datapath = _lane_datapath(coeffs, plan, tables, input_width, tree)
     evaluate = None  # the scalar schedule, bound when a window first needs it
     windows = iter(windows)

@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 
 import dafir.cli as cli
 import dafir.design
+import dafir.engine
 import dafir.report
 from dafir.adders import AdderKind
 from dafir.cli import main
 from dafir.design import ArchConfig, DesignError, DesignFile, rederive_luts
 from dafir.engine import PpgMode, build_lut
-from dafir.numerics import CoefficientSet, FixedFormat
+from dafir.numerics import AccumulatorOverflow, CoefficientSet, FixedFormat
 from dafir.report import ArchitectureMismatch
 
 
@@ -428,6 +429,25 @@ class TestCmdRun:
         )
         assert out.read_text() == "511\n"
 
+    def test_overflow_in_a_later_block_matches_a_push_loop(self, tmp_path, capsys):
+        # The overflowing sample sits in the second block of LANES samples.
+        design = overflow_design(tmp_path)
+        stream = [1, -3] * 700 + [7] + [1] * 5
+        samples = tmp_path / "s.txt"
+        samples.write_text("".join(f"{x}\n" for x in stream))
+        out = tmp_path / "y.txt"
+        argv = ["run", "--design", str(design), "--samples", str(samples), "--out", str(out)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        filt = DesignFile.load(str(design)).filter()
+        written = []
+        with pytest.raises(AccumulatorOverflow) as raised:
+            for x in stream:
+                written.append(f"{filt.push(x)}\n")
+        assert len(written) == 1400 > dafir.engine.LANES
+        assert (code, captured.out, captured.err) == (1, "", f"error: {raised.value}\n")
+        assert out.read_text() == "".join(written)
+
     def test_repeated_runs_byte_identical(self, workspace):
         design = run_design(workspace)
         out1, out2 = workspace / "o1.txt", workspace / "o2.txt"
@@ -709,3 +729,25 @@ class TestUsage:
         )
         assert code == 2
         assert "width" in capsys.readouterr().err
+
+    def test_parser_is_built_once_and_handlers_found_per_call(self, workspace, monkeypatch):
+        design = str(run_design(workspace))
+        cli._parser.cache_clear()
+        for _ in range(3):
+            assert main(["report", "--design", design]) == 0
+        info = cli._parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        # A handler replaced after the parser exists is the one that runs.
+        calls = []
+        monkeypatch.setattr(cli, "cmd_report", lambda args: calls.append(args.design) or 0)
+        assert main(["report", "--design", design]) == 0
+        assert calls == [design]
+
+    def test_help_and_errors_come_from_the_one_parser(self, capsys):
+        for argv in (["--help"], ["run", "--help"], ["run"], ["frobnicate"]):
+            with pytest.raises(SystemExit):
+                main(argv)
+            first = capsys.readouterr()
+            with pytest.raises(SystemExit):
+                cli.build_parser().parse_args(argv)
+            assert capsys.readouterr() == first

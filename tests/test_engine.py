@@ -18,6 +18,7 @@ from dafir.engine import (
     address_for_cycle,
     all_windows,
     build_lut,
+    check_tables,
     da_inner_product,
     memory_locations,
     mux_ppg,
@@ -824,6 +825,16 @@ class TestSchedule:
         with pytest.raises(AccumulatorOverflow):
             filt.push_traced(7)
 
+    def test_checked_tables_pass_again_only_for_their_shape(self):
+        plan = partition_taps(2, 2)
+        tables = check_tables([[0, 5, 6, 11]], plan, 8)
+        assert tables == ((0, 5, 6, 11),)
+        assert check_tables(tables, plan, 8) is tables
+        with pytest.raises(ValueError, match="table 0 entry 11 cannot be a sum of 2 coeff"):
+            check_tables(tables, plan, 3)
+        with pytest.raises(ValueError, match="need exactly one table per group"):
+            check_tables(tables, partition_taps(4, 2), 8)
+
     def test_design_file_and_engine_share_table_checks(self):
         coeffs = coeff_set([5, 6])
         plan = partition_taps(2, 2)
@@ -836,3 +847,147 @@ class TestSchedule:
             DaFilter(coeffs, plan, input_width=8, luts=bad)
         assert str(from_file.value) == str(from_engine.value)
         assert "table 0 entry 4096 cannot be a sum" in str(from_engine.value)
+
+
+def stream_outcome(outputs):
+    """Outputs taken from an iterable until it raises; the outputs and the error, if any."""
+    got = []
+    try:
+        for y in outputs:
+            got.append(y)
+    except (AccumulatorOverflow, TypeError, ValueError) as exc:
+        return got, type(exc), str(exc)
+    return got, None, None
+
+
+def pushed(filt, samples):
+    """``filt.push`` over ``samples``, one at a time, stopping at the first error."""
+    return (filt.push(x) for x in samples)
+
+
+def blocked(filt, samples, sizes):
+    """``filt.blocks`` over ``samples``, flattened, recording each block's size."""
+    for block in filt.blocks(samples):
+        sizes.append(len(block))
+        yield from block
+
+
+@st.composite
+def block_cases(draw):
+    """Streams across block boundaries: consecutive, padded and shuffled plans, edited tables.
+
+    Few taps in large groups leave the accumulator narrower than the
+    entries allow, so extreme edits at the address every real member
+    selects can overflow it.
+    """
+    num_taps = draw(st.one_of(st.integers(1, 3), st.integers(1, 64)))
+    group_size = draw(st.integers(1, 16))
+    input_width = draw(st.integers(2, 20))
+    coeff_width = draw(st.integers(2, 16))
+    bound = 1 << (coeff_width - 1)
+    values = draw(
+        st.lists(st.integers(-bound, bound - 1), min_size=num_taps, max_size=num_taps)
+    )
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    pads = -num_taps % group_size
+    if draw(st.booleans()):
+        plan = partition_taps(num_taps, group_size)
+    else:
+        slots = list(range(num_taps)) + [None] * pads
+        rng.shuffle(slots)
+        groups = [slots[i : i + group_size] for i in range(0, len(slots), group_size)]
+        plan = PartitionPlan(group_size, tuple(map(tuple, groups)), pads)
+    mode = draw(st.sampled_from(list(PpgMode)))
+    coeffs = coeff_set(values, coeff_width)
+    luts = None
+    if mode is PpgMode.STORED and rng.random() < 0.6:
+        luts = [list(build_lut(coeffs, g).entries) for g in plan.groups]
+        top = 1 << (partial_product_width(coeff_width, group_size) - 1)
+        for _ in range(rng.randint(1, 4)):
+            g = rng.randrange(plan.num_groups)
+            everyone = sum(1 << j for j, k in enumerate(plan.groups[g]) if k is not None)
+            address = rng.choice((everyone, rng.randrange(1 << group_size)))
+            luts[g][address] = rng.choice((-top, top - 1, rng.randint(-top, top - 1)))
+    lanes = engine.LANES
+    count = draw(st.sampled_from([1, 2, 37, lanes - 1, lanes, lanes + 1, 2 * lanes + 3]))
+    lo, hi = -(1 << (input_width - 1)), (1 << (input_width - 1)) - 1
+    samples = [rng.choice((lo, hi, -1, 0, rng.randint(lo, hi))) for _ in range(count)]
+    if rng.random() < 0.3:
+        samples.insert(rng.randrange(count + 1), rng.choice((2.5, True, hi + 1, lo - 1)))
+    more = [rng.randint(lo, hi) for _ in range(3)]
+    return coeffs, plan, mode, input_width, luts, samples, more
+
+
+class TestBlocks:
+    """Block evaluation: LANES outputs at a time, equal to push and to direct_fir."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(block_cases())
+    @example(  # wide fields, byte-plane reads: tree width + L = 132 bits
+        (coeff_set([(-1) ** k * ((1 << 63) - 1 - k) for k in range(9)], 64),
+         partition_taps(9, 8), PpgMode.STORED, 64, None,
+         [-(1 << 63), (1 << 63) - 1, -1, 0, 12345] * 230, [-(1 << 63)] * 3)
+    )
+    @example(  # wide fields, gathered reads: tree width + L = 132 bits
+        (coeff_set([-(1 << 63), (1 << 63) - 1, 5, -7, 3], 64),
+         partition_taps(5, 16), PpgMode.MUX, 64, None,
+         [-(1 << 63), (1 << 63) - 1, -1, 0, 12345] * 210, [(1 << 63) - 1] * 3)
+    )
+    @example(  # tight fields: tree width + L = 17 bits, and (-256) * (-128) needs them all
+        (coeff_set([-256], 9), partition_taps(1, 1), PpgMode.STORED, 8, None,
+         [-128, 127, -1] * 400, [-128])
+    )
+    @example(  # an overflow in the second block, on the CLI tests' overflow design
+        (coeff_set([5]), partition_taps(1, 4), PpgMode.STORED, 4, [[0, 511] + [0] * 14],
+         [1] * 1500 + [7] + [1] * 10, [1, 7, 1])
+    )
+    def test_blocks_equal_push_and_direct_fir(self, case):
+        coeffs, plan, mode, input_width, luts, samples, more = case
+        block = DaFilter(coeffs, plan, mode, input_width=input_width, luts=luts)
+        scalar = DaFilter(coeffs, plan, mode, input_width=input_width, luts=luts)
+        sizes = []
+        got = stream_outcome(blocked(block, samples, sizes))
+        want = stream_outcome(pushed(scalar, samples))
+        assert got == want
+        assert all(0 < size <= engine.LANES for size in sizes)
+        if want[1] is None and luts is None:
+            assert got[0] == direct_fir(samples, coeffs)
+        # push goes on from the delay line blocks (and process) left, as from push's
+        tail = stream_outcome(pushed(scalar, more))
+        assert stream_outcome(pushed(block, more)) == tail
+        if want[1] is None:
+            processed = DaFilter(coeffs, plan, mode, input_width=input_width, luts=luts)
+            assert processed.process(samples) == want[0]
+            assert stream_outcome(pushed(processed, more)) == tail
+
+    def test_overflow_yields_the_outputs_before_it(self):
+        # Two taps in a padded group of four, entry 1 edited to -512: the
+        # sample -8 reads it on the subtracted cycle, and 4096 + 2 leaves
+        # the 13-bit accumulator.
+        coeffs = coeff_set([5, 1])
+        plan = partition_taps(2, 4)
+        luts = [list(build_lut(coeffs, plan.groups[0]).entries)]
+        luts[0][1] = -512
+        stream = [1, -3] * 750 + [2, -8, 3]
+        filt = DaFilter(coeffs, plan, input_width=4, luts=luts)
+        scalar = DaFilter(coeffs, plan, input_width=4, luts=luts)
+        want = [scalar.push(x) for x in stream[:-2]]
+        with pytest.raises(AccumulatorOverflow) as by_push:
+            scalar.push(-8)
+        blocks = filt.blocks(stream)
+        assert next(blocks) == want[: engine.LANES]
+        assert next(blocks) == want[engine.LANES :]
+        with pytest.raises(AccumulatorOverflow) as raised:
+            next(blocks)
+        assert str(raised.value) == str(by_push.value)
+        assert str(raised.value) == "inner product 4098 exceeds the 13-bit accumulator"
+        # -8 entered the delay line, as push left it
+        assert [filt.push(x) for x in (0, 3)] == [scalar.push(x) for x in (0, 3)] == [-8, -1536]
+
+    def test_blocks_are_read_one_at_a_time(self):
+        filt = DaFilter(coeff_set([1, 2, 3]), partition_taps(3, 2), input_width=16)
+        read = []
+        blocks = filt.blocks(read.append(x) or x for x in range(3 * engine.LANES))
+        for taken in (1, 2, 3):
+            next(blocks)
+            assert len(read) == taken * engine.LANES
