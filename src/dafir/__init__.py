@@ -36,6 +36,7 @@ from .engine import (
     Mismatch,
     PartitionPlan,
     PpgMode,
+    TracedBlock,
     address_for_cycle,
     all_windows,
     build_lut,

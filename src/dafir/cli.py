@@ -15,11 +15,11 @@ import json
 import random
 import sys
 from decimal import Decimal, InvalidOperation
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .adders import DEFAULT_COST_MODEL, AdderKind, CostModel
 from .design import ArchConfig, DesignError, DesignFile
-from .engine import PpgMode, all_windows, verify_windows
+from .engine import PpgMode, TracedBlock, all_windows, verify_windows
 from .numerics import AccumulatorOverflow, CoefficientSet, FixedFormat, quantize_coefficient
 from .report import (
     ArchitectureMismatch,
@@ -167,6 +167,46 @@ def cmd_design(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# One trace record as json.dumps writes its dict, with the cycle and the
+# subtract flag to fill in and a %d left for each other value.
+_RECORD = (
+    '{"sample_index": %%d, "cycle": %d, "addresses": [%s], "partials": [%s], '
+    '"tree_sum": %%d, "subtract": %s, "acc": %%d}\n'
+)
+
+
+@functools.cache
+def _trace_template(groups: int, length: int) -> str:
+    """The ``%`` template of one sample's ``length`` trace records, cycle by cycle.
+
+    Per cycle it takes the sample index, the ``groups`` addresses, the
+    ``groups`` partials, the tree sum and the accumulator, and writes the
+    line ``json.dumps`` writes for that record's dict.
+    """
+    slots = ", ".join(["%d"] * groups)
+    return "".join(
+        _RECORD % (n, slots, slots, "true" if n == length - 1 else "false") for n in range(length)
+    )
+
+
+def _write_traced(out, trace, blocks: Iterable[TracedBlock], groups: int, length: int) -> None:
+    """Write each traced block's outputs to ``out`` and its JSONL records to ``trace``.
+
+    Records go sample by sample, cycle by cycle, each block before the
+    next is read, so memory holds one block whatever the stream's length.
+    """
+    template = _trace_template(groups, length)
+    first = 0
+    for block in blocks:
+        out.write("".join(f"{y}\n" for y in block.outputs))
+        index = range(first, first + len(block.outputs))
+        # Every cycle's columns, each led by the sample index; zip takes them sample by sample.
+        columns = [column for n in range(length) for column in (index, *block.cycle(n))]
+        trace.writelines(map(template.__mod__, zip(*columns)))
+        first = index.stop
+        del block, columns  # so the next block is evaluated without this one's columns
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     design = _load_design(args.design)
     samples = _parse_samples(args.samples, FixedFormat(design.arch.input_width))
@@ -178,24 +218,8 @@ def cmd_run(args: argparse.Namespace) -> int:
                 out.write("".join(f"{y}\n" for y in block))
             return EXIT_OK
         with open(args.trace, "w", encoding="utf-8") as trace:
-            for i, x in enumerate(samples):
-                y, records = filt.push_traced(x)
-                out.write(f"{y}\n")
-                for rec in records:
-                    trace.write(
-                        json.dumps(
-                            {
-                                "sample_index": i,
-                                "cycle": rec.cycle,
-                                "addresses": list(rec.addresses),
-                                "partials": list(rec.partials),
-                                "tree_sum": rec.tree_sum,
-                                "subtract": rec.subtract,
-                                "acc": rec.acc_after,
-                            }
-                        )
-                        + "\n"
-                    )
+            blocks = filt.traced_blocks(samples)
+            _write_traced(out, trace, blocks, design.plan.num_groups, design.arch.input_width)
     return EXIT_OK
 
 

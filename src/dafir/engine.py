@@ -23,7 +23,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import chain, islice, product, repeat, takewhile
 from operator import and_, itemgetter, mul
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .adders import (
     DEFAULT_COST_MODEL,
@@ -49,6 +49,7 @@ __all__ = [
     "Mismatch",
     "PartitionPlan",
     "PpgMode",
+    "TracedBlock",
     "address_for_cycle",
     "all_windows",
     "build_lut",
@@ -300,6 +301,33 @@ class CycleRecord:
 CycleTrace = tuple[CycleRecord, ...]
 
 
+class TracedBlock(NamedTuple):
+    """A block of consecutive outputs with their cycle records, as cycle-major columns.
+
+    Entry ``n * stride + i`` of a column belongs to output i at cycle n,
+    for i below ``len(outputs)``: per group the table address and the
+    partial product read there, then the tree sum over groups and the
+    accumulator after the cycle. Together they hold the fields of the
+    CycleRecords ``DaFilter.push_traced`` gives for the same samples.
+    """
+
+    outputs: list[int]
+    stride: int
+    addresses: tuple[Sequence[int], ...]
+    partials: tuple[Sequence[int], ...]
+    sums: Sequence[int]
+    acc: Sequence[int]
+
+    def cycle(self, n: int) -> list[Sequence[int]]:
+        """Cycle n's entries of every output: addresses and partials per group, sums, acc."""
+        start = n * self.stride
+        stop = start + len(self.outputs)
+        return [
+            c[start:stop] if isinstance(c, (list, tuple)) else memoryview(c)[start:stop]
+            for c in (*self.addresses, *self.partials, self.sums, self.acc)
+        ]
+
+
 def _check_inputs(
     delay_line: Sequence[int],
     coeffs: CoefficientSet,
@@ -470,6 +498,25 @@ def _recorder(records: list, input_width: int) -> Observer:
     return observe
 
 
+@functools.lru_cache(maxsize=16)
+def _bound_schedule(
+    coeffs: CoefficientSet,
+    plan: PartitionPlan,
+    ppg_mode: PpgMode,
+    input_width: int,
+    tables: tuple[tuple[int, ...], ...] | None,
+    tree: AdderKind,
+    bit_level: bool,
+) -> Callable[..., int]:
+    """The schedule bound once per distinct set of arguments, for single-window callers.
+
+    ``tables`` are checked ones (tuples of exact ints, so equal tables
+    behave alike) or None for the derived tables; every argument is
+    immutable, so a binding cannot go stale.
+    """
+    return _schedule(coeffs, plan, ppg_mode, input_width, tables, tree, bit_level)[0]
+
+
 def da_inner_product(
     delay_line: Sequence[int],
     coeffs: CoefficientSet,
@@ -494,8 +541,10 @@ def da_inner_product(
     verifier exercise exactly the entries a design file carries.
     """
     dl = _check_inputs(delay_line, coeffs, plan, input_width)
-    tables = _stored_tables(coeffs, plan, ppg_mode, luts)
-    run, _ = _schedule(coeffs, plan, ppg_mode, input_width, tables, tree, bit_level)
+    tables = None
+    if ppg_mode is PpgMode.STORED and luts is not None:
+        tables = check_tables(luts, plan, coeffs.format.width)
+    run = _bound_schedule(coeffs, plan, ppg_mode, input_width, tables, tree, bit_level)
     if not collect_trace:
         return run(dl), None
     records: list[CycleRecord] = []
@@ -511,8 +560,9 @@ class DaFilter:
     the sample enters; one instance per thread, instances independent.
     Output matches :func:`dafir.numerics.direct_fir` sample for sample.
     ``push`` and ``push_traced`` run the bit-serial schedule per sample;
-    ``blocks`` and ``process`` evaluate ``LANES`` outputs at a time on the
-    same delay line, except with ``bit_level``, which keeps the schedule.
+    ``blocks``, ``process`` and ``traced_blocks`` evaluate ``LANES``
+    outputs at a time on the same delay line, except with ``bit_level``,
+    which keeps the schedule.
     """
 
     def __init__(
@@ -571,9 +621,32 @@ class DaFilter:
         sample, once the outputs before it in its block have been yielded;
         the delay line is left as ``push`` would leave it.
         """
+        return self._evaluate(samples, False)
+
+    def traced_blocks(self, samples: Iterable[int]) -> Iterator[TracedBlock]:
+        """``blocks`` with the cycle records ``push_traced`` would give, as columns.
+
+        Blocks are read, and errors raised, as in ``blocks``; a block cut
+        short by an error holds the records of its outputs only.
+        """
+        return self._evaluate(samples, True)
+
+    def _evaluate(self, samples: Iterable[int], traced: bool) -> Iterator:
+        """The blocks of ``blocks``, or with ``traced`` those of ``traced_blocks``."""
         if self._block is None:
             for x in samples:
-                yield [self.push(x)]
+                if not traced:
+                    yield [self.push(x)]
+                    continue
+                y, records = self.push_traced(x)
+                yield TracedBlock(
+                    [y],
+                    1,
+                    tuple(zip(*(r.addresses for r in records))),
+                    tuple(zip(*(r.partials for r in records))),
+                    [r.tree_sum for r in records],
+                    [r.acc_after for r in records],
+                )
             return
         fmt = self.input_format
         lo, hi = fmt.min_value, fmt.max_value
@@ -585,15 +658,17 @@ class DaFilter:
             if not (set(map(type, chunk)) == {int} and lo <= min(chunk) and max(chunk) <= hi):
                 good = list(takewhile(lambda x: type(x) is int and lo <= x <= hi, chunk))
             if good:
-                outputs = self._block(self._delay[:history][::-1] + good)
+                block = self._block(self._delay[:history][::-1] + good, traced)
+                outputs = block.outputs if traced else block
                 if min(outputs) < -bound or max(outputs) >= bound:
                     bad = next(i for i, y in enumerate(outputs) if not -bound <= y < bound)
                     self._shift_in(good[: bad + 1])
                     if bad:
-                        yield outputs[:bad]
+                        yield block._replace(outputs=outputs[:bad]) if traced else outputs[:bad]
                     raise _overflow(outputs[bad], self._acc_width)
                 self._shift_in(good)
-                yield outputs
+                yield block
+                del block, outputs  # so the next block is evaluated without this one's columns
             if len(good) < len(chunk):
                 fmt.check(chunk[len(good)], "sample")
 
@@ -679,29 +754,23 @@ def _lane_planes(values: Iterable[int], width: int) -> list[int]:
     return planes
 
 
-def _bit_planes(samples: bytes, size: int, length: int, width: int) -> bytes:
-    """All ``length`` bit-planes of little-endian samples of ``size`` bytes each.
+_BITS = tuple(bytes((b >> i) & 1 for b in range(256)) for i in range(8))  # bit i of a byte
+
+
+def _bit_planes(samples: bytes, stride: int, length: int, width: int) -> bytes:
+    """All ``length`` bit-planes of little-endian samples that start every ``stride`` bytes.
 
     Segment n of the result, one item of ``width`` bytes per sample, holds
     bit n of sample i at bit 0 of item i: the samples' bits, cycle-major.
-    Each sample is first cut into ``width``-byte pieces, piece c holding
-    its bits from 8 * width * c, so every plane is one shift and mask.
+    Each plane is one ``bytes.translate`` of the samples' byte n // 8.
     """
-    step = size // width
-    if step == 1:
-        pieces = [samples]
-    elif width == 1:
-        pieces = [samples[c::step] for c in range(step)]
-    else:
-        pieces = [memoryview(samples).cast("H")[c::step].tobytes() for c in range(step)]
-    nbytes = len(pieces[0])
-    pieces = [int.from_bytes(p, "little") for p in pieces]
-    ones = int.from_bytes(b"\1".ljust(width, b"\0") * (nbytes // width), "little")
-    bits = 8 * width
-    return b"".join(
-        ((pieces[n // bits] >> (n % bits)) & ones).to_bytes(nbytes, "little")
-        for n in range(length)
-    )
+    pieces = [samples[b::stride] for b in range(-(-length // 8))]
+    planes = b"".join(pieces[n >> 3].translate(_BITS[n & 7]) for n in range(length))
+    if width == 1:
+        return planes
+    items = bytearray(width * len(planes))
+    items[::width] = planes
+    return bytes(items)
 
 
 def _address_former(
@@ -716,15 +785,20 @@ def _address_former(
     address at every cycle, cycle-major, in items of ``width`` bytes.
 
     A member's part of every address at once is its planes moved up by j
-    and down by its lag, whole: two shifts per member. Items a lag pulls in
-    from above a lane's sample, or from the next segment, lie at or beyond
-    ``lanes`` and are cut.
+    and down by its lag, whole: at most two shifts per member (a shift by
+    zero would still copy the whole chunk, so none is made). Items a lag
+    pulls in from above a lane's sample, or from the next segment, lie at
+    or beyond ``lanes`` and are cut.
     """
     segment = width * fields
     keep = width * lanes
+    downs = [8 * width * lag for lag in lags]
 
     def addresses(group: Sequence[tuple[int, int]]) -> bytes:
-        word = sum((planes[k] << j) >> (8 * width * lags[k]) for j, k in group)
+        word = 0
+        for j, k in group:
+            part = planes[k] << j if j else planes[k]
+            word += part >> downs[k] if downs[k] else part
         data = word.to_bytes(segment * length, "little")
         if keep == segment:
             return data
@@ -765,17 +839,10 @@ def _lane_datapath(
     def run(flat: list[int], expected: list[int]) -> Iterator[tuple[int, int]]:
         """(lane, datapath value) of each window, in order, whose value is not ``expected``."""
         count = len(expected)
-        samples = array(_SIGNED_CODES[size], flat)
-        # Items [k * count, (k + 1) * count) hold tap k's sample of each lane.
-        columns = b"".join(_little_endian(samples[k::num_taps]).tobytes() for k in range(num_taps))
-        data = _bit_planes(columns, size, length, width)
-        # Tap k's planes: its part of every segment.
-        column, segment = width * count, width * count * num_taps
+        samples = _little_endian(array(_SIGNED_CODES[size], flat)).tobytes()
+        # Tap k's planes, formed from its column: lane i's sample is item i * K + k.
         planes = [
-            int.from_bytes(
-                b"".join(data[s : s + column] for s in range(k * column, len(data), segment)),
-                "little",
-            )
+            int.from_bytes(_bit_planes(samples[k * size :], num_taps * size, length, width), "little")
             for k in range(num_taps)
         ]
         address = _address_former(planes, [0] * num_taps, count, count, width, length)
@@ -810,12 +877,27 @@ def _lane_datapath(
     return run
 
 
+def _repeated(value: int, nbytes: int, count: int) -> int:
+    """``count`` little-endian fields of ``nbytes`` bytes, each holding ``value``."""
+    return int.from_bytes(value.to_bytes(nbytes, "little") * count, "little")
+
+
+def _signed_items(data: bytes, size: int) -> Sequence[int]:
+    """Little-endian signed items of ``size`` bytes: an array up to 8 bytes, a list above."""
+    if size > 8:
+        return [
+            int.from_bytes(data[i : i + size], "little", signed=True)
+            for i in range(0, len(data), size)
+        ]
+    return _little_endian(array(_SIGNED_CODES[size], data))
+
+
 def _block_datapath(
     coeffs: CoefficientSet,
     plan: PartitionPlan,
     tables: Sequence[Sequence[int]] | None,
     input_width: int,
-) -> Callable[[list[int]], list[int]]:
+) -> Callable[..., list[int] | TracedBlock]:
     """Bind block evaluation of a stream: consecutive outputs in lanes, one per lane.
 
     The bound function takes K - 1 + N samples, oldest first, and returns
@@ -832,6 +914,10 @@ def _block_datapath(
     groups are widened to accumulator fields, split by cycle, shifted and
     accumulated with the sign cycle subtracted, and unpacked once.
 
+    With ``traced`` it returns a :class:`TracedBlock` instead: the outputs
+    with the addresses and reads it formed and each cycle's sums and
+    accumulator, unbiased by whole-block operations.
+
     Fields hold tree width + L bits, more than any value entries that
     ``check_tables`` accepts can reach, so no table can wrap one.
     """
@@ -845,9 +931,7 @@ def _block_datapath(
     size = _item_size(max(length, plan.group_size))
     width = _item_size(plan.group_size)
     bytewise = width == 1
-    # Bytes per lane of a group sum (narrow) and of the accumulator (field):
-    # array item sizes where values pass through arrays, up to 64 bits.
-    narrow = -(-tree_width // 8) if bytewise else _field_size(tree_width)
+    # Bytes per lane of the accumulator: an array item size up to 64 bits.
     field = _field_size(tree_width + length)
     reads: list = []  # per group: byte-planes (bytewise) or the table itself
 
@@ -867,14 +951,14 @@ def _block_datapath(
     if tables is not None:
         bind(tables)
 
-    def repeated(value: int, nbytes: int, count: int) -> int:
-        return int.from_bytes(value.to_bytes(nbytes, "little") * count, "little")
-
-    def run(stream: list[int]) -> list[int]:
+    def run(stream: list[int], traced: bool = False) -> list[int] | TracedBlock:
         if not reads:
             bind([_subset_sums(coeffs.values, g) for g in plan.groups])
         count = len(stream) - num_taps + 1
         reads_per_group = count * length
+        # Bytes per lane of a group sum: the fewest whole bytes for byte-plane
+        # reads, unless traced; array item sizes where values pass through arrays.
+        narrow = -(-tree_width // 8) if bytewise and not traced else _field_size(tree_width)
         samples = _little_endian(array(_SIGNED_CODES[size], stream)).tobytes()
         address = _address_former(
             [int.from_bytes(_bit_planes(samples, size, length, width), "little")] * num_taps,
@@ -884,6 +968,19 @@ def _block_datapath(
             width,
             length,
         )
+        if traced:
+            # A field holding v + half, half = 2^(8 * narrow - 1), reads as
+            # the signed v once half is flipped off.
+            ones = _repeated(1, narrow, reads_per_group)
+            half = 1 << (8 * narrow - 1)
+
+            def unbiased(value: int, offset: int) -> Sequence[int]:
+                """Signed fields of ``value``, each holding its item plus ``offset``."""
+                value = (value + (half - offset) * ones) ^ (half * ones)
+                return _signed_items(value.to_bytes(narrow * reads_per_group, "little"), narrow)
+
+            kept_addresses: list = []
+            kept_partials: list = []
         # Biased reads of every group, lane-by-cycle, summed over groups.
         total = 0
         if bytewise:
@@ -892,20 +989,28 @@ def _block_datapath(
                 buffer = bytearray(narrow * reads_per_group)
                 for b, plane in enumerate(planes):
                     buffer[b::narrow] = addresses.translate(plane)
-                total += int.from_bytes(buffer, "little")
+                value = int.from_bytes(buffer, "little")
+                total += value
+                if traced:
+                    kept_addresses.append(addresses)
+                    kept_partials.append(unbiased(value, bias))
         else:
-            signs = repeated(1 << (8 * narrow - 1), narrow, reads_per_group)
+            signs = _repeated(1 << (8 * narrow - 1), narrow, reads_per_group)
             negatives = 0
             for table, group in zip(reads, members):
                 # count * length >= 2 addresses, so itemgetter returns a tuple
                 addresses = _little_endian(array(_UNSIGNED_CODES[width], address(group)))
-                data, _ = _pack(itemgetter(*addresses)(table), tree_width)
+                entries = itemgetter(*addresses)(table)
+                data, _ = _pack(entries, tree_width)
                 packed = int.from_bytes(data, "little")
                 total += packed
                 negatives += packed & signs
+                if traced:
+                    kept_addresses.append(addresses)
+                    kept_partials.append(entries)
             # Each field read as unsigned is off by twice its sign bit; the
             # bias then makes every sum nonnegative, as in the byte-planes.
-            total += repeated(groups * bias, narrow, reads_per_group) - (negatives << 1)
+            total += _repeated(groups * bias, narrow, reads_per_group) - (negatives << 1)
         # Every sum is nonnegative, so widening its field is a zero fill.
         sums = total.to_bytes(narrow * reads_per_group, "little")
         wide = bytearray(field * reads_per_group)
@@ -917,17 +1022,31 @@ def _block_datapath(
         # field's range on top makes every field nonnegative; flipping its
         # top bit then leaves two's complement.
         top = 1 << (8 * field - 1)
-        acc = repeated(top + groups * bias, field, count)
+        units = _repeated(1, field, count)
+        flip = top * units
+        acc = (top + groups * bias) * units
+        snapshots = []
         for n in range(length):
             part = int.from_bytes(view[n * lanes : (n + 1) * lanes], "little") << n
             acc = acc - part if n == length - 1 else acc + part
-        data = (acc ^ repeated(top, field, count)).to_bytes(lanes, "little")
-        if field > 8:
-            return [
-                int.from_bytes(data[i : i + field], "little", signed=True)
-                for i in range(0, lanes, field)
-            ]
-        return _little_endian(array(_SIGNED_CODES[field], data)).tolist()
+            if traced and n < length - 1:
+                # After cycle n the biases add groups * bias * 2^(n+1) per lane.
+                offset = (groups * bias << (n + 1)) * units
+                snapshots.append(((acc - offset) ^ flip).to_bytes(lanes, "little"))
+        data = (acc ^ flip).to_bytes(lanes, "little")
+        outputs = _signed_items(data, field)
+        outputs = outputs if field > 8 else outputs.tolist()
+        if not traced:
+            return outputs
+        snapshots.append(data)
+        return TracedBlock(
+            outputs,
+            count,
+            tuple(kept_addresses),
+            tuple(kept_partials),
+            unbiased(total, groups * bias),
+            _signed_items(b"".join(snapshots), field),
+        )
 
     return run
 

@@ -100,6 +100,21 @@ def overflow_design(tmp_path) -> Path:
     return path
 
 
+def trace_line(index, rec) -> str:
+    """The JSONL line of one cycle record, as ``dafir run --trace`` wrote it sample by sample."""
+    return json.dumps(
+        {
+            "sample_index": index,
+            "cycle": rec.cycle,
+            "addresses": list(rec.addresses),
+            "partials": list(rec.partials),
+            "tree_sum": rec.tree_sum,
+            "subtract": rec.subtract,
+            "acc": rec.acc_after,
+        }
+    ) + "\n"
+
+
 def json_paths(node, path=()):
     """Every path into a JSON document, the root () included."""
     yield path
@@ -448,6 +463,30 @@ class TestCmdRun:
         assert (code, captured.out, captured.err) == (1, "", f"error: {raised.value}\n")
         assert out.read_text() == "".join(written)
 
+    def test_traced_overflow_in_a_later_block_matches_a_push_traced_loop(
+        self, tmp_path, capsys
+    ):
+        # The overflowing sample sits in the second block of LANES samples.
+        design = overflow_design(tmp_path)
+        stream = [1, -3] * 700 + [7] + [1] * 5
+        samples = tmp_path / "s.txt"
+        samples.write_text("".join(f"{x}\n" for x in stream))
+        out, trace = tmp_path / "y.txt", tmp_path / "t.jsonl"
+        argv = ["run", "--design", str(design), "--samples", str(samples), "--out", str(out)]
+        code = main(argv + ["--trace", str(trace)])
+        captured = capsys.readouterr()
+        filt = DesignFile.load(str(design)).filter()
+        written, records = [], []
+        with pytest.raises(AccumulatorOverflow) as raised:
+            for i, x in enumerate(stream):
+                y, cycles = filt.push_traced(x)
+                written.append(f"{y}\n")
+                records += [trace_line(i, rec) for rec in cycles]
+        assert len(written) == 1400 > dafir.engine.LANES
+        assert (code, captured.out, captured.err) == (1, "", f"error: {raised.value}\n")
+        assert out.read_text() == "".join(written)
+        assert trace.read_text() == "".join(records)
+
     def test_repeated_runs_byte_identical(self, workspace):
         design = run_design(workspace)
         out1, out2 = workspace / "o1.txt", workspace / "o2.txt"
@@ -503,6 +542,30 @@ class TestCmdRun:
         got = [int(v) for v in out.read_text().split()]
         want = direct_fir([100, -200, 3000, -32768, 32767], design.coefficients)
         assert got == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_trace_template_writes_what_json_dumps_writes(data):
+    """The traced writer's ``%`` template, against json.dumps of each record's dict."""
+    groups = data.draw(st.integers(1, 64), label="groups")
+    length = data.draw(st.integers(1, 4), label="length")
+    value = st.integers(-(1 << 80), 1 << 80) | st.integers(-2, 2)
+    index = data.draw(st.integers(0, 1 << 70))
+    args, lines = [], []
+    for n in range(length):
+        rec = dafir.engine.CycleRecord(
+            n,
+            tuple(data.draw(st.lists(value, min_size=groups, max_size=groups))),
+            tuple(data.draw(st.lists(value, min_size=groups, max_size=groups))),
+            data.draw(value),
+            n,
+            n == length - 1,
+            data.draw(value),
+        )
+        args += [index, *rec.addresses, *rec.partials, rec.tree_sum, rec.acc_after]
+        lines.append(trace_line(index, rec))
+    assert cli._trace_template(groups, length) % tuple(args) == "".join(lines)
 
 
 class TestCmdVerify:

@@ -12,6 +12,7 @@ import dafir.engine as engine
 from dafir.adders import AdderKind
 from dafir.design import ArchConfig, DesignError, DesignFile
 from dafir.engine import (
+    CycleRecord,
     DaFilter,
     PartitionPlan,
     PpgMode,
@@ -825,6 +826,46 @@ class TestSchedule:
         with pytest.raises(AccumulatorOverflow):
             filt.push_traced(7)
 
+    def test_single_window_calls_bind_the_schedule_once(self):
+        engine._bound_schedule.cache_clear()
+        coeffs = coeff_set([7, -3, 11, 5, -9], 6)
+        plan = partition_taps(5, 2)
+        luts = check_tables([build_lut(coeffs, g).entries for g in plan.groups], plan, 6)
+        windows = [(1, -2, 3, -4, 5), (-8, 7, 0, -1, 2), (7, 7, -8, -8, 0)]
+        for mode, tables in ((PpgMode.STORED, None), (PpgMode.STORED, luts), (PpgMode.MUX, None)):
+            with mock.patch.object(
+                engine, "_schedule", wraps=engine._schedule
+            ) as schedule, mock.patch.object(
+                engine, "_subset_sums", wraps=engine._subset_sums
+            ) as subset_sums:
+                got = [
+                    da_inner_product(w, coeffs, plan, mode, input_width=4, luts=tables)
+                    for w in windows * 3
+                ]
+            assert schedule.call_count == 1
+            # derived stored tables are built on the first call only, one per group
+            derived = mode is PpgMode.STORED and tables is None
+            assert subset_sums.call_count == (plan.num_groups if derived else 0)
+            want = [direct_fir(w[::-1], coeffs)[-1] for w in windows * 3]
+            assert [value for value, _ in got] == want
+            assert got[:3] == got[3:6] == got[6:]
+        # each tree kind has its own binding, whose gate-level adders are that kind's
+        kinds = []
+        real = engine.adder_tree_sum
+
+        def spy(operands, kind, model, bit_level=False):
+            kinds.append(kind)
+            return real(operands, kind, model, bit_level=bit_level)
+
+        with mock.patch.object(engine, "adder_tree_sum", spy):
+            for tree in AdderKind:
+                kinds.clear()
+                value, _ = da_inner_product(
+                    windows[0], coeffs, plan, PpgMode.MUX, tree,
+                    input_width=4, collect_trace=False, bit_level=True,
+                )
+                assert value == want[0] and set(kinds) == {tree}
+
     def test_checked_tables_pass_again_only_for_their_shape(self):
         plan = partition_taps(2, 2)
         tables = check_tables([[0, 5, 6, 11]], plan, 8)
@@ -863,6 +904,36 @@ def stream_outcome(outputs):
 def pushed(filt, samples):
     """``filt.push`` over ``samples``, one at a time, stopping at the first error."""
     return (filt.push(x) for x in samples)
+
+
+def traced_pushed(filt, samples):
+    """``filt.push_traced`` over ``samples``: (output, records) pairs, up to the first error."""
+    return (filt.push_traced(x) for x in samples)
+
+
+def traced_blocked(filt, samples, sizes):
+    """``filt.traced_blocks`` over ``samples`` as (output, records) pairs, as ``push_traced``."""
+    last = filt.input_format.width - 1
+    for block in filt.traced_blocks(samples):
+        sizes.append(len(block.outputs))
+        groups = len(block.addresses)
+        cycles = [block.cycle(n) for n in range(last + 1)]
+        # a block cut short by an error holds its earlier outputs' records only
+        assert {len(column) for columns in cycles for column in columns} == {len(block.outputs)}
+        for i, y in enumerate(block.outputs):
+            records = tuple(
+                CycleRecord(
+                    n,
+                    tuple(column[i] for column in columns[:groups]),
+                    tuple(column[i] for column in columns[groups : 2 * groups]),
+                    columns[-2][i],
+                    n,
+                    n == last,
+                    columns[-1][i],
+                )
+                for n, columns in enumerate(cycles)
+            )
+            yield y, records
 
 
 def blocked(filt, samples, sizes):
@@ -960,6 +1031,47 @@ class TestBlocks:
             assert processed.process(samples) == want[0]
             assert stream_outcome(pushed(processed, more)) == tail
 
+    @settings(deadline=None, max_examples=40)
+    @given(block_cases())
+    @example(  # wide fields, byte-plane reads: tree width + L = 132 bits
+        (coeff_set([(-1) ** k * ((1 << 63) - 1 - k) for k in range(9)], 64),
+         partition_taps(9, 8), PpgMode.STORED, 64, None,
+         [-(1 << 63), (1 << 63) - 1, -1, 0, 12345] * 230, [-(1 << 63)] * 3)
+    )
+    @example(  # wide fields, gathered reads: tree width + L = 132 bits
+        (coeff_set([-(1 << 63), (1 << 63) - 1, 5, -7, 3], 64),
+         partition_taps(5, 16), PpgMode.MUX, 64, None,
+         [-(1 << 63), (1 << 63) - 1, -1, 0, 12345] * 210, [(1 << 63) - 1] * 3)
+    )
+    @example(  # an overflow in the second block, on the CLI tests' overflow design
+        (coeff_set([5]), partition_taps(1, 4), PpgMode.STORED, 4, [[0, 511] + [0] * 14],
+         [1] * 1500 + [7] + [1] * 10, [1, 7, 1])
+    )
+    def test_traced_blocks_equal_push_traced_and_direct_fir(self, case):
+        coeffs, plan, mode, input_width, luts, samples, more = case
+        block = DaFilter(coeffs, plan, mode, input_width=input_width, luts=luts)
+        scalar = DaFilter(coeffs, plan, mode, input_width=input_width, luts=luts)
+        sizes = []
+        got = stream_outcome(traced_blocked(block, samples, sizes))
+        want = stream_outcome(traced_pushed(scalar, samples))
+        assert got == want
+        assert all(0 < size <= engine.LANES for size in sizes)
+        if want[1] is None and luts is None:
+            assert [y for y, _ in got[0]] == direct_fir(samples, coeffs)
+        # push_traced goes on from the delay line traced blocks left
+        tail = stream_outcome(traced_pushed(scalar, more))
+        assert stream_outcome(traced_pushed(block, more)) == tail
+
+    def test_bit_level_traced_blocks_are_push_traced(self):
+        coeffs = coeff_set([3, -5, 7])
+        plan = partition_taps(3, 2)
+        filt = DaFilter(coeffs, plan, input_width=6, bit_level=True)
+        scalar = DaFilter(coeffs, plan, input_width=6)
+        samples = [-32, 31, -1, 0, 17]
+        sizes = []
+        assert list(traced_blocked(filt, samples, sizes)) == list(traced_pushed(scalar, samples))
+        assert sizes == [1] * len(samples)
+
     def test_overflow_yields_the_outputs_before_it(self):
         # Two taps in a padded group of four, entry 1 edited to -512: the
         # sample -8 reads it on the subtracted cycle, and 4096 + 2 leaves
@@ -986,8 +1098,9 @@ class TestBlocks:
 
     def test_blocks_are_read_one_at_a_time(self):
         filt = DaFilter(coeff_set([1, 2, 3]), partition_taps(3, 2), input_width=16)
-        read = []
-        blocks = filt.blocks(read.append(x) or x for x in range(3 * engine.LANES))
-        for taken in (1, 2, 3):
-            next(blocks)
-            assert len(read) == taken * engine.LANES
+        for evaluate in (filt.blocks, filt.traced_blocks):
+            read = []
+            blocks = evaluate(read.append(x) or x for x in range(3 * engine.LANES))
+            for taken in (1, 2, 3):
+                next(blocks)
+                assert len(read) == taken * engine.LANES
