@@ -15,11 +15,13 @@ import json
 import random
 import sys
 from decimal import Decimal, InvalidOperation
+from itertools import repeat
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .adders import DEFAULT_COST_MODEL, AdderKind, CostModel
 from .design import ArchConfig, DesignError, DesignFile
-from .engine import PpgMode, TracedBlock, all_windows, verify_windows
+from .engine import DaFilter, PpgMode, all_windows, verify_windows
 from .numerics import AccumulatorOverflow, CoefficientSet, FixedFormat, quantize_coefficient
 from .report import (
     ArchitectureMismatch,
@@ -41,26 +43,25 @@ class CliError(Exception):
         self.code = code
 
 
-def _read_lines(path: str) -> list[tuple[int, str]]:
-    """Non-empty payload lines with their 1-based numbers; '#' starts a comment."""
+def _read_payloads(path: str) -> list[str]:
+    """Every line's payload, '' for a blank line; '#' starts a comment."""
     try:
         with open(path, "r", encoding="utf-8") as f:
-            raw = f.readlines()
+            lines = f.readlines()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror}")
-    out = []
-    for lineno, line in enumerate(raw, start=1):
-        payload = line.split("#", 1)[0].strip()
-        if payload:
-            out.append((lineno, payload))
-    return out
+    if "#" in "".join(lines):
+        lines = map(itemgetter(0), map(str.partition, lines, repeat("#")))
+    return list(map(str.strip, lines))
 
 
 def _parse_coefficients(path: str, fmt: FixedFormat):
     """One value per line; a '.', 'e' or 'E' marks a real to be quantized."""
     values = []
     warnings = []
-    for lineno, text in _read_lines(path):
+    for lineno, text in enumerate(_read_payloads(path), start=1):
+        if not text:
+            continue
         if any(ch in text for ch in ".eE"):
             try:
                 code, saturated = quantize_coefficient(text, fmt)
@@ -86,19 +87,30 @@ def _parse_coefficients(path: str, fmt: FixedFormat):
 
 
 def _parse_samples(path: str, fmt: FixedFormat) -> list[int]:
-    samples = []
-    lo, hi = fmt.min_value, fmt.max_value
-    for lineno, text in _read_lines(path):
-        try:
-            v = int(text)
-        except ValueError:
-            raise CliError(f"{path}:{lineno}: cannot parse sample {text!r}")
-        if not lo <= v <= hi:
-            raise CliError(
-                f"{path}:{lineno}: sample {v} outside signed {fmt.width}-bit range"
-            )
-        samples.append(v)
-    return samples
+    """One integer per payload line, each within ``fmt``.
+
+    All lines are converted and range-checked at once; only when that
+    fails are they read one by one, to name the first offending line.
+    """
+    payloads = _read_payloads(path)
+    try:
+        samples = list(map(int, filter(None, payloads)))
+    except ValueError:
+        pass
+    else:
+        if not samples or fmt.min_value <= min(samples) and max(samples) <= fmt.max_value:
+            return samples
+    return [_sample(path, n, text, fmt) for n, text in enumerate(payloads, start=1) if text]
+
+
+def _sample(path: str, lineno: int, text: str, fmt: FixedFormat) -> int:
+    try:
+        v = int(text)
+    except ValueError:
+        raise CliError(f"{path}:{lineno}: cannot parse sample {text!r}")
+    if not fmt.min_value <= v <= fmt.max_value:
+        raise CliError(f"{path}:{lineno}: sample {v} outside signed {fmt.width}-bit range")
+    return v
 
 
 def _load_design(path: str) -> DesignFile:
@@ -167,43 +179,121 @@ def cmd_design(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _write_values(out, values: Sequence[int]) -> None:
+    """Write ``values`` to ``out``, one decimal integer per line."""
+    out.write(("%d\n" * len(values)) % tuple(values))
+
+
 # One trace record as json.dumps writes its dict, with the cycle and the
-# subtract flag to fill in and a %d left for each other value.
+# subtract flag filled in; the sample index, the tree sum and the
+# accumulator are slots, and so is each pack's address and partial text.
 _RECORD = (
-    '{"sample_index": %%d, "cycle": %d, "addresses": [%s], "partials": [%s], '
+    '{"sample_index": %%s, "cycle": %d, "addresses": [%s], "partials": [%s], '
     '"tree_sum": %%d, "subtract": %s, "acc": %%d}\n'
 )
 
 
 @functools.cache
-def _trace_template(groups: int, length: int) -> str:
+def _trace_template(packs: int, slot: str, length: int) -> str:
     """The ``%`` template of one sample's ``length`` trace records, cycle by cycle.
 
-    Per cycle it takes the sample index, the ``groups`` addresses, the
-    ``groups`` partials, the tree sum and the accumulator, and writes the
-    line ``json.dumps`` writes for that record's dict.
+    Per cycle it takes the sample index as text, ``packs`` address slots,
+    ``packs`` partial slots, the tree sum and the accumulator, and writes
+    the line ``json.dumps`` writes for that record's dict. A slot is
+    ``%s`` for a pack's text or ``%d`` for one group's value.
     """
-    slots = ", ".join(["%d"] * groups)
+    slots = ", ".join([slot] * packs)
     return "".join(
         _RECORD % (n, slots, slots, "true" if n == length - 1 else "false") for n in range(length)
     )
 
 
-def _write_traced(out, trace, blocks: Iterable[TracedBlock], groups: int, length: int) -> None:
-    """Write each traced block's outputs to ``out`` and its JSONL records to ``trace``.
+def _joined(columns: Sequence[Sequence[str]]) -> list[str]:
+    """Every key's text: its entries, one per column, joined as json.dumps joins list items.
+
+    Column r's entry is chosen by the key's r-th field, the first column
+    by the lowest; each column is 2^M entries long.
+    """
+    texts = list(columns[0])
+    for column in columns[1:]:
+        texts = [f"{low}, {high}" for high in column for low in texts]
+    return texts
+
+
+def _packs(items: Sequence, group_size: int) -> list[Sequence]:
+    """``items``, one per group, cut into packs of 8 // M consecutive groups."""
+    size = 8 // group_size
+    return [items[g : g + size] for g in range(0, len(items), size)]
+
+
+def _pack_texts(
+    tables: Sequence[Sequence[int]], group_size: int
+) -> tuple[list[list[str]], list[list[str]]]:
+    """Each pack's address text and partial text, by key; at most 2·256 strings a pack.
+
+    A pack's key sums its r-th group's address shifted up by M·r, so it
+    fits one byte; entry ``key`` of its lists is the text of the pack's
+    addresses and of the table entries read at them.
+    """
+    addresses = [str(a) for a in range(1 << group_size)]
+    packs = _packs(tables, group_size)
+    return (
+        [_joined([addresses] * len(pack)) for pack in packs],
+        [_joined([list(map(str, table)) for table in pack]) for pack in packs],
+    )
+
+
+def _pack_keys(addresses: Sequence[Sequence[int]], group_size: int) -> list[bytes]:
+    """Each pack's keys at every cycle and lane, from its groups' address columns at once.
+
+    Addresses hold fewer than 2^M, so moving group r's column up by M·r
+    bits keeps every address in its own byte, and the columns add without
+    carries.
+    """
+    keys = []
+    for pack in _packs(addresses, group_size):
+        key = 0
+        for r, column in enumerate(pack):
+            key += int.from_bytes(column, "little") << (group_size * r)
+        keys.append(key.to_bytes(len(pack[0]), "little"))
+    return keys
+
+
+def _write_traced(out, trace, filt: DaFilter, samples: Iterable[int]) -> None:
+    """Filter ``samples``, writing outputs to ``out`` and JSONL cycle records to ``trace``.
 
     Records go sample by sample, cycle by cycle, each block before the
     next is read, so memory holds one block whatever the stream's length.
+    With M <= 8, a record's addresses and partials are looked up by pack
+    key in text built once per run from the tables the filter reads;
+    above that every address and partial is formatted.
     """
-    template = _trace_template(groups, length)
+    group_size = filt.plan.group_size
+    length = filt.input_format.width
+    lookups = None
+    if group_size <= 8:
+        addresses, partials = _pack_texts(filt.tables(), group_size)
+        lookups = [text.__getitem__ for text in addresses + partials]
+        template = _trace_template(len(addresses), "%s", length)
+    else:
+        template = _trace_template(filt.plan.num_groups, "%d", length)
     first = 0
-    for block in blocks:
-        out.write("".join(f"{y}\n" for y in block.outputs))
-        index = range(first, first + len(block.outputs))
+    for block in filt.traced_blocks(samples):
+        count = len(block.outputs)
+        _write_values(out, block.outputs)
+        index = list(map(str, range(first, first + count)))
+        if lookups:
+            keys = _pack_keys(block.addresses, group_size) * 2  # for addresses, then partials
         # Every cycle's columns, each led by the sample index; zip takes them sample by sample.
-        columns = [column for n in range(length) for column in (index, *block.cycle(n))]
+        columns = []
+        for n in range(length):
+            *reads, sums, acc = block.cycle(n)
+            if lookups:
+                start = n * block.stride
+                reads = map(map, lookups, [k[start : start + count] for k in keys])
+            columns += [index, *reads, sums, acc]
         trace.writelines(map(template.__mod__, zip(*columns)))
-        first = index.stop
+        first += count
         del block, columns  # so the next block is evaluated without this one's columns
 
 
@@ -215,11 +305,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         if args.trace is None:
             # Each block is written before the next is evaluated.
             for block in filt.blocks(samples):
-                out.write("".join(f"{y}\n" for y in block))
+                _write_values(out, block)
             return EXIT_OK
         with open(args.trace, "w", encoding="utf-8") as trace:
-            blocks = filt.traced_blocks(samples)
-            _write_traced(out, trace, blocks, design.plan.num_groups, design.arch.input_width)
+            _write_traced(out, trace, filt, samples)
     return EXIT_OK
 
 

@@ -586,13 +586,24 @@ class DaFilter:
         self.tree = tree
         self.input_format = FixedFormat(input_width)
         self.bit_level = bit_level
-        tables = _stored_tables(coeffs, plan, ppg_mode, luts)
+        tables = self._tables = _stored_tables(coeffs, plan, ppg_mode, luts)
         self._run, self._spreader = _schedule(
             coeffs, plan, ppg_mode, input_width, tables, tree, bit_level
         )
         self._block = None if bit_level else _block_datapath(coeffs, plan, tables, input_width)
         self._acc_width = required_accumulator_width(len(coeffs), coeffs.format.width, input_width)
         self.reset()
+
+    def tables(self) -> tuple[Sequence[int], ...]:
+        """Each group's 2^M partial products, indexed by address, as this filter reads them.
+
+        Stored mode's are its checked tables as given (edited entries
+        included); mux mode's are the subset sums of its coefficients,
+        formed on each call.
+        """
+        if self._tables is not None:
+            return self._tables
+        return tuple(_subset_sums(self.coeffs.values, g) for g in self.plan.groups)
 
     def _admit(self, sample: int) -> None:
         x = self.input_format.check(sample, "sample")

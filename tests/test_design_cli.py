@@ -544,14 +544,67 @@ class TestCmdRun:
         assert got == want
 
 
+def samples_line_by_line(path, width):
+    """The sample file's integers, or the error for its first bad line, one line at a time."""
+    lo, hi = -(1 << (width - 1)), (1 << (width - 1)) - 1
+    samples = []
+    with open(path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f.readlines(), start=1):
+            text = line.split("#", 1)[0].strip()
+            if not text:
+                continue
+            try:
+                v = int(text)
+            except ValueError:
+                return f"{path}:{lineno}: cannot parse sample {text!r}"
+            if not lo <= v <= hi:
+                return f"{path}:{lineno}: sample {v} outside signed {width}-bit range"
+            samples.append(v)
+    return samples
+
+
+sample_pieces = st.sampled_from(
+    ["1", "-7", "+2", "1_000", "1__0", "99999", "-40000", "x", "1.5", "\u0663", "#", "# c",
+     " ", "\t", "\x0c", "\x85", "\u2028", "\n", "\n", "\r\n", "\r"]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(sample_pieces | st.text(max_size=3), max_size=40), st.sampled_from([4, 16]))
+@example(["1\n", "\x0c", "2\n", "3\x85", "4\u2028", "5\n"], 16)
+@example(["1\r\n", "\r\n", "#x\r\n", "99\r\n", "abc"], 4)
+def test_samples_parse_in_bulk_as_line_by_line(tmp_path_factory, pieces, width):
+    """Bulk parsing gives the line-by-line result: the same integers, or the same error line."""
+    path = tmp_path_factory.mktemp("samples") / "s.txt"
+    path.write_text("".join(pieces), encoding="utf-8", newline="")
+    want = samples_line_by_line(path, width)
+    try:
+        got = cli._parse_samples(str(path), FixedFormat(width))
+    except cli.CliError as exc:
+        got = str(exc)
+    assert got == want
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_trace_template_writes_what_json_dumps_writes(data):
-    """The traced writer's ``%`` template, against json.dumps of each record's dict."""
+    """The traced writer's ``%`` template, against json.dumps of each record's dict.
+
+    Its slots take each pack's address and partial text (``%s``), or each
+    group's address and partial (``%d``).
+    """
     groups = data.draw(st.integers(1, 64), label="groups")
     length = data.draw(st.integers(1, 4), label="length")
+    slot = data.draw(st.sampled_from(["%s", "%d"]), label="slot")
+    size = data.draw(st.integers(1, 8), label="pack size") if slot == "%s" else 1
     value = st.integers(-(1 << 80), 1 << 80) | st.integers(-2, 2)
     index = data.draw(st.integers(0, 1 << 70))
+
+    def slots(values):
+        if slot == "%d":
+            return list(values)
+        return [", ".join(map(str, values[g : g + size])) for g in range(0, groups, size)]
+
     args, lines = [], []
     for n in range(length):
         rec = dafir.engine.CycleRecord(
@@ -563,9 +616,11 @@ def test_trace_template_writes_what_json_dumps_writes(data):
             n == length - 1,
             data.draw(value),
         )
-        args += [index, *rec.addresses, *rec.partials, rec.tree_sum, rec.acc_after]
+        args += [str(index), *slots(rec.addresses), *slots(rec.partials), rec.tree_sum]
+        args.append(rec.acc_after)
         lines.append(trace_line(index, rec))
-    assert cli._trace_template(groups, length) % tuple(args) == "".join(lines)
+    packs = -(-groups // size)
+    assert cli._trace_template(packs, slot, length) % tuple(args) == "".join(lines)
 
 
 class TestCmdVerify:

@@ -1,13 +1,16 @@
 """Tables, partitioning, addressing and the bit-serial evaluator."""
 
+import io
+import json
 import random
-from itertools import product
+from itertools import product, zip_longest
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dafir.cli as cli
 import dafir.engine as engine
 from dafir.adders import AdderKind
 from dafir.design import ArchConfig, DesignError, DesignFile
@@ -936,6 +939,30 @@ def traced_blocked(filt, samples, sizes):
             yield y, records
 
 
+def first_difference(got, want):
+    """The first line two texts differ on, as (line number, got, want), or None.
+
+    A short failure message where a whole-text diff of megabytes would
+    take minutes.
+    """
+    pairs = zip_longest(got.splitlines(True), want.splitlines(True))
+    return next(((n, g, w) for n, (g, w) in enumerate(pairs) if g != w), None)
+
+
+def json_record(index, rec):
+    """The JSONL line of one cycle record: json.dumps of its dict."""
+    fields = {
+        "sample_index": index,
+        "cycle": rec.cycle,
+        "addresses": list(rec.addresses),
+        "partials": list(rec.partials),
+        "tree_sum": rec.tree_sum,
+        "subtract": rec.subtract,
+        "acc": rec.acc_after,
+    }
+    return json.dumps(fields) + "\n"
+
+
 def blocked(filt, samples, sizes):
     """``filt.blocks`` over ``samples``, flattened, recording each block's size."""
     for block in filt.blocks(samples):
@@ -1071,6 +1098,59 @@ class TestBlocks:
         sizes = []
         assert list(traced_blocked(filt, samples, sizes)) == list(traced_pushed(scalar, samples))
         assert sizes == [1] * len(samples)
+        # the trace writer takes its one-sample blocks' tuple columns too
+        filt.reset()
+        scalar.reset()
+        out, trace = io.StringIO(), io.StringIO()
+        cli._write_traced(out, trace, filt, samples)
+        pairs = list(traced_pushed(scalar, samples))
+        assert out.getvalue() == "".join(f"{y}\n" for y, _ in pairs)
+        assert trace.getvalue() == "".join(
+            json_record(i, rec) for i, (_, records) in enumerate(pairs) for rec in records
+        )
+
+    @settings(deadline=None, max_examples=40)
+    @given(block_cases())
+    @example(  # M = 8: one group to a pack, keys of every byte value
+        (coeff_set([-128, 127, -1, 5, 100, -77, 3, 64, 9], 8), partition_taps(9, 8),
+         PpgMode.STORED, 8, None, [-128, 127, -1, 0, 85, -86] * 180, [1])
+    )
+    @example(  # M = 3: packs of two groups, the last pack one group
+        (coeff_set(list(range(-7, 8))), partition_taps(15, 3), PpgMode.MUX, 5, None,
+         [-16, 15, -1, 0, 7] * 300, [1])
+    )
+    @example(  # M = 16: a %d slot per group
+        (coeff_set([-(1 << 63), (1 << 63) - 1, 5, -7, 3], 64),
+         partition_taps(5, 16), PpgMode.MUX, 64, None,
+         [-(1 << 63), (1 << 63) - 1, -1, 0, 12345] * 210, [1])
+    )
+    @example(  # the edited entry 511 is read, and overflows, in the second block
+        (coeff_set([5]), partition_taps(1, 4), PpgMode.STORED, 4, [[0, 511] + [0] * 14],
+         [1] * 1500 + [7] + [1] * 10, [1])
+    )
+    def test_trace_writer_writes_push_traced_records(self, case):
+        """The CLI's trace writer writes what json.dumps of push_traced's records writes."""
+        coeffs, plan, mode, input_width, luts, samples, _ = case
+        filt = DaFilter(coeffs, plan, mode, input_width=input_width, luts=luts)
+        scalar = DaFilter(coeffs, plan, mode, input_width=input_width, luts=luts)
+        tables = luts or [build_lut(coeffs, g).entries for g in plan.groups]
+        assert list(map(list, filt.tables())) == list(map(list, tables))
+        out, trace = io.StringIO(), io.StringIO()
+        try:
+            cli._write_traced(out, trace, filt, samples)
+            error = None, None
+        except (AccumulatorOverflow, TypeError, ValueError) as exc:
+            error = type(exc), str(exc)
+        pairs, *want_error = stream_outcome(traced_pushed(scalar, samples))
+        assert error == tuple(want_error)
+        want = "".join(f"{y}\n" for y, _ in pairs)
+        assert first_difference(out.getvalue(), want) is None
+        want = "".join(
+            json_record(i, rec) for i, (_, records) in enumerate(pairs) for rec in records
+        )
+        assert first_difference(trace.getvalue(), want) is None
+        if error == (None, None) and luts is None:
+            assert [y for y, _ in pairs] == direct_fir(samples, coeffs)
 
     def test_overflow_yields_the_outputs_before_it(self):
         # Two taps in a padded group of four, entry 1 edited to -512: the

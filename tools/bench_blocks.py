@@ -15,11 +15,13 @@ speed between rounds affects all three alike. Mux mode forms its tables on its f
 a warm-up block is run first, so the figures are steady-state.
 
 Traced rows time what ``dafir run --trace`` does per output at the
-``TRACED_SHAPES``: ``DaFilter.traced_blocks`` through the command line's
-JSONL writer, against a loop of ``DaFilter.push_traced`` with one
-``json.dumps`` per cycle record (the path traced runs took before). Both
-write outputs and records to in-memory files, and the two traces must be
-byte-identical, so every record of the block writer is checked against
+``TRACED_SHAPES``: the command line's trace writer, which runs
+``DaFilter.traced_blocks`` and renders each record (addresses and partials
+looked up in string tables built per call for M <= 8, formatted one by one
+above that), against a loop of ``DaFilter.push_traced`` with one
+``json.dumps`` per cycle record (the path traced runs took before blocks).
+Both write outputs and records to in-memory files, and the two traces must
+be byte-identical, so every record of the writer is checked against
 ``push_traced``; the outputs must equal ``direct_fir``.
 
 The result is written to ``BENCH_blocks.json`` beside ``src/``.
@@ -44,7 +46,7 @@ from dafir.engine import LANES, DaFilter, PpgMode, partition_taps  # noqa: E402
 from dafir.numerics import CoefficientSet, FixedFormat, direct_fir  # noqa: E402
 
 SHAPES = ((8, 4), (64, 4), (64, 8), (64, 16))  # (K, M)
-TRACED_SHAPES = ((16, 2), (16, 4), (64, 4))
+TRACED_SHAPES = ((16, 2), (16, 4), (64, 4), (64, 8), (64, 16))
 WIDTH = 16  # coefficient and sample bits
 SAMPLES = 4000
 TRACED_SAMPLES = 2000
@@ -104,7 +106,7 @@ def measure_traced(taps: int, group_size: int, mode: PpgMode) -> dict:
     def traced_blocks(xs):
         filt.reset()
         out, trace = files["traced_block_us"] = io.StringIO(), io.StringIO()
-        _write_traced(out, trace, filt.traced_blocks(xs), filt.plan.num_groups, WIDTH)
+        _write_traced(out, trace, filt, xs)
 
     def push_traced(xs):
         # The per-sample loop traced runs took before blocks, record by record.
@@ -151,8 +153,8 @@ def main() -> int:
         row["push_traced_over_block"] = round(row["push_traced_us"] / row["traced_block_us"], 2)
     record = {
         "what": "us per output; block = DaFilter.process, push = per-sample DaFilter.push, "
-        "direct_fir = the oracle; traced_block = DaFilter.traced_blocks through the CLI's "
-        "JSONL writer, push_traced = per-sample push_traced with json.dumps per record; "
+        "direct_fir = the oracle; traced_block = the CLI's trace writer over "
+        "DaFilter.traced_blocks, push_traced = per-sample push_traced with json.dumps per record; "
         "best of REPEATS in one process",
         "width": WIDTH,
         "samples": SAMPLES,
