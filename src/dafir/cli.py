@@ -34,7 +34,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 
-EXHAUSTIVE_BITS_CAP = 20  # exhaustive verify limited to 2^20 windows
+EXHAUSTIVE_BITS_CAP = 24  # exhaustive verify limited to 2^24 windows
 
 
 class CliError(Exception):

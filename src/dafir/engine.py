@@ -740,15 +740,19 @@ def _pack(values: Iterable[int], width: int) -> tuple[bytes, int]:
 
 
 def _lane_planes(values: Iterable[int], width: int) -> list[int]:
-    """Bit-planes of signed ``width``-bit values: bit i of plane b is bit b of value i.
+    """Bit-planes of signed ``width``-bit values: bit i of plane b is bit b of value i."""
+    return _packed_planes(*_pack(values, width), width)
 
-    Each byte column of the packed values is read as one integer, eight
-    lanes to a 64-bit word, and every word's 8x8 bit matrix is transposed
-    at once by three masked shift-and-swap rounds (Hacker's Delight, 7-3),
-    after which byte c of each word holds bit c of its eight lanes. All of
-    it is whole-integer and byte-slice work at C level.
+
+def _packed_planes(data: bytes, size: int, width: int) -> list[int]:
+    """The low ``width`` bit-planes of little-endian items of ``size`` bytes.
+
+    Each byte column of the items is read as one integer, eight lanes to a
+    64-bit word, and every word's 8x8 bit matrix is transposed at once by
+    three masked shift-and-swap rounds (Hacker's Delight, 7-3), after which
+    byte c of each word holds bit c of its eight lanes. All of it is
+    whole-integer and byte-slice work at C level.
     """
-    data, size = _pack(values, width)
     words = -(-len(data) // (8 * size))
     m1, m2, m3 = (int.from_bytes(m.to_bytes(8, "little") * words, "little") for m in _TRANSPOSE)
     planes = []
@@ -763,6 +767,26 @@ def _lane_planes(values: Iterable[int], width: int) -> list[int]:
         rows = x.to_bytes(8 * words, "little")
         planes += [int.from_bytes(rows[c::8], "little") for c in range(min(8, width - e))]
     return planes
+
+
+def _byte_planes(table: Sequence[int], width: int) -> list[bytes]:
+    """A table of ``width``-bit entries as translate tables, one per byte of its biased entries.
+
+    Entry a plus the bias 2^(width - 1) is nonnegative, and its byte b is
+    byte a of plane b, so :func:`_read_biased` reads every lane's entry
+    with one ``bytes.translate`` of 8-bit addresses per plane.
+    """
+    bias = 1 << (width - 1)
+    biased = [v + bias for v in table]
+    return [bytes((u >> b) & 255 for u in biased).ljust(256, b"\0") for b in range(0, width, 8)]
+
+
+def _read_biased(planes: Sequence[bytes], addresses: bytes, size: int) -> bytearray:
+    """The biased entries at 8-bit ``addresses``, as little-endian items of ``size`` bytes."""
+    buffer = bytearray(size * len(addresses))
+    for b, plane in enumerate(planes):
+        buffer[b::size] = addresses.translate(plane)
+    return buffer
 
 
 _BITS = tuple(bytes((b >> i) & 1 for b in range(256)) for i in range(8))  # bit i of a byte
@@ -824,18 +848,28 @@ def _lane_datapath(
     tables: Sequence[Sequence[int]],
     input_width: int,
     tree: AdderKind,
-) -> Callable[[list[int], list[int]], Iterator[tuple[int, int]]]:
+) -> tuple[Callable[[Sequence[bytes], bytes], Iterator[tuple[int, int]]], int]:
     """Bind the bit-sliced datapath that checks a chunk of windows at once.
 
-    Lane i carries window i. Each group's per-lane addresses for all L
-    cycles are formed with whole-chunk integer operations on the samples,
+    Lane i carries window i. The bound function takes the chunk's K tap
+    columns, each lane's sample as a little-endian item of
+    ``_item_size(L)`` bytes. Each group's per-lane addresses for all L
+    cycles are formed with whole-chunk integer operations on the columns,
     one table read per lane and cycle, then the partial products become
     bit-planes, go through the gate-level tree of the configured kind (all
     cycles at once; the tree is combinational) and a gate-level
     shift-accumulator that subtracts on the sign cycle by adding the
     inverted operand with every carry-in set. The accumulator has
     tree width + L bits, so no entry ``check_tables`` accepts can wrap it,
-    and its planes are XOR-compared with the oracle's.
+    and its planes are XOR-compared with the oracle's values, given as
+    two's-complement little-endian fields. Returns the function and the
+    bytes per field it expects of them.
+
+    With M <= 8 a group's reads are the blocks' byte-plane reads of its
+    entries biased by 2^(width - 1), which differ from the entries' two's
+    complement in the top bit alone: the read buffer's planes, the top one
+    inverted, are the entries' planes. Above that the entries are gathered
+    from the tables.
     """
     length = input_width
     num_taps = len(coeffs)
@@ -843,40 +877,55 @@ def _lane_datapath(
     partial_width = partial_product_width(coeffs.format.width, plan.group_size)
     tree_width = tree_output_width(partial_width, plan.num_groups)
     acc_width = tree_width + length
+    field = _field_size(acc_width)
     block = DEFAULT_COST_MODEL.cla_block_size
-    size = _item_size(max(length, plan.group_size))  # bytes per sample item, >= width
+    size = _item_size(length)  # bytes per sample item
     width = _item_size(plan.group_size)  # bytes per address item
+    bytewise = width == 1
+    entry_size = -(-partial_width // 8)  # bytes per byte-plane read
+    reads = [_byte_planes(t, partial_width) for t in tables] if bytewise else tables
 
-    def run(flat: list[int], expected: list[int]) -> Iterator[tuple[int, int]]:
-        """(lane, datapath value) of each window, in order, whose value is not ``expected``."""
-        count = len(expected)
-        samples = _little_endian(array(_SIGNED_CODES[size], flat)).tobytes()
-        # Tap k's planes, formed from its column: lane i's sample is item i * K + k.
+    def run(columns: Sequence[bytes], expected: bytes) -> Iterator[tuple[int, int]]:
+        """(lane, datapath value) of each window, in order, whose value is not ``expected``'s."""
+        count = len(columns[0]) // size
+        every = (1 << (count * length)) - 1  # every lane of every cycle
         planes = [
-            int.from_bytes(_bit_planes(samples[k * size :], num_taps * size, length, width), "little")
-            for k in range(num_taps)
+            int.from_bytes(_bit_planes(column, size, length, width), "little") for column in columns
         ]
         address = _address_former(planes, [0] * num_taps, count, count, width, length)
         operands = []
-        for table, group in zip(tables, members):
+        for table, group in zip(reads, members):
             # Item n*count + i is lane i's address at cycle n.
-            addresses = _little_endian(array(_UNSIGNED_CODES[width], address(group)))
-            # count * length >= 2 addresses, so itemgetter returns a tuple
-            planes = _lane_planes(itemgetter(*addresses)(table), partial_width)
-            operands.append(planes + planes[-1:] * (tree_width - partial_width))
+            if bytewise:
+                parts = _packed_planes(
+                    _read_biased(table, address(group), entry_size), entry_size, partial_width
+                )
+                parts[-1] ^= every
+            else:
+                addresses = _little_endian(array(_UNSIGNED_CODES[width], address(group)))
+                # count * length >= 2 addresses, so itemgetter returns a tuple
+                parts = _lane_planes(itemgetter(*addresses)(table), partial_width)
+            operands.append(parts + parts[-1:] * (tree_width - partial_width))
         # Cycle n is lanes [n*count, (n+1)*count) of the tree's planes.
-        sums = _tree_planes(operands, tree, (1 << (count * length)) - 1, block)
+        sums = _tree_planes(operands, tree, every, block)
         lanes = (1 << count) - 1
-        acc = [0] * acc_width
+        # Cycle n's addend is zero below plane n (all ones on the sign cycle,
+        # whose carry-in then carries one into plane n and leaves the planes
+        # below as they are), and the sum after cycle n fits tree width +
+        # n + 1 signed bits. So cycle n's adder spans planes n to tree
+        # width + n, a shift-accumulator's (tree width + 1)-bit adder, and
+        # the planes above it are copies of its top one.
+        acc: list[int] = []  # planes 0 to tree width + n of the sum after cycle n
         for n in range(length):
             t = [(p >> (n * count)) & lanes for p in sums]
-            addend = ([0] * n + t + t[-1:] * (acc_width - tree_width))[:acc_width]
+            high = acc[n:] + acc[-1:] if acc else [0] * (tree_width + 1)
             if n == length - 1:
-                acc = _cpa_planes(tree, acc, [p ^ lanes for p in addend], lanes, lanes, block)
+                addend = [p ^ lanes for p in t + t[-1:]]
+                acc = acc[:n] + _cpa_planes(tree, high, addend, lanes, lanes, block)
             else:
-                acc = _cpa_planes(tree, acc, addend, 0, lanes, block)
+                acc = acc[:n] + _cpa_planes(tree, high, t + t[-1:], 0, lanes, block)
         diff = 0
-        for got, want in zip(acc, _lane_planes(expected, acc_width)):
+        for got, want in zip(acc, _packed_planes(expected, field, acc_width)):
             diff |= got ^ want
         while diff:
             low = diff & -diff
@@ -885,7 +934,7 @@ def _lane_datapath(
             yield i, value - ((value >> (acc_width - 1)) << acc_width)
             diff ^= low
 
-    return run
+    return run, field
 
 
 def _repeated(value: int, nbytes: int, count: int) -> int:
@@ -947,17 +996,7 @@ def _block_datapath(
     reads: list = []  # per group: byte-planes (bytewise) or the table itself
 
     def bind(tables: Sequence[Sequence[int]]) -> None:
-        if not bytewise:
-            reads.extend(tables)
-            return
-        for table in tables:
-            biased = [v + bias for v in table]
-            reads.append(
-                [
-                    bytes((u >> b) & 255 for u in biased).ljust(256, b"\0")
-                    for b in range(0, partial_width, 8)
-                ]
-            )
+        reads.extend([_byte_planes(t, partial_width) for t in tables] if bytewise else tables)
 
     if tables is not None:
         bind(tables)
@@ -997,10 +1036,7 @@ def _block_datapath(
         if bytewise:
             for planes, group in zip(reads, members):
                 addresses = address(group)
-                buffer = bytearray(narrow * reads_per_group)
-                for b, plane in enumerate(planes):
-                    buffer[b::narrow] = addresses.translate(plane)
-                value = int.from_bytes(buffer, "little")
+                value = int.from_bytes(_read_biased(planes, addresses, narrow), "little")
                 total += value
                 if traced:
                     kept_addresses.append(addresses)
@@ -1062,6 +1098,64 @@ def _block_datapath(
     return run
 
 
+def _mac_fields(taps: Sequence[int], columns: Sequence[bytes], size: int, field: int) -> bytes:
+    """The plain multiply-accumulate of every lane, as two's-complement fields of ``field`` bytes.
+
+    Word-parallel: the K columns of signed ``size``-byte items are widened
+    to fields of ``field`` bytes holding each sample plus 2^(8 * size - 1),
+    so that field i of U_k, read as one integer, is lane i's biased
+    sample, and sum_k A_k * U_k has lane i's sum of products, plus that
+    bias times the coefficients' sum, in field i. One offset constant
+    moves every field to its value plus half the field's range, which
+    leaves each field within range and ends the borrows between fields;
+    flipping every field's top bit then gives two's complement. Fields
+    must be wide enough for every sum; it reads no table or plan.
+    """
+    count = len(columns[0]) // size
+    bias = 1 << (8 * size - 1)
+    top = 1 << (8 * field - 1)
+    units = _repeated(1, field, count)
+    flip = bias * _repeated(1, size, count)
+    total = (top - bias * sum(taps)) * units
+    wide = bytearray(field * count)
+    for a, column in zip(taps, columns):
+        biased = (int.from_bytes(column, "little") ^ flip).to_bytes(size * count, "little")
+        for b in range(size):
+            wide[b::field] = biased[b::size]
+        total += a * int.from_bytes(wide, "little")
+    return (total ^ top * units).to_bytes(field * count, "little")
+
+
+def _item(data: bytes, i: int, size: int) -> int:
+    """Signed little-endian item i of ``size`` bytes."""
+    return int.from_bytes(data[i * size : (i + 1) * size], "little", signed=True)
+
+
+def _tuple_chunks(
+    windows: Iterable[Sequence[int]], num_taps: int, fmt: FixedFormat, size: int
+) -> Iterator[tuple[list, list[bytes] | None]]:
+    """Chunks of up to ``LANES`` windows, each with its tap columns of ``size``-byte items.
+
+    A chunk holding a window of another length, or a sample that is not
+    an in-range ``int``, comes with None for its columns.
+    """
+    code = _SIGNED_CODES[size]
+    windows = iter(windows)
+    while chunk := list(islice(windows, LANES)):
+        flat = list(chain.from_iterable(chunk))
+        columns = None
+        if (
+            set(map(len, chunk)) == {num_taps}
+            and set(map(type, flat)) == {int}
+            and fmt.min_value <= min(flat)
+            and max(flat) <= fmt.max_value
+        ):
+            columns = [
+                _little_endian(array(code, flat[k::num_taps])).tobytes() for k in range(num_taps)
+            ]
+        yield chunk, columns
+
+
 def verify_windows(
     coeffs: CoefficientSet,
     plan: PartitionPlan,
@@ -1082,47 +1176,48 @@ def verify_windows(
     to ``limit`` mismatches; an empty list means full agreement. The oracle
     side is an independent plain multiply-accumulate, never a table.
 
-    Windows run ``LANES`` at a time through a bit-sliced datapath: the
-    design's tables (mux mode: the same subset sums, formed once), the
-    gate-level ``tree`` and a gate-level accumulator. Only a window it
-    flags is run again through the scalar schedule, which yields each
-    Mismatch or raises AccumulatorOverflow just as a window-by-window loop
-    would; a chunk holding a sample that is not an in-range ``int`` is
-    checked window by window, so the first event in window order wins.
+    Windows run ``LANES`` at a time as tap columns through a bit-sliced
+    datapath: the design's tables (mux mode: the same subset sums, formed
+    once), the gate-level ``tree`` and a gate-level accumulator, checked
+    against a word-parallel multiply-accumulate of the same columns. A
+    fresh :func:`all_windows` of this filter's K and L gives its columns
+    directly; other windows are packed into columns a chunk at a time.
+    Only a window the datapath flags is run again through the scalar
+    schedule, which yields each Mismatch or raises AccumulatorOverflow
+    just as a window-by-window loop would; a chunk holding a sample that
+    is not an in-range ``int`` is checked window by window, so the first
+    event in window order wins.
     """
     taps = coeffs.values
     fmt = FixedFormat(input_width)
-    lo, hi = fmt.min_value, fmt.max_value
     if ppg_mode is PpgMode.STORED and luts is not None:
         tables = check_tables(luts, plan, coeffs.format.width)
     else:
         tables = tuple(_subset_sums(taps, g) for g in plan.groups)
-    datapath = _lane_datapath(coeffs, plan, tables, input_width, tree)
+    datapath, field = _lane_datapath(coeffs, plan, tables, input_width, tree)
+    size = _item_size(input_width)
+    if type(windows) is _AllWindows and windows.fresh and windows.shape == (len(taps), input_width):
+        chunks = ((None, columns) for columns in windows.columns(size))
+    else:
+        chunks = _tuple_chunks(windows, len(taps), fmt, size)
     evaluate = None  # the scalar schedule, bound when a window first needs it
-    windows = iter(windows)
     checked = 0
     mismatches: list[Mismatch] = []
-    while chunk := list(islice(windows, LANES)):
-        flat = list(chain.from_iterable(chunk))
-        if (
-            set(map(len, chunk)) == {len(taps)}
-            and set(map(type, flat)) == {int}
-            and lo <= min(flat)
-            and max(flat) <= hi
-        ):
-            expected = [sum(map(mul, taps, window)) for window in chunk]
-            suspects = datapath(flat, expected)
-        else:
-            expected = None
+    for chunk, columns in chunks:
+        if columns is None:
             suspects = ((i, None) for i in range(len(chunk)))
+        else:
+            expected = _mac_fields(taps, columns, size, field)
+            suspects = datapath(columns, expected)
         for i, lane_value in suspects:
-            window = chunk[i]
-            if expected is None:
+            if columns is None:
+                window = chunk[i]
                 for x in window:
                     fmt.check(x, "sample")
                 want = sum(map(mul, taps, window))
             else:
-                want = expected[i]
+                window = chunk[i] if chunk else tuple(_item(c, i, size) for c in columns)
+                want = _item(expected, i, field)
             if evaluate is None:
                 evaluate, _ = _schedule(coeffs, plan, ppg_mode, input_width, tables)
             got = evaluate(window)
@@ -1132,16 +1227,80 @@ def verify_windows(
                 mismatches.append(Mismatch(tuple(window), got, want))
                 if len(mismatches) >= limit:
                     return checked + i + 1, mismatches
-        checked += len(chunk)
+        checked += len(chunk) if chunk else len(columns[0]) // size
     return checked, mismatches
+
+
+class _AllWindows:
+    """The iterator :func:`all_windows` returns, which ``verify_windows`` can read as columns."""
+
+    def __init__(self, num_taps: int, input_width: int) -> None:
+        self.shape = (num_taps, input_width)
+        self.fresh = True  # no window taken yet
+        self._windows: Iterator[tuple[int, ...]] = iter(())
+
+    def __iter__(self) -> _AllWindows:
+        return self
+
+    def __next__(self) -> tuple[int, ...]:
+        if self.fresh:
+            # Formed on first use: its 2^L digits would outweigh the columns.
+            num_taps, length = self.shape
+            half = 1 << (length - 1)
+            digits = [*range(half), *range(-half, 0)]  # digit d read as a signed L-bit value
+            self._windows = map(tuple, map(reversed, product(digits, repeat=num_taps)))
+            self.fresh = False
+        return next(self._windows)
+
+    def columns(self, size: int) -> Iterator[list[bytes]]:
+        """Every window, consumed as chunks of ``LANES``: each chunk's K tap columns.
+
+        Lane i of column k is signed digit k of the chunk's first code plus
+        i, as a little-endian item of ``size`` bytes. With chunks starting
+        at multiples of their power-of-two lane count 2^q, digit k of
+        start + i, its bits from b = k * L up, is the start's digit OR the
+        digit of i alone, whose bits lie below q - b, disjoint from the
+        start's; so a column is one fixed ramp per tap (zero for b >= q)
+        with the start's digit added to every item, then made two's
+        complement by whole-chunk operations. Memory stays O(``LANES`` * K).
+        """
+        self.fresh = False
+        num_taps, length = self.shape
+        bits = num_taps * length
+        lanes = min(LANES, 1 << bits)
+        q = lanes.bit_length() - 1
+        mask = (1 << length) - 1
+        half = 1 << (length - 1)
+        top = 1 << (8 * size - 1)
+        units = _repeated(1, size, lanes)
+        code = _UNSIGNED_CODES[size]
+        ramps = [
+            int.from_bytes(
+                _little_endian(array(code, [(i >> b) & mask for i in range(lanes)])).tobytes(),
+                "little",
+            )
+            if b < q
+            else 0
+            for b in range(0, bits, length)
+        ]
+        # Digit d XOR half is its signed value plus half; adding top - half
+        # and flipping top leaves the signed value's two's complement.
+        flip, lift, sign = half * units, (top - half) * units, top * units
+        nbytes = size * lanes
+        for start in range(0, 1 << bits, lanes):
+            columns = []
+            for b, ramp in zip(range(0, bits, length), ramps):
+                digits = ((start >> b) & mask) * units | ramp
+                columns.append((((digits ^ flip) + lift) ^ sign).to_bytes(nbytes, "little"))
+            yield columns
 
 
 def all_windows(num_taps: int, input_width: int) -> Iterator[tuple[int, ...]]:
     """Every possible delay-line snapshot, all 2^(K*L) of them, in order.
 
     Window c holds the K signed L-bit digits of c, tap 0 in the lowest, so
-    tap 0 varies fastest.
+    tap 0 varies fastest. The iterator yields tuples to any caller;
+    ``verify_windows`` of a filter with the same K and L reads it, when no
+    window has been taken from it yet, as packed tap columns instead.
     """
-    half = 1 << (input_width - 1)
-    digits = [*range(half), *range(-half, 0)]  # digit d read as a signed L-bit value
-    return map(tuple, map(reversed, product(digits, repeat=num_taps)))
+    return _AllWindows(num_taps, input_width)

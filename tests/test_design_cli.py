@@ -657,10 +657,18 @@ class TestCmdVerify:
         assert "500/500 ok" in capsys.readouterr().out
 
     def test_exhaustive_cap(self, workspace, capsys):
-        design = self.make_design(workspace, width=16)  # 2 taps * 16 bits > 20
+        design = self.make_design(workspace, "3\n-5\n7\n-9\n11\n", width=5)  # 5 * 5 bits > 24
         code = main(["verify", "--design", str(design), "--exhaustive"])
         assert code == 2
-        assert "exhaustive" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "num_taps*input_width <= 24 bits, this design has 25" in err
+
+    def test_exhaustive_above_the_old_cap(self, workspace, capsys):
+        design = self.make_design(workspace, "3\n-5\n7\n", width=7)  # 21 bits
+        capsys.readouterr()
+        code = main(["verify", "--design", str(design), "--exhaustive"])
+        assert code == 0
+        assert capsys.readouterr().out == "2097152/2097152 ok\n"
 
     def test_mutated_table_caught(self, workspace, capsys):
         design = self.make_design(workspace)

@@ -430,6 +430,25 @@ def outcome(call):
         return repr(exc)
 
 
+def outcome_at_window(call):
+    """``outcome``, with the window the scalar schedule last ran when the accumulator overflows."""
+    seen = []
+    schedule = engine._schedule
+
+    def recording(*args, **kwargs):
+        run, spread = schedule(*args, **kwargs)
+
+        def recorded(window, *rest):
+            seen.append(tuple(window))
+            return run(window, *rest)
+
+        return recorded, spread
+
+    with mock.patch.object(engine, "_schedule", recording):
+        result = outcome(call)
+    return (result, seen[-1]) if isinstance(result, str) else result
+
+
 @st.composite
 def lane_cases(draw):
     """Filters with shuffled, padded plans; window counts around the chunk size."""
@@ -467,6 +486,58 @@ def lane_cases(draw):
             table[rng.randrange(len(table))] = rng.randint(-top, top - 1)
     limit = draw(st.integers(1, 4))
     return coeffs, plan, mode, tree, input_width, windows, luts, limit
+
+
+def extremes_or_any(width):
+    """Signed ``width``-bit integers, the two extremes often."""
+    bound = 1 << (width - 1)
+    return st.sampled_from([-bound, bound - 1]) | st.integers(-bound, bound - 1)
+
+
+@st.composite
+def exhaustive_cases(draw):
+    """Filters small enough for all_windows: K 1..6, L 2..8, K*L <= 14, shuffled plans."""
+    num_taps = draw(st.integers(1, 6))
+    input_width = draw(st.integers(2, min(8, 14 // num_taps)))
+    group_size = draw(st.integers(1, 16))
+    coeff_width = draw(st.integers(2, 16))
+    values = draw(st.lists(extremes_or_any(coeff_width), min_size=num_taps, max_size=num_taps))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    pads = -num_taps % group_size
+    slots = draw(st.permutations(range(num_taps))) + [None] * pads
+    groups = [slots[i : i + group_size] for i in range(0, len(slots), group_size)]
+    for group in groups:
+        rng.shuffle(group)
+    plan = PartitionPlan(group_size, tuple(map(tuple, groups)), pads)
+    mode = draw(st.sampled_from(list(PpgMode)))
+    tree = draw(st.sampled_from(list(AdderKind)))
+    coeffs = coeff_set(values, coeff_width)
+    luts = None
+    if mode is PpgMode.STORED and draw(st.booleans()):
+        # One edited entry or several, at addresses some window reads, any
+        # value in bound: the extremes can leave the accumulator.
+        luts = [list(build_lut(coeffs, g).entries) for g in plan.groups]
+        entry = extremes_or_any(partial_product_width(coeff_width, group_size))
+        for _ in range(draw(st.integers(1, 3))):
+            g = draw(st.integers(0, len(luts) - 1))
+            real = sum(1 << j for j, idx in enumerate(plan.groups[g]) if idx is not None)
+            luts[g][draw(st.integers(0, real)) & real] = draw(entry)
+    limit = draw(st.integers(1, 3))
+    return coeffs, plan, mode, tree, input_width, luts, limit
+
+
+@st.composite
+def oracle_cases(draw):
+    """Coefficients and windows drawn towards the extremes, with the most negative ones last."""
+    num_taps = draw(st.integers(1, 8))
+    coeff_width = draw(st.integers(2, 16))
+    input_width = draw(st.integers(2, 24))
+    plan = partition_taps(num_taps, draw(st.integers(1, 16)))
+    values = draw(st.lists(extremes_or_any(coeff_width), min_size=num_taps, max_size=num_taps))
+    sample = extremes_or_any(input_width)
+    windows = draw(st.lists(st.tuples(*[sample] * num_taps), min_size=0, max_size=40))
+    windows.append((-(1 << (input_width - 1)),) * num_taps)
+    return coeff_set(values, coeff_width), plan, input_width, windows
 
 
 class TestVerifyWindows:
@@ -646,6 +717,133 @@ class TestVerifyWindows:
         assert len(windows) == 16
         assert len(set(windows)) == 16
         assert all(-2 <= x <= 1 for w in windows for x in w)
+
+    @settings(deadline=None, max_examples=40)
+    @given(exhaustive_cases())
+    @example(
+        # A padded group of eight with entry 1 at 1023: windows (1,) and
+        # (2,) are mismatches, and (3,) leaves the 12-bit accumulator.
+        (coeff_set([1]), partition_taps(1, 8), PpgMode.STORED, AdderKind.CLA, 4,
+         [[0, 1023] + [0] * 254], 3)
+    )
+    @example(
+        # The most negative coefficients and samples, through byte-plane
+        # reads (M = 8, padded) and gathers (M = 9).
+        (coeff_set([-32768] * 2, 16), partition_taps(2, 8), PpgMode.MUX, AdderKind.CSA_TREE,
+         7, None, 1)
+    )
+    @example(
+        (coeff_set([-32768, 32767, -32768], 16), partition_taps(3, 9), PpgMode.STORED,
+         AdderKind.RIPPLE, 4, None, 3)
+    )
+    def test_columns_tuples_and_window_loop_agree(self, case):
+        coeffs, plan, mode, tree, input_width, luts, limit = case
+        num_taps = len(coeffs)
+
+        def lanes(windows):
+            return verify_windows(
+                coeffs, plan, mode, tree, input_width=input_width,
+                windows=windows, luts=luts, limit=limit,
+            )
+
+        with mock.patch.object(engine, "_tuple_chunks", wraps=engine._tuple_chunks) as tuples:
+            columns = outcome_at_window(lambda: lanes(all_windows(num_taps, input_width)))
+            assert tuples.call_count == 0
+            listed = outcome_at_window(lambda: lanes(list(all_windows(num_taps, input_width))))
+            assert tuples.call_count == 1
+        want = outcome_at_window(
+            lambda: scalar_verify(
+                coeffs, plan, mode, input_width, all_windows(num_taps, input_width), luts, limit
+            )
+        )
+        assert columns == listed == want
+
+    @settings(deadline=None, max_examples=60)
+    @given(oracle_cases())
+    @example((coeff_set([-32768] * 8, 16), partition_taps(8, 1), 24, [(-(2**23),) * 8]))
+    @example(
+        (coeff_set([32767] * 8, 16), partition_taps(8, 16), 24,
+         [(2**23 - 1,) * 8, (-(2**23),) * 8])
+    )
+    def test_word_parallel_oracle_is_direct_fir_at_the_extremes(self, case):
+        coeffs, plan, input_width, windows = case
+        tables = [engine._subset_sums(coeffs.values, g) for g in plan.groups]
+        _, field = engine._lane_datapath(coeffs, plan, tables, input_width, AdderKind.CLA)
+        size = engine._item_size(input_width)
+        fmt = FixedFormat(input_width)
+        [(chunk, columns)] = engine._tuple_chunks(windows, len(coeffs), fmt, size)
+        fields = engine._mac_fields(coeffs.values, columns, size, field)
+        assert len(fields) == field * len(windows)
+        got = [engine._item(fields, i, field) for i in range(len(windows))]
+        assert got == [direct_fir(list(w)[::-1], coeffs)[-1] for w in windows]
+
+    def test_all_windows_is_an_iterator(self):
+        windows = all_windows(3, 2)
+        assert iter(windows) is windows
+        assert next(windows) == (0, 0, 0)
+        assert next(windows) == (1, 0, 0)
+        assert list(windows) == list(all_windows(3, 2))[2:]
+        with pytest.raises(StopIteration):
+            next(windows)
+
+    def test_partly_consumed_all_windows_checks_the_rest(self):
+        coeffs = coeff_set([3, -5, 7])
+        plan = partition_taps(3, 2)
+        luts = [list(build_lut(coeffs, g).entries) for g in plan.groups]
+        luts[0][1] += 1  # read by every window whose tap 0 is odd and tap 1 even
+        every = list(all_windows(3, 4))
+        for taken in (1, 5, engine.LANES + 3):
+            for tables in (None, luts):
+                windows = all_windows(3, 4)
+                for _ in range(taken):
+                    next(windows)
+                got = verify_windows(
+                    coeffs, plan, PpgMode.STORED, input_width=4,
+                    windows=windows, luts=tables, limit=3,
+                )
+                want = scalar_verify(
+                    coeffs, plan, PpgMode.STORED, 4, every[taken:], tables, limit=3
+                )
+                assert got == want
+                if tables is None:
+                    assert got == (len(every) - taken, [])
+
+    def test_all_windows_of_another_shape_takes_the_tuple_route(self):
+        # K or L unlike the filter's: the same outcome as the same windows
+        # in a list, whatever it is.
+        coeffs = coeff_set([3, -5])
+        plan = partition_taps(2, 2)
+
+        def outcome(call):
+            try:
+                return call()
+            except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
+                return repr(exc)
+
+        for num_taps, width in ((2, 3), (2, 5), (3, 4), (1, 4)):
+            with mock.patch.object(engine, "_tuple_chunks", wraps=engine._tuple_chunks) as tuples:
+                got = outcome(
+                    lambda: verify_windows(
+                        coeffs, plan, PpgMode.STORED, input_width=4,
+                        windows=all_windows(num_taps, width),
+                    )
+                )
+                assert tuples.call_count == 1
+            want = outcome(
+                lambda: verify_windows(
+                    coeffs, plan, PpgMode.STORED, input_width=4,
+                    windows=list(all_windows(num_taps, width)),
+                )
+            )
+            assert got == want, (num_taps, width)
+
+    def test_column_route_takes_the_windows(self):
+        windows = all_windows(2, 4)
+        coeffs = coeff_set([3, -5])
+        assert verify_windows(
+            coeffs, partition_taps(2, 1), PpgMode.MUX, input_width=4, windows=windows
+        ) == (256, [])
+        assert list(windows) == []
 
 
 @st.composite

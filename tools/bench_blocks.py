@@ -24,6 +24,20 @@ Both write outputs and records to in-memory files, and the two traces must
 be byte-identical, so every record of the writer is checked against
 ``push_traced``; the outputs must equal ``direct_fir``.
 
+Verify rows time ``verify_windows`` per window at the ``verify`` workload's
+shape (K = 4, W = 8, L = 4) and configurations over all 65,536 windows,
+given as ``all_windows`` (the tap columns ``dafir verify --exhaustive``
+checks) and as the same windows in a list (packed into columns a chunk at
+a time). Every call must report all windows checked with no mismatch.
+
+Every timed call is bracketed by the benchmark's fixed reference loop
+(``benchmarks/workloads.py``), since a shared host can change speed for
+seconds at a time. Each figure is given raw (``*_us``, the best round)
+and in reference microseconds (``*_ref_us``, the median round): a call's
+time scaled by ``REFERENCE_SECONDS`` over the loop's time around it,
+which is what the call would take with the host in the state that
+constant was measured in. Ratios are of reference figures.
+
 The result is written to ``BENCH_blocks.json`` beside ``src/``.
 """
 
@@ -34,19 +48,31 @@ import json
 import os
 import platform
 import random
+import statistics
 import sys
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "benchmarks"))
 
 from dafir.cli import _write_traced  # noqa: E402
-from dafir.engine import LANES, DaFilter, PpgMode, partition_taps  # noqa: E402
+from dafir.engine import (  # noqa: E402
+    LANES,
+    DaFilter,
+    PpgMode,
+    all_windows,
+    partition_taps,
+    verify_windows,
+)
 from dafir.numerics import CoefficientSet, FixedFormat, direct_fir  # noqa: E402
+from workloads import REFERENCE_SECONDS, reference_seconds  # noqa: E402
 
 SHAPES = ((8, 4), (64, 4), (64, 8), (64, 16))  # (K, M)
 TRACED_SHAPES = ((16, 2), (16, 4), (64, 4), (64, 8), (64, 16))
+VERIFY_CONFIGS = ((PpgMode.STORED, 4), (PpgMode.STORED, 2), (PpgMode.MUX, 2), (PpgMode.MUX, 1))
+VERIFY_TAPS, VERIFY_COEFF_WIDTH, VERIFY_INPUT_WIDTH = 4, 8, 4
 WIDTH = 16  # coefficient and sample bits
 SAMPLES = 4000
 TRACED_SAMPLES = 2000
@@ -54,15 +80,30 @@ REPEATS = 5
 SEED = 1
 
 
-def best_us_per_output(runs: dict, samples: list[int]) -> dict:
-    """Best time of each of ``runs`` in us per output, over ``REPEATS`` rounds of all in turn."""
-    best = dict.fromkeys(runs, float("inf"))
+def best_us_per_unit(runs: dict, arg, units: int) -> dict:
+    """Time of each ``run(arg)`` in us per unit: the best raw, the median in reference us.
+
+    ``REPEATS`` rounds run all of ``runs`` in turn; each call is bracketed
+    by the reference loop. A bracket that caught the host in another state
+    than the call did skews that call's reference figure, and the least of
+    them would pick such a call, so the reference figure is the median.
+    """
+    raw = {name: [] for name in runs}
+    ref = {name: [] for name in runs}
     for _ in range(REPEATS):
         for name, run in runs.items():
+            before = reference_seconds()
             start = time.perf_counter()
-            run(samples)
-            best[name] = min(best[name], time.perf_counter() - start)
-    return {name: round(t / len(samples) * 1e6, 2) for name, t in best.items()}
+            run(arg)
+            seconds = time.perf_counter() - start
+            reference = (before + reference_seconds()) / 2
+            raw[name].append(seconds)
+            ref[name].append(seconds / reference * REFERENCE_SECONDS)
+    times = {}
+    for name in runs:
+        times[f"{name}_us"] = round(min(raw[name]) / units * 1e6, 3)
+        times[f"{name}_ref_us"] = round(statistics.median(ref[name]) / units * 1e6, 3)
+    return times
 
 
 def seeded(taps: int, group_size: int, mode: PpgMode, count: int):
@@ -91,9 +132,10 @@ def measure(taps: int, group_size: int, mode: PpgMode) -> dict:
 
     if blocks(samples) != want or push(samples) != want:
         raise SystemExit(f"K={taps} M={group_size} {mode.value}: outputs differ from direct_fir")
-    times = best_us_per_output(
-        {"block_us": blocks, "push_us": push, "direct_fir_us": lambda xs: direct_fir(xs, values)},
+    times = best_us_per_unit(
+        {"block": blocks, "push": push, "direct_fir": lambda xs: direct_fir(xs, values)},
         samples,
+        len(samples),
     )
     return {"taps": taps, "group_size": group_size, "mode": mode.value, **times}
 
@@ -105,13 +147,13 @@ def measure_traced(taps: int, group_size: int, mode: PpgMode) -> dict:
 
     def traced_blocks(xs):
         filt.reset()
-        out, trace = files["traced_block_us"] = io.StringIO(), io.StringIO()
+        out, trace = files["traced_block"] = io.StringIO(), io.StringIO()
         _write_traced(out, trace, filt, xs)
 
     def push_traced(xs):
         # The per-sample loop traced runs took before blocks, record by record.
         filt.reset()
-        out, trace = files["push_traced_us"] = io.StringIO(), io.StringIO()
+        out, trace = files["push_traced"] = io.StringIO(), io.StringIO()
         for i, x in enumerate(xs):
             y, records = filt.push_traced(x)
             out.write(f"{y}\n")
@@ -131,11 +173,11 @@ def measure_traced(taps: int, group_size: int, mode: PpgMode) -> dict:
                     + "\n"
                 )
 
-    times = best_us_per_output(
-        {"traced_block_us": traced_blocks, "push_traced_us": push_traced}, samples
+    times = best_us_per_unit(
+        {"traced_block": traced_blocks, "push_traced": push_traced}, samples, len(samples)
     )
-    block_out, block_trace = files["traced_block_us"]
-    push_out, push_trace = files["push_traced_us"]
+    block_out, block_trace = files["traced_block"]
+    push_out, push_trace = files["push_traced"]
     want = "".join(f"{y}\n" for y in direct_fir(samples, values))
     if block_out.getvalue() != want or push_out.getvalue() != want:
         raise SystemExit(f"K={taps} M={group_size} {mode.value}: outputs differ from direct_fir")
@@ -144,22 +186,61 @@ def measure_traced(taps: int, group_size: int, mode: PpgMode) -> dict:
     return {"taps": taps, "group_size": group_size, "mode": mode.value, **times}
 
 
+def measure_verify(mode: PpgMode, group_size: int) -> dict:
+    rng = random.Random(f"{SEED}:verify:{group_size}")
+    half = 1 << (VERIFY_COEFF_WIDTH - 1)
+    values = [rng.randrange(-half, half) for _ in range(VERIFY_TAPS)]
+    coeffs = CoefficientSet.from_integers(values, FixedFormat(VERIFY_COEFF_WIDTH))
+    plan = partition_taps(VERIFY_TAPS, group_size)
+    windows = list(all_windows(VERIFY_TAPS, VERIFY_INPUT_WIDTH))
+
+    def checked(given):
+        result = verify_windows(
+            coeffs, plan, mode, input_width=VERIFY_INPUT_WIDTH, windows=given
+        )
+        if result != (len(windows), []):
+            raise SystemExit(f"verify {mode.value} M={group_size}: {result[0]}, {result[1]}")
+
+    times = best_us_per_unit(
+        {
+            "all_windows": lambda _: checked(all_windows(VERIFY_TAPS, VERIFY_INPUT_WIDTH)),
+            "list": checked,
+        },
+        windows,
+        len(windows),
+    )
+    return {"taps": VERIFY_TAPS, "group_size": group_size, "mode": mode.value, **times}
+
+
 def main() -> int:
     rows = [measure(k, m, mode) for k, m in SHAPES for mode in PpgMode]
     for row in rows:
-        row["push_over_block"] = round(row["push_us"] / row["block_us"], 2)
+        row["push_over_block"] = round(row["push_ref_us"] / row["block_ref_us"], 2)
     traced_rows = [measure_traced(k, m, mode) for k, m in TRACED_SHAPES for mode in PpgMode]
     for row in traced_rows:
-        row["push_traced_over_block"] = round(row["push_traced_us"] / row["traced_block_us"], 2)
+        row["push_traced_over_block"] = round(
+            row["push_traced_ref_us"] / row["traced_block_ref_us"], 2
+        )
+    verify_rows = [measure_verify(mode, m) for mode, m in VERIFY_CONFIGS]
     record = {
-        "what": "us per output; block = DaFilter.process, push = per-sample DaFilter.push, "
+        "what": "us per output (rows, traced_rows) or per window (verify_rows), raw (_us) and "
+        "in reference us (_ref_us: scaled to the reference loop taking reference_seconds, "
+        "median of REPEATS); "
+        "block = DaFilter.process, push = per-sample DaFilter.push, "
         "direct_fir = the oracle; traced_block = the CLI's trace writer over "
         "DaFilter.traced_blocks, push_traced = per-sample push_traced with json.dumps per record; "
-        "best of REPEATS in one process",
+        "all_windows / list = verify_windows over all_windows(4, 4) / the same windows in a list; "
+        "raw figures best of REPEATS, in one process",
         "width": WIDTH,
         "samples": SAMPLES,
         "traced_samples": TRACED_SAMPLES,
+        "verify_shape": {
+            "taps": VERIFY_TAPS,
+            "coeff_width": VERIFY_COEFF_WIDTH,
+            "input_width": VERIFY_INPUT_WIDTH,
+        },
         "repeats": REPEATS,
+        "reference_seconds": REFERENCE_SECONDS,
         "lanes": LANES,
         "seed": SEED,
         "python": platform.python_version(),
@@ -167,19 +248,26 @@ def main() -> int:
         "nproc": os.cpu_count(),
         "rows": rows,
         "traced_rows": traced_rows,
+        "verify_rows": verify_rows,
     }
     (ROOT / "BENCH_blocks.json").write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     for row in rows:
         print(
             f"K={row['taps']:>2} M={row['group_size']:>2} {row['mode']:<6} "
-            f"block {row['block_us']:>6} push {row['push_us']:>6} "
-            f"direct_fir {row['direct_fir_us']:>6} us/output"
+            f"block {row['block_ref_us']:>7} push {row['push_ref_us']:>7} "
+            f"direct_fir {row['direct_fir_ref_us']:>7} reference us/output"
         )
     for row in traced_rows:
         print(
             f"K={row['taps']:>2} M={row['group_size']:>2} {row['mode']:<6} "
-            f"traced block {row['traced_block_us']:>6} push_traced {row['push_traced_us']:>6} "
-            f"us/output"
+            f"traced block {row['traced_block_ref_us']:>7} "
+            f"push_traced {row['push_traced_ref_us']:>7} reference us/output"
+        )
+    for row in verify_rows:
+        print(
+            f"K={row['taps']:>2} M={row['group_size']:>2} {row['mode']:<6} "
+            f"verify all_windows {row['all_windows_ref_us']:>6} list {row['list_ref_us']:>6} "
+            f"reference us/window"
         )
     return 0
 
