@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 from .adders import DEFAULT_COST_MODEL, AdderKind, CostModel
 from .design import ArchConfig, DesignError, DesignFile
-from .engine import DaFilter, PpgMode, all_windows, verify_windows
+from .engine import DaFilter, PpgMode, _pack_table, _packs, all_windows, verify_windows
 from .numerics import AccumulatorOverflow, CoefficientSet, FixedFormat, quantize_coefficient
 from .report import (
     ArchitectureMismatch,
@@ -191,6 +191,7 @@ _RECORD = (
     '{"sample_index": %%s, "cycle": %d, "addresses": [%s], "partials": [%s], '
     '"tree_sum": %%d, "subtract": %s, "acc": %%d}\n'
 )
+_COMMA = "{}, {}".format  # joins two list items as json.dumps does
 
 
 @functools.cache
@@ -208,54 +209,16 @@ def _trace_template(packs: int, slot: str, length: int) -> str:
     )
 
 
-def _joined(columns: Sequence[Sequence[str]]) -> list[str]:
-    """Every key's text: its entries, one per column, joined as json.dumps joins list items.
-
-    Column r's entry is chosen by the key's r-th field, the first column
-    by the lowest; each column is 2^M entries long.
-    """
-    texts = list(columns[0])
-    for column in columns[1:]:
-        texts = [f"{low}, {high}" for high in column for low in texts]
-    return texts
-
-
-def _packs(items: Sequence, group_size: int) -> list[Sequence]:
-    """``items``, one per group, cut into packs of 8 // M consecutive groups."""
-    size = 8 // group_size
-    return [items[g : g + size] for g in range(0, len(items), size)]
-
-
-def _pack_texts(
-    tables: Sequence[Sequence[int]], group_size: int
-) -> tuple[list[list[str]], list[list[str]]]:
-    """Each pack's address text and partial text, by key; at most 2·256 strings a pack.
-
-    A pack's key sums its r-th group's address shifted up by M·r, so it
-    fits one byte; entry ``key`` of its lists is the text of the pack's
-    addresses and of the table entries read at them.
-    """
-    addresses = [str(a) for a in range(1 << group_size)]
-    packs = _packs(tables, group_size)
-    return (
-        [_joined([addresses] * len(pack)) for pack in packs],
-        [_joined([list(map(str, table)) for table in pack]) for pack in packs],
-    )
-
-
 def _pack_keys(addresses: Sequence[Sequence[int]], group_size: int) -> list[bytes]:
     """Each pack's keys at every cycle and lane, from its groups' address columns at once.
 
-    Addresses hold fewer than 2^M, so moving group r's column up by M·r
-    bits keeps every address in its own byte, and the columns add without
-    carries.
+    Each column is moved up by its group's shift in the pack as a whole;
+    the shifted addresses never overlap, so the columns add without carries.
     """
     keys = []
     for pack in _packs(addresses, group_size):
-        key = 0
-        for r, column in enumerate(pack):
-            key += int.from_bytes(column, "little") << (group_size * r)
-        keys.append(key.to_bytes(len(pack[0]), "little"))
+        key = sum(int.from_bytes(column, "little") << shift for shift, column in pack)
+        keys.append(key.to_bytes(len(pack[0][1]), "little"))
     return keys
 
 
@@ -272,9 +235,13 @@ def _write_traced(out, trace, filt: DaFilter, samples: Iterable[int]) -> None:
     length = filt.input_format.width
     lookups = None
     if group_size <= 8:
-        addresses, partials = _pack_texts(filt.tables(), group_size)
-        lookups = [text.__getitem__ for text in addresses + partials]
-        template = _trace_template(len(addresses), "%s", length)
+        # Each pack's address text and partial text by key, at most 2·256 strings a pack.
+        addresses = [str(a) for a in range(1 << group_size)]
+        packs = _packs([list(map(str, table)) for table in filt.tables()], group_size)
+        texts = [_pack_table([addresses] * len(pack), _COMMA) for pack in packs]
+        texts += [_pack_table([column for _, column in pack], _COMMA) for pack in packs]
+        lookups = [text.__getitem__ for text in texts]
+        template = _trace_template(len(packs), "%s", length)
     else:
         template = _trace_template(filt.plan.num_groups, "%d", length)
     first = 0
@@ -313,6 +280,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.exhaustive and args.seed is not None:
+        raise CliError("--seed applies to --random only")
     design = _load_design(args.design)
     arch = design.arch
     if args.exhaustive:
@@ -326,7 +295,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         if args.random < 1:
             raise CliError("--random needs a positive trial count")
-        rng = random.Random(args.seed)
+        rng = random.Random(args.seed or 0)
         lo = -(1 << (arch.input_width - 1))
         hi = (1 << (arch.input_width - 1)) - 1
         windows = (
@@ -355,6 +324,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    if args.compare is None:
+        for flag in ("samples", "compare_cells", "compare_time_ns", "compare_power_mw"):
+            if getattr(args, flag) is not None:
+                raise CliError(f"--{flag.replace('_', '-')} needs --compare")
     design = _load_design(args.design)
     model = _load_cost_model(args.cost_model)
     external = _external_figures(args.cells, args.time_ns, args.power_mw, "")
@@ -416,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--exhaustive", action="store_true")
     mode.add_argument("--random", type=int, metavar="N")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
 
     p = sub.add_parser("report", help="print resource accounting as JSON")
     p.add_argument("--design", required=True)

@@ -22,7 +22,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from itertools import chain, islice, product, repeat, takewhile
-from operator import and_, itemgetter, mul
+from operator import add, and_, itemgetter, mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .adders import (
@@ -789,6 +789,50 @@ def _read_biased(planes: Sequence[bytes], addresses: bytes, size: int) -> bytear
     return buffer
 
 
+def _packs(items: Sequence, group_size: int) -> list[list[tuple[int, object]]]:
+    """``items``, one per group of M <= 8, as packs of ⌊8/M⌋ consecutive (shift, item) pairs.
+
+    A pack is read at one byte, its key: its r-th group's address moved up
+    by the shift M·r, summed. Addresses hold fewer than 2^M, so they never
+    overlap; :func:`_pack_table` gives a pack's entry at each key.
+    """
+    size = 8 // group_size
+    return [
+        [(group_size * r, item) for r, item in enumerate(items[g : g + size])]
+        for g in range(0, len(items), size)
+    ]
+
+
+def _pack_table(columns: Sequence[Sequence], join: Callable = add) -> list:
+    """A pack's entry at every key: its groups' entries at the key's fields, joined in order.
+
+    Column r holds the r-th group's 2^M entries, chosen by the key's r-th
+    M-bit field; ``join`` combines a lower column's entry with a higher
+    one's (for tables, their sum).
+    """
+    entries = list(columns[0])
+    for column in columns[1:]:
+        entries = [join(low, high) for high in column for low in entries]
+    return entries
+
+
+def _split(table: Sequence[int]) -> tuple[Sequence[int], Sequence[int]] | None:
+    """A table of 2^M > 256 entries as its halves T[:256] and T[::256], if it is their sum.
+
+    That is when T[256h + l] == T[256h] + T[l] for every h and l, which
+    makes T[0] zero: then the entry at address a is the low half's at its
+    low byte plus the high half's at the rest. Every subset-sum table
+    passes, the high byte selecting members 8 and up. Checked one
+    256-entry row at a time; None at the first row that differs.
+    """
+    low = table[:256]
+    for h in range(0, len(table), 256):
+        base = table[h]
+        if list(table[h : h + 256]) != [base + v for v in low]:
+            return None
+    return low, table[::256]
+
+
 _BITS = tuple(bytes((b >> i) & 1 for b in range(256)) for i in range(8))  # bit i of a byte
 
 
@@ -952,6 +996,51 @@ def _signed_items(data: bytes, size: int) -> Sequence[int]:
     return _little_endian(array(_SIGNED_CODES[size], data))
 
 
+def _block_reads(
+    tables: Sequence[Sequence[int]],
+    members: Sequence[Sequence[tuple[int, int]]],
+    group_size: int,
+    partial_width: int,
+    traced: bool,
+) -> tuple[list, list, int, int]:
+    """The table reads of a block: what is read where, and how wide their sum is.
+
+    Returns the reads made by ``bytes.translate`` of 8-bit addresses, as
+    (byte planes, (address bit, tap) members, bias), the (table, members)
+    of the groups gathered instead, the sum of every read's bias, and the
+    signed bits any sum of one lane and cycle's reads takes. Untraced,
+    each of :func:`_packs` is one read (M <= 8), and a table
+    :func:`_split` can split is two, at its low and high address bytes
+    (M > 8); any other table is gathered. Traced, every group is read on
+    its own, as a pack of one or a gather, since its reads are kept.
+    """
+    reads = []
+    gathers = []
+    widths = []
+    if group_size <= 8:
+        # With traced reads, every group is a pack of its own, as for M = 8.
+        for pack in _packs(list(zip(tables, members)), 8 if traced else group_size):
+            width = tree_output_width(partial_width, len(pack))
+            table = _pack_table([t for _, (t, _) in pack])
+            bits = [(shift + j, k) for shift, (_, group) in pack for j, k in group]
+            reads.append((_byte_planes(table, width), bits, 1 << (width - 1)))
+            widths.append(width)
+    else:
+        for table, group in zip(tables, members):
+            halves = None if traced else _split(table)
+            if halves is None:
+                gathers.append((table, group))
+                widths.append(partial_width)
+                continue
+            low = [(j, k) for j, k in group if j < 8]
+            high = [(j - 8, k) for j, k in group if j >= 8]
+            for half, bits in zip(halves, (low, high)):
+                reads.append((_byte_planes(half, partial_width), bits, 1 << (partial_width - 1)))
+                widths.append(partial_width)
+    offset = sum(bias for _, _, bias in reads) + len(gathers) * (1 << (partial_width - 1))
+    return reads, gathers, offset, tree_output_width(max(widths), len(widths))
+
+
 def _block_datapath(
     coeffs: CoefficientSet,
     plan: PartitionPlan,
@@ -963,52 +1052,49 @@ def _block_datapath(
     The bound function takes K - 1 + N samples, oldest first, and returns
     the N inner products of their last N windows, unchecked against the
     accumulator range. Output i's tap k is stream item i + K - 1 - k, so
-    the address former ``verify_windows`` uses gives each group's
-    addresses for all L cycles. Table entries are read as packed fields,
-    one per lane and cycle: with M <= 8 each table is kept as byte-planes
-    of its entries biased by the partial-product bound, and a group's reads
-    are one ``bytes.translate`` per entry byte into a strided buffer; above
-    that they are gathered straight from the tables, packed signed, and
-    their signs fixed and bias added by whole-block operations. Mux mode
-    reads the same subset sums, formed on the first block. The sums over
-    groups are widened to accumulator fields, split by cycle, shifted and
-    accumulated with the sign cycle subtracted, and unpacked once.
+    the address former ``verify_windows`` uses gives each read's addresses
+    for all L cycles. Table entries are read as packed fields, one per lane
+    and cycle (see :func:`_block_reads`): a table read at 8-bit addresses
+    is kept as byte-planes of its entries biased by half its range, and
+    read with one ``bytes.translate`` per entry byte into a strided buffer; a
+    gathered group's entries are taken straight from its table, packed
+    signed, and their signs fixed and bias added by whole-block
+    operations. Mux mode reads the same subset sums, formed on the first
+    block. The sums of each lane and cycle's reads are widened to
+    accumulator fields, split by cycle, shifted and accumulated with the
+    sign cycle subtracted, and unpacked once.
 
     With ``traced`` it returns a :class:`TracedBlock` instead: the outputs
-    with the addresses and reads it formed and each cycle's sums and
-    accumulator, unbiased by whole-block operations.
+    with the addresses and reads it formed for each group and each cycle's
+    sums and accumulator, unbiased by whole-block operations.
 
-    Fields hold tree width + L bits, more than any value entries that
-    ``check_tables`` accepts can reach, so no table can wrap one.
+    Fields hold the reads' sum width + L bits, more than any value entries
+    that ``check_tables`` accepts can reach, so no table can wrap one.
     """
     length = input_width
     num_taps = len(coeffs)
     members = [[(j, k) for j, k in enumerate(g) if k is not None] for g in plan.groups]
     partial_width = partial_product_width(coeffs.format.width, plan.group_size)
-    bias = 1 << (partial_width - 1)
-    groups = plan.num_groups
-    tree_width = tree_output_width(partial_width, groups)
     size = _item_size(max(length, plan.group_size))
-    width = _item_size(plan.group_size)
-    bytewise = width == 1
-    # Bytes per lane of the accumulator: an array item size up to 64 bits.
-    field = _field_size(tree_width + length)
-    reads: list = []  # per group: byte-planes (bytewise) or the table itself
-
-    def bind(tables: Sequence[Sequence[int]]) -> None:
-        reads.extend([_byte_planes(t, partial_width) for t in tables] if bytewise else tables)
-
-    if tables is not None:
-        bind(tables)
+    routes: dict[bool, tuple] = {}  # traced or not: the reads of _block_reads, bound on first use
 
     def run(stream: list[int], traced: bool = False) -> list[int] | TracedBlock:
-        if not reads:
-            bind([_subset_sums(coeffs.values, g) for g in plan.groups])
+        nonlocal tables
+        if traced not in routes:
+            if tables is None:
+                tables = [_subset_sums(coeffs.values, g) for g in plan.groups]
+            routes[traced] = _block_reads(tables, members, plan.group_size, partial_width, traced)
+        reads, gathers, bias, sum_width = routes[traced]
         count = len(stream) - num_taps + 1
         reads_per_group = count * length
-        # Bytes per lane of a group sum: the fewest whole bytes for byte-plane
-        # reads, unless traced; array item sizes where values pass through arrays.
-        narrow = -(-tree_width // 8) if bytewise and not traced else _field_size(tree_width)
+        # Bytes per lane of a sum of reads: the fewest whole bytes for
+        # byte-plane reads, unless traced; array item sizes where values
+        # pass through arrays.
+        narrow = _field_size(sum_width) if traced or gathers else -(-sum_width // 8)
+        # Bytes per lane of the accumulator: an array item size up to 64 bits.
+        field = _field_size(sum_width + length)
+        # Bytes per address: one, unless a gathered group takes wider ones.
+        width = _item_size(plan.group_size) if gathers else 1
         samples = _little_endian(array(_SIGNED_CODES[size], stream)).tobytes()
         address = _address_former(
             [int.from_bytes(_bit_planes(samples, size, length, width), "little")] * num_taps,
@@ -1031,24 +1117,23 @@ def _block_datapath(
 
             kept_addresses: list = []
             kept_partials: list = []
-        # Biased reads of every group, lane-by-cycle, summed over groups.
+        # Biased reads of every unit and group, lane-by-cycle, summed.
         total = 0
-        if bytewise:
-            for planes, group in zip(reads, members):
-                addresses = address(group)
-                value = int.from_bytes(_read_biased(planes, addresses, narrow), "little")
-                total += value
-                if traced:
-                    kept_addresses.append(addresses)
-                    kept_partials.append(unbiased(value, bias))
-        else:
+        for planes, bits, read_bias in reads:
+            addresses = address(bits)[::width]  # the low byte of wider items
+            value = int.from_bytes(_read_biased(planes, addresses, narrow), "little")
+            total += value
+            if traced:
+                kept_addresses.append(addresses)
+                kept_partials.append(unbiased(value, read_bias))
+        if gathers:
             signs = _repeated(1 << (8 * narrow - 1), narrow, reads_per_group)
             negatives = 0
-            for table, group in zip(reads, members):
+            for table, group in gathers:
                 # count * length >= 2 addresses, so itemgetter returns a tuple
                 addresses = _little_endian(array(_UNSIGNED_CODES[width], address(group)))
                 entries = itemgetter(*addresses)(table)
-                data, _ = _pack(entries, tree_width)
+                data, _ = _pack(entries, 8 * narrow)
                 packed = int.from_bytes(data, "little")
                 total += packed
                 negatives += packed & signs
@@ -1057,7 +1142,8 @@ def _block_datapath(
                     kept_partials.append(entries)
             # Each field read as unsigned is off by twice its sign bit; the
             # bias then makes every sum nonnegative, as in the byte-planes.
-            total += _repeated(groups * bias, narrow, reads_per_group) - (negatives << 1)
+            gathered_bias = len(gathers) << (partial_width - 1)
+            total += _repeated(gathered_bias, narrow, reads_per_group) - (negatives << 1)
         # Every sum is nonnegative, so widening its field is a zero fill.
         sums = total.to_bytes(narrow * reads_per_group, "little")
         wide = bytearray(field * reads_per_group)
@@ -1065,20 +1151,20 @@ def _block_datapath(
             wide[b::field] = sums[b::narrow]
         view = memoryview(wide)
         lanes = field * count
-        # Reads carried +bias each: -groups*bias per lane in all. Half the
-        # field's range on top makes every field nonnegative; flipping its
-        # top bit then leaves two's complement.
+        # Reads carried +bias in all per lane. Half the field's range on top
+        # makes every field nonnegative; flipping its top bit then leaves
+        # two's complement.
         top = 1 << (8 * field - 1)
         units = _repeated(1, field, count)
         flip = top * units
-        acc = (top + groups * bias) * units
+        acc = (top + bias) * units
         snapshots = []
         for n in range(length):
             part = int.from_bytes(view[n * lanes : (n + 1) * lanes], "little") << n
             acc = acc - part if n == length - 1 else acc + part
             if traced and n < length - 1:
-                # After cycle n the biases add groups * bias * 2^(n+1) per lane.
-                offset = (groups * bias << (n + 1)) * units
+                # After cycle n the biases add bias * 2^(n+1) per lane.
+                offset = (bias << (n + 1)) * units
                 snapshots.append(((acc - offset) ^ flip).to_bytes(lanes, "little"))
         data = (acc ^ flip).to_bytes(lanes, "little")
         outputs = _signed_items(data, field)
@@ -1091,7 +1177,7 @@ def _block_datapath(
             count,
             tuple(kept_addresses),
             tuple(kept_partials),
-            unbiased(total, groups * bias),
+            unbiased(total, bias),
             _signed_items(b"".join(snapshots), field),
         )
 

@@ -656,6 +656,23 @@ class TestCmdVerify:
         assert code == 0
         assert "500/500 ok" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("seed", ["7", "0"])
+    def test_seed_with_exhaustive_is_refused(self, workspace, capsys, seed):
+        design = self.make_design(workspace)
+        capsys.readouterr()
+        code = main(["verify", "--design", str(design), "--exhaustive", "--seed", seed])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: --seed applies to --random only\n")
+
+    def test_random_without_seed_uses_seed_zero(self, workspace, capsys):
+        design = self.make_design(workspace)
+        capsys.readouterr()
+        runs = []
+        for seed in ([], ["--seed", "0"]):
+            assert main(["verify", "--design", str(design), "--random", "50", *seed]) == 0
+            runs.append(capsys.readouterr())
+        assert runs[0] == runs[1] == ("50/50 ok\n", "")
+
     def test_exhaustive_cap(self, workspace, capsys):
         design = self.make_design(workspace, "3\n-5\n7\n-9\n11\n", width=5)  # 5 * 5 bits > 24
         code = main(["verify", "--design", str(design), "--exhaustive"])
@@ -827,6 +844,24 @@ class TestCmdReport:
         code = main(["report", "--design", str(design), "--cells", "606"])
         assert code == 2
         assert "together" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--samples", "nonexistent.txt"),
+            ("--compare-cells", "5"),
+            ("--compare-time-ns", "2.5"),
+            ("--compare-power-mw", "1.0"),
+        ],
+    )
+    def test_compare_flags_without_compare_are_refused(self, workspace, capsys, flag, value):
+        design = run_design(workspace)
+        capsys.readouterr()
+        code = main(["report", "--design", str(design), flag, value])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {flag} needs --compare\n"
 
 
 class TestUsage:

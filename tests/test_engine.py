@@ -1214,6 +1214,77 @@ def block_cases(draw):
     return coeffs, plan, mode, input_width, luts, samples, more
 
 
+def edited_luts(coeffs, plan, edits):
+    """The derived tables with ``edits``, (group, address, value) triples, written in."""
+    luts = [list(build_lut(coeffs, g).entries) for g in plan.groups]
+    for g, address, value in edits:
+        luts[g][address] = value
+    return luts
+
+
+@st.composite
+def route_cases(draw):
+    """Streams on every read route of blocks: packs, splits and gathers.
+
+    M <= 4 reads packs of ⌊8/M⌋ groups (M = 3 with a short last pack when
+    its group count is odd); above 8, a separable table is read as its two
+    address bytes' halves and any other one is gathered. Stored tables are
+    derived, separable without being derived (any halves whose sums stay
+    in bound), or derived with single edits at address 0, at 256h, at
+    l < 256 or at 256h + l. Few taps in large groups leave the accumulator
+    narrower than the entries allow, so large entries can overflow it.
+    """
+    group_size = draw(st.sampled_from([1, 2, 3, 4, *range(9, 17)]))
+    num_taps = draw(st.one_of(st.integers(1, 3), st.integers(min(group_size, 9), 40)))
+    input_width = draw(st.integers(2, 16))
+    coeff_width = draw(st.integers(2, 16))
+    bound = 1 << (coeff_width - 1)
+    values = draw(
+        st.lists(st.integers(-bound, bound - 1), min_size=num_taps, max_size=num_taps)
+    )
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    coeffs = coeff_set(values, coeff_width)
+    plan = partition_taps(num_taps, group_size)
+    mode, kind = draw(
+        st.sampled_from(
+            [
+                (PpgMode.STORED, "edited"),
+                (PpgMode.STORED, "separable"),
+                (PpgMode.STORED, "derived"),
+                (PpgMode.MUX, "derived"),
+            ]
+        )
+    )
+    luts = None
+    if kind != "derived":
+        top = 1 << (partial_product_width(coeff_width, group_size) - 1)
+        size = 1 << group_size
+        luts = [list(build_lut(coeffs, g).entries) for g in plan.groups]
+    if kind == "separable" and group_size > 8:
+        for g in range(plan.num_groups):
+            # low in [-a, a - 1] and high in [a - top, top - a - 1] sum within the bound
+            a = rng.randint(1, top - 1)
+            low = [0] + [rng.choice((-a, a - 1, rng.randint(-a, a - 1))) for _ in range(255)]
+            high = [0] + [
+                rng.choice((a - top, top - a - 1, rng.randint(a - top, top - a - 1)))
+                for _ in range(size // 256 - 1)
+            ]
+            luts[g] = [h + v for h in high for v in low]
+    elif kind != "derived":
+        for _ in range(rng.randint(1, 2)):
+            # Edits where every real member's bit is set are read often.
+            g = rng.randrange(plan.num_groups)
+            everyone = sum(1 << j for j, k in enumerate(plan.groups[g]) if k is not None)
+            low = rng.choice((everyone, rng.randrange(1, size))) & 255 or 1
+            high = rng.choice((everyone, rng.randrange(size))) & (size - 256 if size > 256 else 0)
+            address = rng.choice((0, high, low, high + low))
+            luts[g][address] = rng.choice((-top, top - 1, rng.randint(-top, top - 1)))
+    count = draw(st.sampled_from([37, engine.LANES + 1, 2 * engine.LANES + 3, 1]))
+    lo, hi = -(1 << (input_width - 1)), (1 << (input_width - 1)) - 1
+    samples = [rng.choice((lo, hi, -1, 0, rng.randint(lo, hi))) for _ in range(count)]
+    return coeffs, plan, mode, input_width, luts, samples
+
+
 class TestBlocks:
     """Block evaluation: LANES outputs at a time, equal to push and to direct_fir."""
 
@@ -1349,6 +1420,83 @@ class TestBlocks:
         assert first_difference(trace.getvalue(), want) is None
         if error == (None, None) and luts is None:
             assert [y for y, _ in pairs] == direct_fir(samples, coeffs)
+
+    @settings(deadline=None, max_examples=60)
+    @given(route_cases())
+    @example(  # M = 9: a high half of 2 entries; the second group's holds no member
+        (coeff_set([(-1) ** k * (k + 90) for k in range(12)]), partition_taps(12, 9),
+         PpgMode.STORED, 8, None, [-128, 127, -1, 0, 85, -86] * 180)
+    )
+    @example(  # two halves of 16 bits sum to 17: the one-group tree's 2 bytes cannot hold it
+        (coeff_set([2047 - 273 * k for k in range(16)], 12), partition_taps(16, 16),
+         PpgMode.STORED, 10, None, [-512, 511, -1, 0, 341, -342] * 200)
+    )
+    @example(  # an edit in the low row breaks separability, read with the high byte set
+        (coeff_set([(-1) ** k * (k + 90) for k in range(16)]), partition_taps(16, 16),
+         PpgMode.STORED, 8, edited_luts(coeff_set([(-1) ** k * (k + 90) for k in range(16)]),
+                                        partition_taps(16, 16), [(0, 255, 7)]),
+         [-1] * 20 + [-128, 127, -1, 0, 85, -86] * 10)
+    )
+    @example(  # M = 3, five groups: packs of two, the last pack one group
+        (coeff_set(list(range(-7, 8))), partition_taps(15, 3), PpgMode.MUX, 5, None,
+         [-16, 15, -1, 0, 7] * 300)
+    )
+    def test_every_read_route_equals_push_and_direct_fir(self, case):
+        coeffs, plan, mode, input_width, luts, samples = case
+        block = DaFilter(coeffs, plan, mode, input_width=input_width, luts=luts)
+        scalar = DaFilter(coeffs, plan, mode, input_width=input_width, luts=luts)
+        sizes = []
+        got = stream_outcome(blocked(block, samples, sizes))
+        want = stream_outcome(pushed(scalar, samples))
+        assert got == want
+        if want[1] is None and luts is None:
+            assert got[0] == direct_fir(samples, coeffs)
+
+    def test_separable_tables_are_split_and_edited_ones_gathered(self, monkeypatch):
+        coeffs = coeff_set([(-1) ** k * (100 + 7 * k) for k in range(20)], 16)
+        plan = partition_taps(20, 16)
+        derived = [list(build_lut(coeffs, g).entries) for g in plan.groups]
+        routes = []
+        split = engine._split
+
+        def spy(table):
+            halves = split(table)
+            routes.append(halves is not None)
+            return halves
+
+        monkeypatch.setattr(engine, "_split", spy)
+        stream = [(-1) ** i * (37 * i % 128) for i in range(1500)]
+        want = direct_fir(stream, coeffs)
+        for mode in PpgMode:
+            assert DaFilter(coeffs, plan, mode, input_width=8).process(stream) == want
+            assert routes == [True, True]
+            routes.clear()
+        # A table edited at one entry, in row 0 or a later one, is gathered.
+        for address in (0, 77, 256 * 3, 256 * 5 + 9):
+            luts = [list(t) for t in derived]
+            luts[0][address] += 1
+            filt = DaFilter(coeffs, plan, input_width=8, luts=luts)
+            scalar = DaFilter(coeffs, plan, input_width=8, luts=luts)
+            assert filt.process(stream) == [scalar.push(x) for x in stream]
+            assert routes == [False, True]
+            routes.clear()
+
+    def test_overflow_on_the_split_route_is_raised_where_push_raises_it(self):
+        # Two taps in a group of 16 read halves whose sums reach the
+        # bound; the sample -128 after 0 reads 2046 on the subtracted
+        # cycle alone, and -2046 * 128 leaves the 17-bit accumulator.
+        coeffs = coeff_set([5, -3])
+        plan = partition_taps(2, 16)
+        low = [0, 2046, -2047] + [0] * 253
+        luts = [[h + v for h in [0, -1] * 128 for v in low]]
+        assert engine._split(luts[0]) is not None
+        stream = [3, 2, 1, 0] * 375 + [-128, 127, 1]
+        filt = DaFilter(coeffs, plan, input_width=8, luts=luts)
+        scalar = DaFilter(coeffs, plan, input_width=8, luts=luts)
+        got = stream_outcome(blocked(filt, stream, []))
+        want = stream_outcome(pushed(scalar, stream))
+        assert got == want
+        assert len(want[0]) == 1500 and want[1] is AccumulatorOverflow
 
     def test_overflow_yields_the_outputs_before_it(self):
         # Two taps in a padded group of four, entry 1 edited to -512: the

@@ -14,6 +14,14 @@ oracle). Every output must equal the oracle's. Each timing is the best of
 speed between rounds affects all three alike. Mux mode forms its tables on its first block;
 a warm-up block is run first, so the figures are steady-state.
 
+Each row names the route its blocks read tables by: ``pack`` (M <= 8,
+⌊8/M⌋ groups read at one byte key), ``split`` (M > 8, a separable table
+read as its low and high address bytes' halves) or ``gather`` (M > 8, a
+table that is not separable, its entries gathered one by one). The
+``EDITED`` row is stored K = 64, M = 16 with one entry of its first
+table off by one at an address with both bytes nonzero, which makes it
+inseparable; its outputs must equal ``push``'s instead of the oracle's.
+
 Traced rows time what ``dafir run --trace`` does per output at the
 ``TRACED_SHAPES``: the command line's trace writer, which runs
 ``DaFilter.traced_blocks`` and renders each record (addresses and partials
@@ -63,13 +71,15 @@ from dafir.engine import (  # noqa: E402
     DaFilter,
     PpgMode,
     all_windows,
+    build_lut,
     partition_taps,
     verify_windows,
 )
 from dafir.numerics import CoefficientSet, FixedFormat, direct_fir  # noqa: E402
 from workloads import REFERENCE_SECONDS, reference_seconds  # noqa: E402
 
-SHAPES = ((8, 4), (64, 4), (64, 8), (64, 16))  # (K, M)
+SHAPES = ((8, 4), (64, 2), (64, 4), (64, 8), (64, 16))  # (K, M)
+EDITED = (64, 16)  # (K, M) of the stored row whose first table has one edited entry
 TRACED_SHAPES = ((16, 2), (16, 4), (64, 4), (64, 8), (64, 16))
 VERIFY_CONFIGS = ((PpgMode.STORED, 4), (PpgMode.STORED, 2), (PpgMode.MUX, 2), (PpgMode.MUX, 1))
 VERIFY_TAPS, VERIFY_COEFF_WIDTH, VERIFY_INPUT_WIDTH = 4, 8, 4
@@ -106,20 +116,28 @@ def best_us_per_unit(runs: dict, arg, units: int) -> dict:
     return times
 
 
-def seeded(taps: int, group_size: int, mode: PpgMode, count: int):
-    """A filter at the shape, its coefficients and a seeded stream of ``count`` samples."""
+def seeded(taps: int, group_size: int, mode: PpgMode, count: int, edited: bool = False):
+    """A filter at the shape, its coefficients and a seeded stream of ``count`` samples.
+
+    With ``edited``, stored entry 257 of the first table is one more than
+    its subset sum.
+    """
     rng = random.Random(f"{SEED}:{taps}:{group_size}")
     half = 1 << (WIDTH - 1)
     values = [rng.randrange(-half, half) for _ in range(taps)]
     samples = [rng.randrange(-half, half) for _ in range(count)]
     coeffs = CoefficientSet.from_integers(values, FixedFormat(WIDTH))
-    filt = DaFilter(coeffs, partition_taps(taps, group_size), mode, input_width=WIDTH)
+    plan = partition_taps(taps, group_size)
+    luts = None
+    if edited:
+        luts = [list(build_lut(coeffs, g).entries) for g in plan.groups]
+        luts[0][257] += 1
+    filt = DaFilter(coeffs, plan, mode, input_width=WIDTH, luts=luts)
     return filt, values, samples
 
 
-def measure(taps: int, group_size: int, mode: PpgMode) -> dict:
-    filt, values, samples = seeded(taps, group_size, mode, SAMPLES)
-    want = direct_fir(samples, values)
+def measure(taps: int, group_size: int, mode: PpgMode, edited: bool = False) -> dict:
+    filt, values, samples = seeded(taps, group_size, mode, SAMPLES, edited)
     filt.process(samples[:1])  # warm-up: mux mode forms its tables here
 
     def blocks(xs):
@@ -130,14 +148,16 @@ def measure(taps: int, group_size: int, mode: PpgMode) -> dict:
         filt.reset()
         return [filt.push(x) for x in xs]
 
+    want = push(samples) if edited else direct_fir(samples, values)
     if blocks(samples) != want or push(samples) != want:
-        raise SystemExit(f"K={taps} M={group_size} {mode.value}: outputs differ from direct_fir")
+        raise SystemExit(f"K={taps} M={group_size} {mode.value}: outputs differ")
     times = best_us_per_unit(
         {"block": blocks, "push": push, "direct_fir": lambda xs: direct_fir(xs, values)},
         samples,
         len(samples),
     )
-    return {"taps": taps, "group_size": group_size, "mode": mode.value, **times}
+    route = "gather" if edited else "split" if group_size > 8 else "pack"
+    return {"taps": taps, "group_size": group_size, "mode": mode.value, "route": route, **times}
 
 
 def measure_traced(taps: int, group_size: int, mode: PpgMode) -> dict:
@@ -214,6 +234,7 @@ def measure_verify(mode: PpgMode, group_size: int) -> dict:
 
 def main() -> int:
     rows = [measure(k, m, mode) for k, m in SHAPES for mode in PpgMode]
+    rows.append(measure(*EDITED, PpgMode.STORED, edited=True))
     for row in rows:
         row["push_over_block"] = round(row["push_ref_us"] / row["block_ref_us"], 2)
     traced_rows = [measure_traced(k, m, mode) for k, m in TRACED_SHAPES for mode in PpgMode]
@@ -226,7 +247,8 @@ def main() -> int:
         "what": "us per output (rows, traced_rows) or per window (verify_rows), raw (_us) and "
         "in reference us (_ref_us: scaled to the reference loop taking reference_seconds, "
         "median of REPEATS); "
-        "block = DaFilter.process, push = per-sample DaFilter.push, "
+        "block = DaFilter.process (route: how its blocks read tables), "
+        "push = per-sample DaFilter.push, "
         "direct_fir = the oracle; traced_block = the CLI's trace writer over "
         "DaFilter.traced_blocks, push_traced = per-sample push_traced with json.dumps per record; "
         "all_windows / list = verify_windows over all_windows(4, 4) / the same windows in a list; "
@@ -253,7 +275,7 @@ def main() -> int:
     (ROOT / "BENCH_blocks.json").write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     for row in rows:
         print(
-            f"K={row['taps']:>2} M={row['group_size']:>2} {row['mode']:<6} "
+            f"K={row['taps']:>2} M={row['group_size']:>2} {row['mode']:<6} {row['route']:<6} "
             f"block {row['block_ref_us']:>7} push {row['push_ref_us']:>7} "
             f"direct_fir {row['direct_fir_ref_us']:>7} reference us/output"
         )
