@@ -201,9 +201,11 @@ class _CheckedTables(tuple):
 
     Only ``check_tables`` makes one, and its tables are tuples of ints, so
     the same tables checked for the same shape pass again without a scan.
+    ``halves`` holds each table's :func:`_split`, None for M <= 8.
     """
 
     shape: tuple[int, int, int]
+    halves: tuple[tuple[Sequence[int], Sequence[int]] | None, ...]
 
 
 def check_tables(
@@ -217,6 +219,7 @@ def check_tables(
     reach an accumulator; design files and injected tables share this check.
     Tables this function returned pass again at once for the same group
     size, group count and coefficient width (a loaded design's filter).
+    An M > 8 table that splits (:func:`_split`) has its halves' range.
     """
     shape = (plan.group_size, plan.num_groups, coeff_width)
     if type(luts) is _CheckedTables and luts.shape == shape:
@@ -226,6 +229,7 @@ def check_tables(
     want = 1 << plan.group_size
     bound = 1 << (partial_product_width(coeff_width, plan.group_size) - 1)
     tables = []
+    splits = []
     for i, entries in enumerate(luts):
         if (
             not isinstance(entries, (list, tuple))
@@ -233,15 +237,20 @@ def check_tables(
             or set(map(type, entries)) != {int}
         ):
             raise ValueError(f"table {i} must be a list of {want} integers")
-        if min(entries) < -bound or max(entries) >= bound:
-            v = next(v for v in entries if not -bound <= v < bound)
+        table = tuple(entries)
+        halves = _split(table) if plan.group_size > 8 else None
+        lo, hi = (sum(map(extreme, halves or (table,))) for extreme in (min, max))
+        if lo < -bound or hi >= bound:
+            v = next(v for v in table if not -bound <= v < bound)
             raise ValueError(
                 f"table {i} entry {v} cannot be a sum of "
                 f"{plan.group_size} coefficients of {coeff_width} bits"
             )
-        tables.append(tuple(entries))
+        tables.append(table)
+        splits.append(halves)
     checked = _CheckedTables(tables)
     checked.shape = shape
+    checked.halves = tuple(splits)
     return checked
 
 
@@ -305,9 +314,10 @@ class TracedBlock(NamedTuple):
     """A block of consecutive outputs with their cycle records, as cycle-major columns.
 
     Entry ``n * stride + i`` of a column belongs to output i at cycle n,
-    for i below ``len(outputs)``: per group the table address and the
-    partial product read there, then the tree sum over groups and the
-    accumulator after the cycle. Together they hold the fields of the
+    for i below ``len(outputs)``: per group the table address and (M > 8)
+    the partial product read there, then the tree sum over groups and the
+    accumulator after the cycle. With ``DaFilter.tables()``' entries at the
+    addresses as partials for M <= 8, they hold the fields of the
     CycleRecords ``DaFilter.push_traced`` gives for the same samples.
     """
 
@@ -326,6 +336,7 @@ class TracedBlock(NamedTuple):
             c[start:stop] if isinstance(c, (list, tuple)) else memoryview(c)[start:stop]
             for c in (*self.addresses, *self.partials, self.sums, self.acc)
         ]
+
 
 
 def _check_inputs(
@@ -590,7 +601,8 @@ class DaFilter:
         self._run, self._spreader = _schedule(
             coeffs, plan, ppg_mode, input_width, tables, tree, bit_level
         )
-        self._block = None if bit_level else _block_datapath(coeffs, plan, tables, input_width)
+        halves = tables.halves if type(tables) is _CheckedTables else None
+        self._block = None if bit_level else _block_datapath(coeffs, plan, halves, input_width)
         self._acc_width = required_accumulator_width(len(coeffs), coeffs.format.width, input_width)
         self.reset()
 
@@ -599,11 +611,11 @@ class DaFilter:
 
         Stored mode's are its checked tables as given (edited entries
         included); mux mode's are the subset sums of its coefficients,
-        formed on each call.
+        formed on the first call and kept.
         """
-        if self._tables is not None:
-            return self._tables
-        return tuple(_subset_sums(self.coeffs.values, g) for g in self.plan.groups)
+        if self._tables is None:
+            self._tables = tuple(_subset_sums(self.coeffs.values, g) for g in self.plan.groups)
+        return self._tables
 
     def _admit(self, sample: int) -> None:
         x = self.input_format.check(sample, "sample")
@@ -654,7 +666,7 @@ class DaFilter:
                     [y],
                     1,
                     tuple(zip(*(r.addresses for r in records))),
-                    tuple(zip(*(r.partials for r in records))),
+                    tuple(zip(*(r.partials for r in records))) if self.plan.group_size > 8 else (),
                     [r.tree_sum for r in records],
                     [r.acc_after for r in records],
                 )
@@ -669,7 +681,7 @@ class DaFilter:
             if not (set(map(type, chunk)) == {int} and lo <= min(chunk) and max(chunk) <= hi):
                 good = list(takewhile(lambda x: type(x) is int and lo <= x <= hi, chunk))
             if good:
-                block = self._block(self._delay[:history][::-1] + good, traced)
+                block = self._block(self._delay[:history][::-1] + good, self.tables, traced)
                 outputs = block.outputs if traced else block
                 if min(outputs) < -bound or max(outputs) >= bound:
                     bad = next(i for i, y in enumerate(outputs) if not -bound <= y < bound)
@@ -853,24 +865,22 @@ def _bit_planes(samples: bytes, stride: int, length: int, width: int) -> bytes:
 
 
 def _address_former(
-    planes: Sequence[int], lags: Sequence[int], fields: int, lanes: int, width: int, length: int
+    planes: Sequence[int], lags: Sequence[int], fields: int, width: int, length: int
 ) -> Callable[[Sequence[tuple[int, int]]], bytes]:
     """Bind table address formation for a chunk of lanes: any group, all cycles at once.
 
     ``planes[k]`` holds bit-planes as :func:`_bit_planes` lays them out,
     segments of ``fields`` items, in which lane i's bits of tap k's sample
-    are item ``i + lags[k]``, for lanes below ``lanes``. The bound function
-    takes a group's (address bit j, tap k) pairs and returns every lane's
-    address at every cycle, cycle-major, in items of ``width`` bytes.
+    are item ``i + lags[k]``. The bound function takes a group's (address
+    bit j, tap k) pairs and returns every lane's address at every cycle,
+    cycle-major, in items of ``width`` bytes, segments of ``fields`` items.
 
     A member's part of every address at once is its planes moved up by j
     and down by its lag, whole: at most two shifts per member (a shift by
     zero would still copy the whole chunk, so none is made). Items a lag
-    pulls in from above a lane's sample, or from the next segment, lie at
-    or beyond ``lanes`` and are cut.
+    pulls in from the next segment lie at or beyond the lanes whose
+    samples the segment holds, and are not theirs.
     """
-    segment = width * fields
-    keep = width * lanes
     downs = [8 * width * lag for lag in lags]
 
     def addresses(group: Sequence[tuple[int, int]]) -> bytes:
@@ -878,12 +888,41 @@ def _address_former(
         for j, k in group:
             part = planes[k] << j if j else planes[k]
             word += part >> downs[k] if downs[k] else part
-        data = word.to_bytes(segment * length, "little")
-        if keep == segment:
-            return data
-        return b"".join(data[s : s + keep] for s in range(0, segment * length, segment))
+        return word.to_bytes(width * fields * length, "little")
 
     return addresses
+
+
+def _sliding(bits: Sequence[tuple[int, int]], num_taps: int) -> tuple[int, int] | None:
+    """(w, offset) of a read whose key bit b reads tap k0 + b for b < w, else None.
+
+    Output i's key is then V_w (:func:`_sliding_keys`) at stream position
+    i + K - w - k0: w real bits, so a padding slot reads no sample.
+    """
+    first = bits[0][1] if bits else num_taps
+    if bits != [(b, first + b) for b in range(len(bits))]:
+        return None
+    return len(bits), num_taps - len(bits) - first
+
+
+def _sliding_keys(planes: int, item: int, widths: Iterable[int], nbytes: int) -> dict[int, bytes]:
+    """The sliding keys V_w for each w in ``widths``, ``nbytes`` 8-bit keys each.
+
+    ``planes`` holds bit n of stream sample s at bit 0 of item s of
+    segment n, in items of ``item`` bytes (:func:`_bit_planes`); key s of
+    segment n of V_w is Σ_b bit_n(x[s + w - 1 - b])·2^b over b < w, which
+    every read of w consecutive taps reads at its own offset. V_(a+b) is
+    V_a moved up b bits plus V_b taken a items on: V_8 takes three steps.
+    """
+    need = set(widths)
+    for w in range(8, 1, -1):  # a width needs its halves, which are narrower
+        if w in need:
+            need |= {w // 2, w - w // 2}
+    keys = {0: 0, 1: planes}
+    for w in sorted(need - {0, 1}):
+        h = w // 2
+        keys[w] = (keys[w - h] << h) + (keys[h] >> 8 * item * (w - h))
+    return {w: keys[w].to_bytes(item * nbytes, "little")[::item] for w in widths}
 
 
 def _lane_datapath(
@@ -936,7 +975,7 @@ def _lane_datapath(
         planes = [
             int.from_bytes(_bit_planes(column, size, length, width), "little") for column in columns
         ]
-        address = _address_former(planes, [0] * num_taps, count, count, width, length)
+        address = _address_former(planes, [0] * num_taps, count, width, length)
         operands = []
         for table, group in zip(reads, members):
             # Item n*count + i is lane i's address at cycle n.
@@ -997,97 +1036,103 @@ def _signed_items(data: bytes, size: int) -> Sequence[int]:
 
 
 def _block_reads(
-    tables: Sequence[Sequence[int]],
-    members: Sequence[Sequence[tuple[int, int]]],
-    group_size: int,
+    tables: Sequence[Sequence[int]] | None,
+    halves: Sequence[tuple[Sequence[int], Sequence[int]] | None] | None,
+    plan: PartitionPlan,
     partial_width: int,
     traced: bool,
-) -> tuple[list, list, int, int]:
+) -> tuple[list, list, int, int, set[int]]:
     """The table reads of a block: what is read where, and how wide their sum is.
 
     Returns the reads made by ``bytes.translate`` of 8-bit addresses, as
-    (byte planes, (address bit, tap) members, bias), the (table, members)
-    of the groups gathered instead, the sum of every read's bias, and the
-    signed bits any sum of one lane and cycle's reads takes. Untraced,
-    each of :func:`_packs` is one read (M <= 8), and a table
-    :func:`_split` can split is two, at its low and high address bytes
-    (M > 8); any other table is gathered. Traced, every group is read on
-    its own, as a pack of one or a gather, since its reads are kept.
+    (byte planes, (address bit, tap) members, :func:`_sliding` key, bias),
+    the (table, members) of the groups gathered instead, the sum of every
+    read's bias, the signed bits any sum of one lane and cycle's reads
+    takes, and the sliding keys' widths. Untraced, each of :func:`_packs`
+    is one read (M <= 8), a table with ``halves`` is two, at its low and
+    high address bytes (M > 8), and any other table is gathered; a read of
+    consecutive taps, as every read of a consecutive plan is, slides.
+    Traced, every group is read on its own, as a pack of one or a gather,
+    at formed addresses, since its addresses are kept.
     """
+    members = [[(j, k) for j, k in enumerate(g) if k is not None] for g in plan.groups]
     reads = []
     gathers = []
     widths = []
-    if group_size <= 8:
+
+    def read(table: Sequence[int], bits: list, width: int) -> None:
+        slide = None if traced else _sliding(bits, plan.num_taps)
+        reads.append((_byte_planes(table, width), bits, slide, 1 << (width - 1)))
+        widths.append(width)
+
+    if plan.group_size <= 8:
         # With traced reads, every group is a pack of its own, as for M = 8.
-        for pack in _packs(list(zip(tables, members)), 8 if traced else group_size):
+        for pack in _packs(list(zip(tables, members)), 8 if traced else plan.group_size):
             width = tree_output_width(partial_width, len(pack))
-            table = _pack_table([t for _, (t, _) in pack])
             bits = [(shift + j, k) for shift, (_, group) in pack for j, k in group]
-            reads.append((_byte_planes(table, width), bits, 1 << (width - 1)))
-            widths.append(width)
+            read(_pack_table([t for _, (t, _) in pack]), bits, width)
     else:
-        for table, group in zip(tables, members):
-            halves = None if traced else _split(table)
-            if halves is None:
-                gathers.append((table, group))
+        for g, group in enumerate(members):
+            pair = None if traced else halves[g]
+            if pair is None:
+                gathers.append((tables[g], group))
                 widths.append(partial_width)
                 continue
-            low = [(j, k) for j, k in group if j < 8]
-            high = [(j - 8, k) for j, k in group if j >= 8]
-            for half, bits in zip(halves, (low, high)):
-                reads.append((_byte_planes(half, partial_width), bits, 1 << (partial_width - 1)))
-                widths.append(partial_width)
-    offset = sum(bias for _, _, bias in reads) + len(gathers) * (1 << (partial_width - 1))
-    return reads, gathers, offset, tree_output_width(max(widths), len(widths))
+            read(pair[0], [(j, k) for j, k in group if j < 8], partial_width)
+            read(pair[1], [(j - 8, k) for j, k in group if j >= 8], partial_width)
+    offset = sum(bias for *_, bias in reads) + len(gathers) * (1 << (partial_width - 1))
+    keys = {slide[0] for _, _, slide, _ in reads if slide}
+    return reads, gathers, offset, tree_output_width(max(widths), len(widths)), keys
 
 
 def _block_datapath(
     coeffs: CoefficientSet,
     plan: PartitionPlan,
-    tables: Sequence[Sequence[int]] | None,
+    halves: Sequence[tuple[Sequence[int], Sequence[int]] | None] | None,
     input_width: int,
 ) -> Callable[..., list[int] | TracedBlock]:
     """Bind block evaluation of a stream: consecutive outputs in lanes, one per lane.
 
-    The bound function takes K - 1 + N samples, oldest first, and returns
-    the N inner products of their last N windows, unchecked against the
-    accumulator range. Output i's tap k is stream item i + K - 1 - k, so
-    the address former ``verify_windows`` uses gives each read's addresses
-    for all L cycles. Table entries are read as packed fields, one per lane
-    and cycle (see :func:`_block_reads`): a table read at 8-bit addresses
-    is kept as byte-planes of its entries biased by half its range, and
-    read with one ``bytes.translate`` per entry byte into a strided buffer; a
-    gathered group's entries are taken straight from its table, packed
-    signed, and their signs fixed and bias added by whole-block
-    operations. Mux mode reads the same subset sums, formed on the first
-    block. The sums of each lane and cycle's reads are widened to
-    accumulator fields, split by cycle, shifted and accumulated with the
+    The bound function takes K - 1 + N samples, oldest first, and the
+    filter's ``tables()``, and returns the N inner products of their last
+    N windows, unchecked against the accumulator range. Output i's tap k
+    is stream item i + K - 1 - k. Table entries are read as packed fields,
+    one per stream position and cycle, of which each cycle's first N are
+    the outputs' lanes (see :func:`_block_reads`): a table read at 8-bit
+    sliding keys or addresses is kept as byte-planes of its entries biased
+    by half its range, and read with one ``bytes.translate`` per entry byte
+    into a strided buffer; a gathered group's entries are taken straight
+    from its table, packed signed, and their signs fixed and bias added by
+    whole-block operations. ``halves`` are checked tables' (M > 8), or
+    None for subset sums, whose halves are those of the low and high
+    members. The sums of each position and cycle's reads are widened to
+    accumulator fields; the lanes are shifted and accumulated with the
     sign cycle subtracted, and unpacked once.
 
     With ``traced`` it returns a :class:`TracedBlock` instead: the outputs
-    with the addresses and reads it formed for each group and each cycle's
-    sums and accumulator, unbiased by whole-block operations.
+    with the addresses and gathered entries it took for each group and
+    each cycle's sums and accumulator, unbiased by whole-block operations.
 
     Fields hold the reads' sum width + L bits, more than any value entries
     that ``check_tables`` accepts can reach, so no table can wrap one.
     """
     length = input_width
     num_taps = len(coeffs)
-    members = [[(j, k) for j, k in enumerate(g) if k is not None] for g in plan.groups]
     partial_width = partial_product_width(coeffs.format.width, plan.group_size)
     size = _item_size(max(length, plan.group_size))
     routes: dict[bool, tuple] = {}  # traced or not: the reads of _block_reads, bound on first use
+    if halves is None and plan.group_size > 8:
+        halves = [[_subset_sums(coeffs.values, h) for h in (g[:8], g[8:])] for g in plan.groups]
 
-    def run(stream: list[int], traced: bool = False) -> list[int] | TracedBlock:
-        nonlocal tables
+    def run(stream: list[int], tables: Callable, traced: bool = False) -> list[int] | TracedBlock:
         if traced not in routes:
-            if tables is None:
-                tables = [_subset_sums(coeffs.values, g) for g in plan.groups]
-            routes[traced] = _block_reads(tables, members, plan.group_size, partial_width, traced)
-        reads, gathers, bias, sum_width = routes[traced]
+            whole = tables() if traced or plan.group_size <= 8 or None in halves else None
+            routes[traced] = _block_reads(whole, halves, plan, partial_width, traced)
+        reads, gathers, bias, sum_width, key_widths = routes[traced]
         count = len(stream) - num_taps + 1
-        reads_per_group = count * length
-        # Bytes per lane of a sum of reads: the fewest whole bytes for
+        stride = len(stream)  # positions per cycle; the first count are the outputs' lanes
+        positions = stride * length
+        # Bytes per position of a sum of reads: the fewest whole bytes for
         # byte-plane reads, unless traced; array item sizes where values
         # pass through arrays.
         narrow = _field_size(sum_width) if traced or gathers else -(-sum_width // 8)
@@ -1096,41 +1141,28 @@ def _block_datapath(
         # Bytes per address: one, unless a gathered group takes wider ones.
         width = _item_size(plan.group_size) if gathers else 1
         samples = _little_endian(array(_SIGNED_CODES[size], stream)).tobytes()
+        planes = int.from_bytes(_bit_planes(samples, size, length, width), "little")
+        keys = _sliding_keys(planes, width, key_widths, positions)
         address = _address_former(
-            [int.from_bytes(_bit_planes(samples, size, length, width), "little")] * num_taps,
-            range(num_taps - 1, -1, -1),
-            len(stream),
-            count,
-            width,
-            length,
+            [planes] * num_taps, range(num_taps - 1, -1, -1), stride, width, length
         )
-        if traced:
-            # A field holding v + half, half = 2^(8 * narrow - 1), reads as
-            # the signed v once half is flipped off.
-            ones = _repeated(1, narrow, reads_per_group)
-            half = 1 << (8 * narrow - 1)
-
-            def unbiased(value: int, offset: int) -> Sequence[int]:
-                """Signed fields of ``value``, each holding its item plus ``offset``."""
-                value = (value + (half - offset) * ones) ^ (half * ones)
-                return _signed_items(value.to_bytes(narrow * reads_per_group, "little"), narrow)
-
-            kept_addresses: list = []
-            kept_partials: list = []
-        # Biased reads of every unit and group, lane-by-cycle, summed.
+        kept_addresses: list = []
+        kept_partials: list = []
+        # Biased reads of every position and group, position-by-cycle, summed.
         total = 0
-        for planes, bits, read_bias in reads:
-            addresses = address(bits)[::width]  # the low byte of wider items
-            value = int.from_bytes(_read_biased(planes, addresses, narrow), "little")
-            total += value
-            if traced:
+        for table, bits, slide, _ in reads:
+            if slide:
+                w, offset = slide
+                addresses = keys[w][offset:]  # position i reads V_w at i + offset
+            else:
+                addresses = address(bits)[::width]  # the low byte of wider items
                 kept_addresses.append(addresses)
-                kept_partials.append(unbiased(value, read_bias))
+            total += int.from_bytes(_read_biased(table, addresses, narrow), "little")
         if gathers:
-            signs = _repeated(1 << (8 * narrow - 1), narrow, reads_per_group)
+            signs = _repeated(1 << (8 * narrow - 1), narrow, positions)
             negatives = 0
             for table, group in gathers:
-                # count * length >= 2 addresses, so itemgetter returns a tuple
+                # positions >= 2 addresses, so itemgetter returns a tuple
                 addresses = _little_endian(array(_UNSIGNED_CODES[width], address(group)))
                 entries = itemgetter(*addresses)(table)
                 data, _ = _pack(entries, 8 * narrow)
@@ -1143,10 +1175,10 @@ def _block_datapath(
             # Each field read as unsigned is off by twice its sign bit; the
             # bias then makes every sum nonnegative, as in the byte-planes.
             gathered_bias = len(gathers) << (partial_width - 1)
-            total += _repeated(gathered_bias, narrow, reads_per_group) - (negatives << 1)
+            total += _repeated(gathered_bias, narrow, positions) - (negatives << 1)
         # Every sum is nonnegative, so widening its field is a zero fill.
-        sums = total.to_bytes(narrow * reads_per_group, "little")
-        wide = bytearray(field * reads_per_group)
+        sums = total.to_bytes(narrow * positions, "little")
+        wide = bytearray(field * positions)
         for b in range(narrow):
             wide[b::field] = sums[b::narrow]
         view = memoryview(wide)
@@ -1160,24 +1192,30 @@ def _block_datapath(
         acc = (top + bias) * units
         snapshots = []
         for n in range(length):
-            part = int.from_bytes(view[n * lanes : (n + 1) * lanes], "little") << n
+            start = n * field * stride
+            part = int.from_bytes(view[start : start + lanes], "little") << n
             acc = acc - part if n == length - 1 else acc + part
             if traced and n < length - 1:
                 # After cycle n the biases add bias * 2^(n+1) per lane.
                 offset = (bias << (n + 1)) * units
-                snapshots.append(((acc - offset) ^ flip).to_bytes(lanes, "little"))
+                snapshots.append(((acc - offset) ^ flip).to_bytes(field * stride, "little"))
         data = (acc ^ flip).to_bytes(lanes, "little")
         outputs = _signed_items(data, field)
         outputs = outputs if field > 8 else outputs.tolist()
         if not traced:
             return outputs
-        snapshots.append(data)
+        snapshots.append(data.ljust(field * stride, b"\0"))
+        # A field holding v + half, half = 2^(8 * narrow - 1), reads as the
+        # signed v once half is flipped off.
+        ones = _repeated(1, narrow, positions)
+        half = 1 << (8 * narrow - 1)
+        tree_sums = (total + (half - bias) * ones) ^ (half * ones)
         return TracedBlock(
             outputs,
-            count,
+            stride,
             tuple(kept_addresses),
             tuple(kept_partials),
-            unbiased(total, bias),
+            _signed_items(tree_sums.to_bytes(narrow * positions, "little"), narrow),
             _signed_items(b"".join(snapshots), field),
         )
 

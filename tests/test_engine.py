@@ -1113,11 +1113,17 @@ def traced_pushed(filt, samples):
 
 
 def traced_blocked(filt, samples, sizes):
-    """``filt.traced_blocks`` over ``samples`` as (output, records) pairs, as ``push_traced``."""
+    """``filt.traced_blocks`` over ``samples`` as (output, records) pairs, as ``push_traced``.
+
+    With M <= 8 a block has no partial columns, and a record's partials
+    are the filter's table entries at its addresses.
+    """
     last = filt.input_format.width - 1
+    tables = filt.tables()
     for block in filt.traced_blocks(samples):
         sizes.append(len(block.outputs))
         groups = len(block.addresses)
+        assert len(block.partials) == (groups if filt.plan.group_size > 8 else 0)
         cycles = [block.cycle(n) for n in range(last + 1)]
         # a block cut short by an error holds its earlier outputs' records only
         assert {len(column) for columns in cycles for column in columns} == {len(block.outputs)}
@@ -1125,8 +1131,9 @@ def traced_blocked(filt, samples, sizes):
             records = tuple(
                 CycleRecord(
                     n,
-                    tuple(column[i] for column in columns[:groups]),
-                    tuple(column[i] for column in columns[groups : 2 * groups]),
+                    addresses := tuple(column[i] for column in columns[:groups]),
+                    tuple(column[i] for column in columns[groups:-2])
+                    or tuple(t[a] for t, a in zip(tables, addresses)),
                     columns[-2][i],
                     n,
                     n == last,
@@ -1174,10 +1181,12 @@ def block_cases(draw):
 
     Few taps in large groups leave the accumulator narrower than the
     entries allow, so extreme edits at the address every real member
-    selects can overflow it.
+    selects can overflow it. K < 8, small groups and padded last groups
+    are drawn often, so sliding keys narrower than a byte (short last
+    packs, padded groups, halves of fewer than 8 taps) are too.
     """
-    num_taps = draw(st.one_of(st.integers(1, 3), st.integers(1, 64)))
-    group_size = draw(st.integers(1, 16))
+    num_taps = draw(st.one_of(st.integers(1, 3), st.integers(1, 8), st.integers(1, 64)))
+    group_size = draw(st.one_of(st.integers(1, 4), st.integers(1, 16)))
     input_width = draw(st.integers(2, 20))
     coeff_width = draw(st.integers(2, 16))
     bound = 1 << (coeff_width - 1)
@@ -1307,6 +1316,23 @@ class TestBlocks:
     @example(  # an overflow in the second block, on the CLI tests' overflow design
         (coeff_set([5]), partition_taps(1, 4), PpgMode.STORED, 4, [[0, 511] + [0] * 14],
          [1] * 1500 + [7] + [1] * 10, [1, 7, 1])
+    )
+    @example(  # K < 8: one pack of a full group and a padded one, a 5-bit sliding key
+        (coeff_set([-128, 127, -1, 77, -55]), partition_taps(5, 3), PpgMode.STORED, 8, None,
+         [-128, 127, -1, 0, 85] * 300, [-128, 127, 1])
+    )
+    @example(  # a short last pack of one padded group among packs of 8 taps: keys of 8 and 1
+        (coeff_set(list(range(-9, 8))), partition_taps(17, 2), PpgMode.MUX, 6, None,
+         [-32, 31, -1, 0, 21] * 300, [-32, 31, 1])
+    )
+    @example(  # a padded group of 16: a low half of 3 taps and a high half of none
+        (coeff_set([100, -77, 5], 8), partition_taps(3, 16), PpgMode.STORED, 8,
+         edited_luts(coeff_set([100, -77, 5], 8), partition_taps(3, 16), [(0, 7, 127)]),
+         [-128, 127, -1, 0, 85] * 300, [-1, -1, -1])
+    )
+    @example(  # a shuffled plan at K < 8 with a padding slot inside a pack's key
+        (coeff_set([3, -5, 7, -11, 13], 6), PartitionPlan(2, ((4, 1), (None, 0), (2, 3)), 1),
+         PpgMode.STORED, 7, None, [-64, 63, -1, 0, 42] * 300, [-64, 63, 1])
     )
     def test_blocks_equal_push_and_direct_fir(self, case):
         coeffs, plan, mode, input_width, luts, samples, more = case
@@ -1456,30 +1482,133 @@ class TestBlocks:
         coeffs = coeff_set([(-1) ** k * (100 + 7 * k) for k in range(20)], 16)
         plan = partition_taps(20, 16)
         derived = [list(build_lut(coeffs, g).entries) for g in plan.groups]
-        routes = []
-        split = engine._split
+        splits = []  # whether each table _split tested splits
+        routes = []  # (halves read, tables gathered) of each route bound
+        split, block_reads = engine._split, engine._block_reads
 
-        def spy(table):
+        def split_spy(table):
             halves = split(table)
-            routes.append(halves is not None)
+            splits.append(halves is not None)
             return halves
 
-        monkeypatch.setattr(engine, "_split", spy)
+        def reads_spy(*args):
+            route = block_reads(*args)
+            routes.append((len(route[0]), len(route[1])))
+            return route
+
+        monkeypatch.setattr(engine, "_split", split_spy)
+        monkeypatch.setattr(engine, "_block_reads", reads_spy)
         stream = [(-1) ** i * (37 * i % 128) for i in range(1500)]
         want = direct_fir(stream, coeffs)
         for mode in PpgMode:
-            assert DaFilter(coeffs, plan, mode, input_width=8).process(stream) == want
-            assert routes == [True, True]
+            # Subset sums are read as the subset sums of their low and high
+            # members, with no whole table formed or tested.
+            filt = DaFilter(coeffs, plan, mode, input_width=8)
+            with mock.patch.object(filt, "tables", side_effect=AssertionError("whole tables")):
+                assert filt.process(stream) == want
+            assert splits == [] and routes == [(4, 0)]
             routes.clear()
-        # A table edited at one entry, in row 0 or a later one, is gathered.
+        # Checked tables are split once, by check_tables; a table edited at
+        # one entry, in row 0 or a later one, is gathered.
         for address in (0, 77, 256 * 3, 256 * 5 + 9):
             luts = [list(t) for t in derived]
             luts[0][address] += 1
+            luts = check_tables(luts, plan, 16)
+            assert splits == [False, True]
+            assert luts.halves == (None, (luts[1][:256], luts[1][::256]))
             filt = DaFilter(coeffs, plan, input_width=8, luts=luts)
             scalar = DaFilter(coeffs, plan, input_width=8, luts=luts)
             assert filt.process(stream) == [scalar.push(x) for x in stream]
-            assert routes == [False, True]
+            assert splits == [False, True] and routes == [(2, 1)]
+            splits.clear()
             routes.clear()
+
+    def test_consecutive_reads_slide_and_others_form_addresses(self, monkeypatch):
+        """Untraced reads of consecutive taps make no address-former call; the others make one."""
+        formed = []  # each group or pack whose addresses the address former formed
+        former = engine._address_former
+
+        def spy(*args):
+            addresses = former(*args)
+
+            def counted(group):
+                formed.append(tuple(group))
+                return addresses(group)
+
+            return counted
+
+        monkeypatch.setattr(engine, "_address_former", spy)
+        stream = [(-1) ** i * (37 * i % 128) for i in range(1500)]  # two blocks
+
+        def formed_by(coeffs, plan, mode=PpgMode.STORED, luts=None, traced=False):
+            formed.clear()
+            filt = DaFilter(coeffs, plan, mode, input_width=8, luts=luts)
+            scalar = DaFilter(coeffs, plan, mode, input_width=8, luts=luts)
+            if traced:
+                got = [y for block in filt.traced_blocks(stream) for y in block.outputs]
+            else:
+                got = filt.process(stream)
+            assert got == [scalar.push(x) for x in stream]
+            return len(formed)
+
+        # Consecutive plans: K < 8, padded last groups, short last packs, halves.
+        for num_taps, group_size in ((5, 3), (7, 2), (17, 2), (3, 16), (12, 9), (20, 4), (64, 1)):
+            coeffs = coeff_set([(-1) ** k * (k + 3) for k in range(num_taps)])
+            for mode in PpgMode:
+                assert formed_by(coeffs, partition_taps(num_taps, group_size), mode) == 0
+        coeffs = coeff_set([(-1) ** k * (5 * k + 3) for k in range(20)])
+        # A shuffled plan's pack is formed on each block.
+        shuffled = PartitionPlan(2, ((1, 0), (2, 3)), 0)
+        assert formed_by(coeff_set([3, -5, 7, -11]), shuffled) == 2
+        # A gathered table is formed on each block; the separable one slides.
+        plan = partition_taps(20, 16)
+        luts = edited_luts(coeffs, plan, [(0, 257, 1)])
+        assert formed_by(coeffs, plan, luts=luts) == 2
+        # Traced, every group is formed on each block.
+        assert formed_by(coeffs, partition_taps(20, 4), traced=True) == 2 * 5
+
+    @pytest.mark.parametrize("group_size", [9, 16])
+    def test_table_range_is_checked_with_or_without_a_split(self, group_size):
+        """check_tables names the first out-of-range entry, as it did before halves were kept."""
+        plan = partition_taps(2 * group_size, group_size)
+        size = 1 << group_size
+        top = 1 << (partial_product_width(8, group_size) - 1)
+
+        def separable(low_edits, high_edits):
+            low, high = [0] * 256, [0] * (size // 256)
+            for a, v in low_edits:
+                low[a] = v
+            for h, v in high_edits:
+                high[h] = v
+            return [h + v for h in high for v in low]
+
+        def message(luts):
+            with pytest.raises(ValueError) as raised:
+                check_tables(luts, plan, 8)
+            return str(raised.value)
+
+        def out_of_range(table, v):
+            return f"table {table} entry {v} cannot be a sum of {group_size} coefficients of 8 bits"
+
+        zeros = [0] * size
+        # Separable: the extremes are the halves' sums, at the bounds and one past them.
+        edge = separable([(1, -(top // 2)), (2, top - 1)], [(1, -(top // 2))])
+        assert check_tables([zeros, edge], plan, 8).halves[1] is not None
+        below = separable([(1, -(top // 2) - 1), (2, top - 1)], [(1, -(top // 2))])
+        assert message([zeros, below]) == out_of_range(1, -top - 1)
+        above = separable([(2, top - 10)], [(1, 20)])
+        assert message([above, zeros]) == out_of_range(0, top + 10)
+        # Not separable: the first out-of-range entry in address order.
+        unsplit = list(zeros)
+        unsplit[256 + 5] = -top - 1
+        unsplit[size - 1] = top
+        assert message([zeros, unsplit]) == out_of_range(1, -top - 1)
+        unsplit[256 + 5] = 0
+        assert message([unsplit, zeros]) == out_of_range(0, top)
+        # Type, then range, table by table.
+        assert message([above, zeros[1:]]) == out_of_range(0, top + 10)
+        assert message([zeros[1:], above]) == f"table 0 must be a list of {size} integers"
+        assert message([zeros, [True] + zeros[1:]]) == f"table 1 must be a list of {size} integers"
 
     def test_overflow_on_the_split_route_is_raised_where_push_raises_it(self):
         # Two taps in a group of 16 read halves whose sums reach the

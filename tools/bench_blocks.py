@@ -32,6 +32,14 @@ Both write outputs and records to in-memory files, and the two traces must
 be byte-identical, so every record of the writer is checked against
 ``push_traced``; the outputs must equal ``direct_fir``.
 
+The intake row times, in ms per call, what untraced ``dafir run`` does
+with the stored design at ``INTAKE`` before and while it filters: decode
+the design file's JSON text (``json.loads``, as ``DesignFile.load``
+does), check its tables (``check_tables`` on the decoded lists, which
+for M > 8 also splits them), build the filter from the checked tables
+and evaluate its first one-sample block (binding the block's reads) and
+filter ``SAMPLES`` samples in steady blocks.
+
 Verify rows time ``verify_windows`` per window at the ``verify`` workload's
 shape (K = 4, W = 8, L = 4) and configurations over all 65,536 windows,
 given as ``all_windows`` (the tap columns ``dafir verify --exhaustive``
@@ -66,12 +74,14 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "benchmarks"))
 
 from dafir.cli import _write_traced  # noqa: E402
+from dafir.design import ArchConfig, DesignFile  # noqa: E402
 from dafir.engine import (  # noqa: E402
     LANES,
     DaFilter,
     PpgMode,
     all_windows,
     build_lut,
+    check_tables,
     partition_taps,
     verify_windows,
 )
@@ -80,6 +90,7 @@ from workloads import REFERENCE_SECONDS, reference_seconds  # noqa: E402
 
 SHAPES = ((8, 4), (64, 2), (64, 4), (64, 8), (64, 16))  # (K, M)
 EDITED = (64, 16)  # (K, M) of the stored row whose first table has one edited entry
+INTAKE = (64, 16)  # (K, M) of the stored design whose intake is timed
 TRACED_SHAPES = ((16, 2), (16, 4), (64, 4), (64, 8), (64, 16))
 VERIFY_CONFIGS = ((PpgMode.STORED, 4), (PpgMode.STORED, 2), (PpgMode.MUX, 2), (PpgMode.MUX, 1))
 VERIFY_TAPS, VERIFY_COEFF_WIDTH, VERIFY_INPUT_WIDTH = 4, 8, 4
@@ -206,6 +217,38 @@ def measure_traced(taps: int, group_size: int, mode: PpgMode) -> dict:
     return {"taps": taps, "group_size": group_size, "mode": mode.value, **times}
 
 
+def measure_intake(taps: int, group_size: int) -> dict:
+    filt, values, samples = seeded(taps, group_size, PpgMode.STORED, SAMPLES)
+    arch = ArchConfig(taps, WIDTH, WIDTH, group_size)
+    design = DesignFile.create(arch, CoefficientSet.from_integers(values, FixedFormat(WIDTH)))
+    text = json.dumps(design.to_dict(), indent=2)  # as DesignFile.save writes it
+    luts = json.loads(text)["luts"]
+    checked = check_tables(luts, design.plan, WIDTH)
+
+    def first_block(_):
+        fresh = DaFilter(design.coefficients, design.plan, input_width=WIDTH, luts=checked)
+        return fresh.process(samples[:1])
+
+    def steady(xs):
+        filt.reset()
+        return filt.process(xs)
+
+    if steady(samples) != direct_fir(samples, values) or first_block(None) != steady(samples[:1]):
+        raise SystemExit(f"intake K={taps} M={group_size}: outputs differ from direct_fir")
+    times = best_us_per_unit(
+        {
+            "json_decode": lambda _: json.loads(text),
+            "check_tables": lambda _: check_tables(luts, design.plan, WIDTH),
+            "first_block": first_block,
+            "steady_blocks": steady,
+        },
+        samples,
+        1000,  # us per 1,000 calls: ms per call
+    )
+    times = {key.replace("_us", "_ms"): value for key, value in times.items()}
+    return {"taps": taps, "group_size": group_size, "mode": "stored", **times}
+
+
 def measure_verify(mode: PpgMode, group_size: int) -> dict:
     rng = random.Random(f"{SEED}:verify:{group_size}")
     half = 1 << (VERIFY_COEFF_WIDTH - 1)
@@ -235,6 +278,7 @@ def measure_verify(mode: PpgMode, group_size: int) -> dict:
 def main() -> int:
     rows = [measure(k, m, mode) for k, m in SHAPES for mode in PpgMode]
     rows.append(measure(*EDITED, PpgMode.STORED, edited=True))
+    intake = measure_intake(*INTAKE)
     for row in rows:
         row["push_over_block"] = round(row["push_ref_us"] / row["block_ref_us"], 2)
     traced_rows = [measure_traced(k, m, mode) for k, m in TRACED_SHAPES for mode in PpgMode]
@@ -252,6 +296,9 @@ def main() -> int:
         "direct_fir = the oracle; traced_block = the CLI's trace writer over "
         "DaFilter.traced_blocks, push_traced = per-sample push_traced with json.dumps per record; "
         "all_windows / list = verify_windows over all_windows(4, 4) / the same windows in a list; "
+        "intake: ms per call (_ms, _ref_ms) of json_decode = json.loads of the design file, "
+        "check_tables = its tables checked, first_block = DaFilter from the checked tables and "
+        "its first one-sample block, steady_blocks = DaFilter.process of the samples; "
         "raw figures best of REPEATS, in one process",
         "width": WIDTH,
         "samples": SAMPLES,
@@ -269,6 +316,7 @@ def main() -> int:
         "platform": platform.platform(),
         "nproc": os.cpu_count(),
         "rows": rows,
+        "intake": intake,
         "traced_rows": traced_rows,
         "verify_rows": verify_rows,
     }
@@ -279,6 +327,14 @@ def main() -> int:
             f"block {row['block_ref_us']:>7} push {row['push_ref_us']:>7} "
             f"direct_fir {row['direct_fir_ref_us']:>7} reference us/output"
         )
+    print(
+        f"K={intake['taps']:>2} M={intake['group_size']:>2} stored intake: "
+        + ", ".join(
+            f"{step} {intake[f'{step}_ref_ms']}"
+            for step in ("json_decode", "check_tables", "first_block", "steady_blocks")
+        )
+        + " reference ms"
+    )
     for row in traced_rows:
         print(
             f"K={row['taps']:>2} M={row['group_size']:>2} {row['mode']:<6} "
