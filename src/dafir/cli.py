@@ -3,8 +3,8 @@
 Exit codes: 0 on success, 1 when a verification or cross-architecture
 check found a mismatch or a table drove the accumulator out of its range
 (tables consistent with the coefficients never can), 2 for usage and
-parse errors. Every file error is reported as a single line with the
-offending line number.
+parse errors. Every file error is reported as a single line that names
+the file, and the offending line number where there is one.
 """
 
 from __future__ import annotations
@@ -50,6 +50,8 @@ def _read_payloads(path: str) -> list[str]:
             lines = f.readlines()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not UTF-8 text ({exc})")
     if "#" in "".join(lines):
         lines = map(itemgetter(0), map(str.partition, lines, repeat("#")))
     return list(map(str.strip, lines))
@@ -122,6 +124,14 @@ def _load_design(path: str) -> DesignFile:
         raise CliError(f"{path}: {exc}")
 
 
+def _open_out(path: str):
+    """``path`` opened for writing text, or the one-line error naming it."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror}")
+
+
 def _load_cost_model(path: str | None) -> CostModel:
     if path is None:
         return DEFAULT_COST_MODEL
@@ -130,6 +140,8 @@ def _load_cost_model(path: str | None) -> CostModel:
             data = json.load(f)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not UTF-8 text ({exc})")
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}: not valid JSON ({exc})")
     try:
@@ -174,7 +186,10 @@ def cmd_design(args: argparse.Namespace) -> int:
         tree=AdderKind(args.tree),
     )
     design = DesignFile.create(arch, CoefficientSet.from_integers(values, fmt))
-    design.save(args.out)
+    try:
+        design.save(args.out)
+    except OSError as exc:
+        raise CliError(f"cannot write {args.out}: {exc.strerror}")
     print(f"memory locations: {estimate_resources(design).memory_locations}")
     return EXIT_OK
 
@@ -268,13 +283,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     design = _load_design(args.design)
     samples = _parse_samples(args.samples, FixedFormat(design.arch.input_width))
     filt = design.filter()
-    with open(args.out, "w", encoding="utf-8") as out:
+    with _open_out(args.out) as out:
         if args.trace is None:
             # Each block is written before the next is evaluated.
             for block in filt.blocks(samples):
                 _write_values(out, block)
             return EXIT_OK
-        with open(args.trace, "w", encoding="utf-8") as trace:
+        with _open_out(args.trace) as trace:
             _write_traced(out, trace, filt, samples)
     return EXIT_OK
 

@@ -1,9 +1,15 @@
 """Design files and the command-line front end."""
 
 import ast
+import errno
 import json
+import os
+import random
+import re
 import time
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -328,6 +334,111 @@ class TestDesignFile:
         except DesignError:
             pass
         assert time.perf_counter() - start < 0.5
+
+
+def assert_saved_as_json_dumps(design: DesignFile, path: Path) -> None:
+    """``path`` holds what ``json.dumps`` writes for the design with indent 2, and a newline.
+
+    A difference is shown around its first offset: a diff of two
+    megabyte texts would take minutes.
+    """
+    got = path.read_text(encoding="utf-8")
+    want = json.dumps(design.to_dict(), indent=2) + "\n"
+    if got != want:
+        pairs = enumerate(zip(got, want))
+        at = next((i for i, (a, b) in pairs if a != b), min(len(got), len(want)))
+        pytest.fail(
+            f"saved text differs at offset {at} of {len(want)}: "
+            f"{got[at - 30 : at + 30]!r} != {want[at - 30 : at + 30]!r}"
+        )
+
+
+SLICE = dafir.design._SLICE
+
+
+class TestSave:
+    # Slice sizes other than the module's put slice boundaries inside
+    # tables of every size: 3 leaves a partial last slice of any table
+    # longer than 3 entries that is not a multiple of 3, 1 makes every
+    # entry a slice. With SLICE itself, M <= 11 tables are shorter than one
+    # slice and M >= 12 tables are exact multiples of it.
+    @settings(deadline=None, max_examples=40)
+    @given(
+        group_size=st.integers(1, 16),
+        taps=st.integers(1, 32),
+        width=st.integers(4, 24),
+        mode=st.sampled_from(PpgMode),
+        slice_size=st.sampled_from([SLICE, 1000, 3, 1]),
+        data=st.data(),
+    )
+    @example(group_size=16, taps=20, width=16, mode=PpgMode.STORED, slice_size=SLICE, data=None)
+    @example(group_size=13, taps=13, width=9, mode=PpgMode.STORED, slice_size=1000, data=None)
+    @example(group_size=4, taps=9, width=4, mode=PpgMode.STORED, slice_size=3, data=None)
+    @example(group_size=2, taps=5, width=8, mode=PpgMode.MUX, slice_size=SLICE, data=None)
+    def test_writes_what_json_dumps_writes_and_loads_back(
+        self, tmp_path_factory, group_size, taps, width, mode, slice_size, data
+    ):
+        rng = random.Random(f"{group_size}:{taps}:{width}")
+        half = 1 << (width - 1)
+        values = [rng.randrange(-half, half) for _ in range(taps)]
+        design = DesignFile.create(
+            ArchConfig(taps, width, width, group_size, ppg_mode=mode),
+            CoefficientSet.from_integers(values, FixedFormat(width)),
+        )
+        if design.luts is not None and data is not None and data.draw(st.booleans()):
+            # An edited table: one entry takes another entry's value, so it
+            # stays in range but no longer derives from the coefficients.
+            luts = [list(t) for t in design.luts]
+            table = data.draw(st.sampled_from(luts))
+            a, b = (data.draw(st.integers(0, len(table) - 1)) for _ in range(2))
+            table[a] = table[b]
+            design.luts = tuple(map(tuple, luts))
+        path = tmp_path_factory.mktemp("save") / "d.json"
+        with mock.patch.object(dafir.design, "_SLICE", slice_size):
+            design.save(str(path))
+        assert_saved_as_json_dumps(design, path)
+        assert DesignFile.load(str(path)) == design
+
+    @pytest.mark.parametrize("slice_size", [SLICE, 2, 1])
+    @pytest.mark.parametrize(
+        "luts",
+        [
+            (),
+            ((),),
+            ((), (1,)),
+            ((True, 1.5, None, 2**70, "a, b", float("nan"), -0.0, "\u00e9\n"),) * 2,
+            (tuple(range(-3, 2)), (7,) * 6),
+        ],
+        ids=["no_tables", "empty_table", "empty_then_one", "json_scalars", "odd_lengths"],
+    )
+    def test_any_tables_are_written_as_json_dumps_writes_them(self, tmp_path, luts, slice_size):
+        # Not loadable designs, but save must still write the document to_dict gives.
+        design = DesignFile.create(
+            ArchConfig(3, 8, 8, 2), CoefficientSet.from_integers([1, -2, 3], FixedFormat(8))
+        )
+        design.luts = luts
+        path = tmp_path / "d.json"
+        with mock.patch.object(dafir.design, "_SLICE", slice_size):
+            design.save(str(path))
+        assert_saved_as_json_dumps(design, path)
+
+    def test_never_builds_the_whole_file_as_one_string(self, tmp_path):
+        # K = 64, M = 16: four tables of 65,536 entries, about 3.5 MB of text.
+        values = [(-1) ** k * (977 * k % 32768) for k in range(64)]
+        design = DesignFile.create(
+            ArchConfig(64, 16, 16, 16), CoefficientSet.from_integers(values, FixedFormat(16))
+        )
+        path = tmp_path / "d.json"
+        tracemalloc.start()
+        try:
+            design.save(str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 3_000_000
+        assert peak < size / 4
+        assert_saved_as_json_dumps(design, path)
 
 
 class TestCmdDesign:
@@ -874,6 +985,55 @@ class TestUsage:
         code = main(["verify", "--design", str(tmp_path / "nope.json"), "--exhaustive"])
         assert code == 2
         assert "cannot read" in capsys.readouterr().err
+
+    def test_design_to_an_unwritable_path(self, workspace, capsys):
+        out = workspace / "missing" / "d.json"
+        code = main(["design", str(workspace / "coeffs.txt"), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out}: {os.strerror(errno.ENOENT)}\n"
+        )
+
+    @pytest.mark.parametrize("flag", ["--out", "--trace"])
+    def test_run_to_an_unwritable_path(self, workspace, capsys, flag):
+        design = run_design(workspace)
+        paths = {"--out": workspace / "out.txt", "--trace": workspace / "trace.jsonl"}
+        paths[flag] = workspace / "missing" / "file"
+        argv = ["run", "--design", str(design), "--samples", str(workspace / "samples.txt")]
+        for name, path in paths.items():
+            argv += [name, str(path)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {paths[flag]}: {os.strerror(errno.ENOENT)}\n"
+        )
+
+    @pytest.mark.parametrize("reader", ["design", "samples", "coefficients", "cost_model"])
+    def test_non_utf8_input_names_its_file(self, workspace, capsys, reader):
+        design = run_design(workspace)
+        bad = workspace / "bad.bin"
+        bad.write_bytes(b"\xff\n")
+        samples = str(workspace / "samples.txt")
+        argv = {
+            "design": ["run", "--design", str(bad), "--samples", samples],
+            "samples": ["run", "--design", str(design), "--samples", str(bad)],
+            "coefficients": ["design", str(bad)],
+            "cost_model": ["report", "--design", str(design), "--cost-model", str(bad)],
+        }[reader]
+        if argv[0] != "report":
+            argv += ["--out", str(workspace / "out")]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ")
+        assert "not UTF-8 text" in err
+        assert err.count("\n") == 1
+
+    def test_design_load_names_a_non_utf8_file(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"version": "\xff"}')
+        with pytest.raises(DesignError, match=f"^{re.escape(str(bad))}: not UTF-8 text"):
+            DesignFile.load(str(bad))
 
     def test_bad_width_flag_is_usage_error(self, tmp_path, capsys):
         coeffs = tmp_path / "c.txt"

@@ -32,13 +32,16 @@ Both write outputs and records to in-memory files, and the two traces must
 be byte-identical, so every record of the writer is checked against
 ``push_traced``; the outputs must equal ``direct_fir``.
 
-The intake row times, in ms per call, what untraced ``dafir run`` does
-with the stored design at ``INTAKE`` before and while it filters: decode
-the design file's JSON text (``json.loads``, as ``DesignFile.load``
-does), check its tables (``check_tables`` on the decoded lists, which
-for M > 8 also splits them), build the filter from the checked tables
-and evaluate its first one-sample block (binding the block's reads) and
-filter ``SAMPLES`` samples in steady blocks.
+The intake row times, in ms per call, what ``dafir design`` and untraced
+``dafir run`` do with the stored design at ``INTAKE``: build its tables
+from the coefficients (``rederive_luts``, the ``build_lut`` calls of
+``DesignFile.create``), write the design file (``DesignFile.save``, into
+a temporary directory), decode the text that save wrote (``json.loads``,
+as ``DesignFile.load`` does), check its tables (``check_tables`` on the
+decoded lists, which for M > 8 also splits them), build the filter from
+the checked tables and evaluate its first one-sample block (binding the
+block's reads) and filter ``SAMPLES`` samples in steady blocks. Every
+save must write the same text.
 
 Verify rows time ``verify_windows`` per window at the ``verify`` workload's
 shape (K = 4, W = 8, L = 4) and configurations over all 65,536 windows,
@@ -66,6 +69,7 @@ import platform
 import random
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -74,7 +78,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "benchmarks"))
 
 from dafir.cli import _write_traced  # noqa: E402
-from dafir.design import ArchConfig, DesignFile  # noqa: E402
+from dafir.design import ArchConfig, DesignFile, rederive_luts  # noqa: E402
 from dafir.engine import (  # noqa: E402
     LANES,
     DaFilter,
@@ -91,6 +95,9 @@ from workloads import REFERENCE_SECONDS, reference_seconds  # noqa: E402
 SHAPES = ((8, 4), (64, 2), (64, 4), (64, 8), (64, 16))  # (K, M)
 EDITED = (64, 16)  # (K, M) of the stored row whose first table has one edited entry
 INTAKE = (64, 16)  # (K, M) of the stored design whose intake is timed
+INTAKE_STEPS = (
+    "build_luts", "save", "json_decode", "check_tables", "first_block", "steady_blocks"
+)
 TRACED_SHAPES = ((16, 2), (16, 4), (64, 4), (64, 8), (64, 16))
 VERIFY_CONFIGS = ((PpgMode.STORED, 4), (PpgMode.STORED, 2), (PpgMode.MUX, 2), (PpgMode.MUX, 1))
 VERIFY_TAPS, VERIFY_COEFF_WIDTH, VERIFY_INPUT_WIDTH = 4, 8, 4
@@ -217,11 +224,13 @@ def measure_traced(taps: int, group_size: int, mode: PpgMode) -> dict:
     return {"taps": taps, "group_size": group_size, "mode": mode.value, **times}
 
 
-def measure_intake(taps: int, group_size: int) -> dict:
+def measure_intake(taps: int, group_size: int, scratch: Path) -> dict:
     filt, values, samples = seeded(taps, group_size, PpgMode.STORED, SAMPLES)
     arch = ArchConfig(taps, WIDTH, WIDTH, group_size)
     design = DesignFile.create(arch, CoefficientSet.from_integers(values, FixedFormat(WIDTH)))
-    text = json.dumps(design.to_dict(), indent=2)  # as DesignFile.save writes it
+    path = str(scratch / "design.json")
+    design.save(path)
+    text = Path(path).read_text(encoding="utf-8")  # what DesignFile.load decodes
     luts = json.loads(text)["luts"]
     checked = check_tables(luts, design.plan, WIDTH)
 
@@ -235,8 +244,12 @@ def measure_intake(taps: int, group_size: int) -> dict:
 
     if steady(samples) != direct_fir(samples, values) or first_block(None) != steady(samples[:1]):
         raise SystemExit(f"intake K={taps} M={group_size}: outputs differ from direct_fir")
+    if rederive_luts(design) != checked:
+        raise SystemExit(f"intake K={taps} M={group_size}: saved tables differ from built ones")
     times = best_us_per_unit(
         {
+            "build_luts": lambda _: rederive_luts(design),
+            "save": lambda _: design.save(path),
             "json_decode": lambda _: json.loads(text),
             "check_tables": lambda _: check_tables(luts, design.plan, WIDTH),
             "first_block": first_block,
@@ -245,6 +258,8 @@ def measure_intake(taps: int, group_size: int) -> dict:
         samples,
         1000,  # us per 1,000 calls: ms per call
     )
+    if Path(path).read_text(encoding="utf-8") != text:
+        raise SystemExit(f"intake K={taps} M={group_size}: saves differ")
     times = {key.replace("_us", "_ms"): value for key, value in times.items()}
     return {"taps": taps, "group_size": group_size, "mode": "stored", **times}
 
@@ -278,7 +293,8 @@ def measure_verify(mode: PpgMode, group_size: int) -> dict:
 def main() -> int:
     rows = [measure(k, m, mode) for k, m in SHAPES for mode in PpgMode]
     rows.append(measure(*EDITED, PpgMode.STORED, edited=True))
-    intake = measure_intake(*INTAKE)
+    with tempfile.TemporaryDirectory() as scratch:
+        intake = measure_intake(*INTAKE, Path(scratch))
     for row in rows:
         row["push_over_block"] = round(row["push_ref_us"] / row["block_ref_us"], 2)
     traced_rows = [measure_traced(k, m, mode) for k, m in TRACED_SHAPES for mode in PpgMode]
@@ -296,7 +312,9 @@ def main() -> int:
         "direct_fir = the oracle; traced_block = the CLI's trace writer over "
         "DaFilter.traced_blocks, push_traced = per-sample push_traced with json.dumps per record; "
         "all_windows / list = verify_windows over all_windows(4, 4) / the same windows in a list; "
-        "intake: ms per call (_ms, _ref_ms) of json_decode = json.loads of the design file, "
+        "intake: ms per call (_ms, _ref_ms) of build_luts = the design's tables from its "
+        "coefficients, save = DesignFile.save of the design, "
+        "json_decode = json.loads of the file save wrote, "
         "check_tables = its tables checked, first_block = DaFilter from the checked tables and "
         "its first one-sample block, steady_blocks = DaFilter.process of the samples; "
         "raw figures best of REPEATS, in one process",
@@ -331,7 +349,7 @@ def main() -> int:
         f"K={intake['taps']:>2} M={intake['group_size']:>2} stored intake: "
         + ", ".join(
             f"{step} {intake[f'{step}_ref_ms']}"
-            for step in ("json_decode", "check_tables", "first_block", "steady_blocks")
+            for step in INTAKE_STEPS
         )
         + " reference ms"
     )
