@@ -121,13 +121,13 @@ def _load_design(path: str) -> DesignFile:
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror}")
     except DesignError as exc:
-        raise CliError(f"{path}: {exc}")
+        raise CliError(str(exc))  # its message starts with the path
 
 
-def _open_out(path: str):
-    """``path`` opened for writing text, or the one-line error naming it."""
+def _open_out(path: str, mode: str = "w"):
+    """``path`` opened for writing text in ``mode``, or the one-line error naming it."""
     try:
-        return open(path, "w", encoding="utf-8")
+        return open(path, mode, encoding="utf-8")
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc.strerror}")
 
@@ -283,6 +283,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     design = _load_design(args.design)
     samples = _parse_samples(args.samples, FixedFormat(design.arch.input_width))
     filt = design.filter()
+    if args.trace is not None:
+        _open_out(args.trace, "a").close()  # a bad --trace fails before --out is truncated
     with _open_out(args.out) as out:
         if args.trace is None:
             # Each block is written before the next is evaluated.

@@ -247,14 +247,17 @@ class DesignFile:
 
     @classmethod
     def load(cls, path: str) -> "DesignFile":
+        """The design in the file at ``path``; every DesignError it raises names the path first."""
         try:
             with open(path, "r", encoding="utf-8") as f:
                 data = json.load(f)
+            return cls.from_dict(data)
         except UnicodeDecodeError as exc:
             raise DesignError(f"{path}: not UTF-8 text ({exc})") from exc
         except json.JSONDecodeError as exc:
             raise DesignError(f"{path}: not valid JSON ({exc})") from exc
-        return cls.from_dict(data)
+        except DesignError as exc:
+            raise DesignError(f"{path}: {exc}") from exc
 
 
 def _write_table(f, table) -> None:

@@ -254,18 +254,16 @@ def check_tables(
     return checked
 
 
-def _stored_tables(
+def _read_tables(
     coeffs: CoefficientSet,
     plan: PartitionPlan,
     ppg_mode: PpgMode,
     luts: Sequence[Sequence[int]] | None,
-) -> tuple[tuple[int, ...], ...] | None:
-    """Stored mode's checked tables, derived when ``luts`` is None; None in mux mode."""
-    if ppg_mode is not PpgMode.STORED:
-        return None
-    if luts is None:
-        return tuple(build_lut(coeffs, g).entries for g in plan.groups)
-    return check_tables(luts, plan, coeffs.format.width)
+) -> tuple[Sequence[int], ...]:
+    """The tables a filter reads: stored mode's ``luts``, checked, when given; else subset sums."""
+    if ppg_mode is PpgMode.STORED and luts is not None:
+        return check_tables(luts, plan, coeffs.format.width)
+    return tuple(_subset_sums(coeffs.values, g) for g in plan.groups)
 
 
 def address_for_cycle(
@@ -360,15 +358,16 @@ def _check_inputs(
 
 
 @functools.lru_cache(maxsize=None)
-def _spreader(input_width: int, field: int) -> Callable[[Sequence[int]], list[int]]:
+def _spreader(input_width: int, group_size: int) -> Callable[[Sequence[int]], list[int]]:
     """Map samples to interleaved words: bit n of each L-bit pattern moves to n * field.
 
-    With ``field`` at least the group size M, spread words of group
-    members, shifted by their member index j < M, never overlap, so OR-ing
-    them gives a word whose field n is the group's table address at cycle
-    n. One 256-entry byte table per (L, field) does the spreading, so
-    memory stays flat at any width.
+    A field is one byte for group sizes M <= 8 and two above, so spread
+    words of group members, shifted by their member index j < M, never
+    overlap, and OR-ing them gives a word whose field n is the group's
+    table address at cycle n. One 256-entry byte table per (L, M) does the
+    spreading, so memory stays flat at any width.
     """
+    field = 8 * _item_size(group_size)
     table = tuple(sum(((b >> i) & 1) << (i * field) for i in range(8)) for b in range(256))
     pattern = (1 << input_width) - 1
     if input_width <= 8:
@@ -399,51 +398,38 @@ def _overflow(acc: int, acc_width: int) -> AccumulatorOverflow:
 def _schedule(
     coeffs: CoefficientSet,
     plan: PartitionPlan,
-    ppg_mode: PpgMode,
     input_width: int,
-    tables: Sequence[Sequence[int]] | None,
+    tables: Sequence[Sequence[int]],
     tree: AdderKind = AdderKind.CLA,
     bit_level: bool = False,
-) -> tuple[Callable[..., int], Callable[[Sequence[int]], list[int]]]:
-    """Bind the one L-cycle bit-serial loop to a plan, a mode and a tree step.
+) -> Callable[..., int]:
+    """Bind the one L-cycle bit-serial loop to a plan, its tables and a tree step.
 
-    Each cycle takes one partial product per group, sums them in the tree
-    step (native, or the gate-level adders with ``bit_level``), then
-    shifts and accumulates, subtracting on the sign cycle. Stored and mux
-    modes differ only in the read: stored mode reads every cycle's tables
-    at addresses taken from interleaved group words, mux mode tests select
-    bits straight from the samples, in one bank when nothing consumes
-    per-group partials. Address fields are one byte wide (M <= 8) or two
-    (M <= 16), so a group word's bytes list its addresses in cycle order.
-    Stored mode reads ``tables`` as given (callers check outside tables),
-    or the derived ones when it is None. Returns the loop and the spreader
-    whose words it reads.
+    Each cycle reads one partial product per group from ``tables`` (see
+    :func:`_read_tables`; callers check outside tables), sums them in the
+    tree step (native, or the gate-level adders with ``bit_level``), then
+    shifts and accumulates, subtracting on the sign cycle. Every cycle's
+    addresses come from interleaved group words (:func:`_spreader`), whose
+    address fields are one byte wide (M <= 8) or two (M <= 16), so a group
+    word's bytes list its addresses in cycle order and the tables are read
+    in one pass.
     """
     length = input_width
     last = length - 1
     acc_width = required_accumulator_width(len(coeffs), coeffs.format.width, length)
     bound = 1 << (acc_width - 1)
     size = plan.group_size
-    mask = (1 << size) - 1
     if size <= 8:
-        field, fields = 8, lambda word: word.to_bytes(length, "little")
+        fields = lambda word: word.to_bytes(length, "little")
     else:
         order = sys.byteorder
-        field, fields = 16, lambda word: memoryview(word.to_bytes(2 * length, order)).cast("H")
-    shifts = tuple(range(0, length * field, field))
+        fields = lambda word: memoryview(word.to_bytes(2 * length, order)).cast("H")
     members = tuple(
         tuple((j, idx) for j, idx in enumerate(g) if idx is not None) for g in plan.groups
     )
-    stored = ppg_mode is PpgMode.STORED
-    if stored and tables is None:
-        tables = _stored_tables(coeffs, plan, ppg_mode, None)
-    values = coeffs.values
-    per_group = tuple(tuple((i, values[i]) for _, i in mem) for mem in members)
-    merged = (tuple(sel for bank in per_group for sel in bank),)
-    spread = _spreader(input_width, field)
+    spread = _spreader(input_width, size)
     tree_sum = sum
     if bit_level:
-        merged = per_group
         width = partial_product_width(coeffs.format.width, size)
 
         def tree_sum(partials: list) -> int:
@@ -456,45 +442,31 @@ def _schedule(
         observe: Observer | None = None,
     ) -> int:
         """Inner product of ``dl``, newest sample first, whose spread words are ``spread_line``."""
-        banks = merged if observe is None else per_group
-        if stored or observe is not None:
-            if spread_line is None:
-                spread_line = spread(dl)
-            words = []
-            for mem in members:
-                w = 0
-                for j, i in mem:
-                    w |= spread_line[i] << j
-                words.append(w)
-            if stored:
-                # Group-major table reads; cycle n's partials are reads[n::length].
-                reads = [tab[a] for tab, w in zip(tables, words) for a in fields(w)]
+        if spread_line is None:
+            spread_line = spread(dl)
+        addresses = []  # each group's addresses, in cycle order
+        for mem in members:
+            w = 0
+            for j, i in mem:
+                w |= spread_line[i] << j
+            addresses.append(fields(w))
+        # Group-major table reads; cycle n's partials are reads[n::length].
+        reads = [tab[a] for tab, column in zip(tables, addresses) for a in column]
         acc = 0
         for n in range(length):
-            if stored:
-                partials = reads[n::length]
-            else:
-                bit = 1 << n
-                partials = []
-                for bank in banks:
-                    t = 0
-                    for i, c in bank:
-                        if dl[i] & bit:
-                            t += c
-                    partials.append(t)
+            partials = reads[n::length]
             t = tree_sum(partials)
             if n == last:
                 acc -= t << n
             else:
                 acc += t << n
             if observe is not None:
-                s = shifts[n]
-                observe(n, [(w >> s) & mask for w in words], partials, t, acc)
+                observe(n, [column[n] for column in addresses], partials, t, acc)
         if acc >= bound or acc < -bound:
             raise _overflow(acc, acc_width)
         return acc
 
-    return run, spread
+    return run
 
 
 def _recorder(records: list, input_width: int) -> Observer:
@@ -515,17 +487,18 @@ def _bound_schedule(
     plan: PartitionPlan,
     ppg_mode: PpgMode,
     input_width: int,
-    tables: tuple[tuple[int, ...], ...] | None,
+    luts: tuple[tuple[int, ...], ...] | None,
     tree: AdderKind,
     bit_level: bool,
 ) -> Callable[..., int]:
     """The schedule bound once per distinct set of arguments, for single-window callers.
 
-    ``tables`` are checked ones (tuples of exact ints, so equal tables
-    behave alike) or None for the derived tables; every argument is
-    immutable, so a binding cannot go stale.
+    ``luts`` are checked ones (tuples of exact ints, so equal tables
+    behave alike) or None; every argument is immutable, so a binding
+    cannot go stale.
     """
-    return _schedule(coeffs, plan, ppg_mode, input_width, tables, tree, bit_level)[0]
+    tables = _read_tables(coeffs, plan, ppg_mode, luts)
+    return _schedule(coeffs, plan, input_width, tables, tree, bit_level)
 
 
 def da_inner_product(
@@ -552,10 +525,11 @@ def da_inner_product(
     verifier exercise exactly the entries a design file carries.
     """
     dl = _check_inputs(delay_line, coeffs, plan, input_width)
-    tables = None
     if ppg_mode is PpgMode.STORED and luts is not None:
-        tables = check_tables(luts, plan, coeffs.format.width)
-    run = _bound_schedule(coeffs, plan, ppg_mode, input_width, tables, tree, bit_level)
+        luts = check_tables(luts, plan, coeffs.format.width)  # hashable, as the binding's key
+    else:
+        luts = None
+    run = _bound_schedule(coeffs, plan, ppg_mode, input_width, luts, tree, bit_level)
     if not collect_trace:
         return run(dl), None
     records: list[CycleRecord] = []
@@ -566,11 +540,12 @@ def da_inner_product(
 class DaFilter:
     """Streaming DA evaluator: one inner product per pushed sample.
 
-    Owns a private delay line (newest sample first, zeros initially) and,
-    in stored mode, the spread word of every sample in it, formed once as
-    the sample enters; one instance per thread, instances independent.
-    Output matches :func:`dafir.numerics.direct_fir` sample for sample.
-    ``push`` and ``push_traced`` run the bit-serial schedule per sample;
+    Owns a private delay line (newest sample first, zeros initially) and
+    the spread word of every sample in it, formed once as the sample
+    enters; one instance per thread, instances independent. Output matches
+    :func:`dafir.numerics.direct_fir` sample for sample. ``push`` and
+    ``push_traced`` run the bit-serial schedule per sample, in both modes
+    on the tables of :meth:`tables`, bound on the first call;
     ``blocks``, ``process`` and ``traced_blocks`` evaluate ``LANES``
     outputs at a time on the same delay line, except with ``bit_level``,
     which keeps the schedule.
@@ -597,33 +572,40 @@ class DaFilter:
         self.tree = tree
         self.input_format = FixedFormat(input_width)
         self.bit_level = bit_level
-        tables = self._tables = _stored_tables(coeffs, plan, ppg_mode, luts)
-        self._run, self._spreader = _schedule(
-            coeffs, plan, ppg_mode, input_width, tables, tree, bit_level
-        )
-        halves = tables.halves if type(tables) is _CheckedTables else None
+        self._luts = luts
+        self._spreader = _spreader(input_width, plan.group_size)
+        given = self.tables() if luts is not None else None  # checked now, not at a first sample
+        halves = given.halves if type(given) is _CheckedTables else None
         self._block = None if bit_level else _block_datapath(coeffs, plan, halves, input_width)
         self._acc_width = required_accumulator_width(len(coeffs), coeffs.format.width, input_width)
         self.reset()
+
+    @functools.cached_property
+    def _tables(self) -> tuple[Sequence[int], ...]:
+        return _read_tables(self.coeffs, self.plan, self.ppg_mode, self._luts)
+
+    @functools.cached_property
+    def _run(self) -> Callable[..., int]:
+        """The scalar schedule, bound on the first ``push`` or ``push_traced``."""
+        return _schedule(
+            self.coeffs, self.plan, self.input_format.width, self._tables, self.tree, self.bit_level
+        )
 
     def tables(self) -> tuple[Sequence[int], ...]:
         """Each group's 2^M partial products, indexed by address, as this filter reads them.
 
         Stored mode's are its checked tables as given (edited entries
-        included); mux mode's are the subset sums of its coefficients,
+        included); otherwise they are the subset sums of its coefficients,
         formed on the first call and kept.
         """
-        if self._tables is None:
-            self._tables = tuple(_subset_sums(self.coeffs.values, g) for g in self.plan.groups)
         return self._tables
 
     def _admit(self, sample: int) -> None:
         x = self.input_format.check(sample, "sample")
         self._delay.insert(0, x)
         self._delay.pop()
-        if self._spread is not None:
-            self._spread.insert(0, self._spreader((x,))[0])
-            self._spread.pop()
+        self._spread.insert(0, self._spreader((x,))[0])
+        self._spread.pop()
 
     def push(self, sample: int) -> int:
         self._admit(sample)
@@ -701,12 +683,11 @@ class DaFilter:
     def _shift_in(self, samples: list[int]) -> None:
         """Enter checked samples, oldest first, into the delay line."""
         self._delay = (samples[::-1] + self._delay)[: len(self.coeffs)]
-        if self._spread is not None:
-            self._spread = self._spreader(self._delay)
+        self._spread = self._spreader(self._delay)
 
     def reset(self) -> None:
         self._delay = [0] * len(self.coeffs)
-        self._spread = [0] * len(self.coeffs) if self.ppg_mode is PpgMode.STORED else None
+        self._spread = [0] * len(self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -1314,10 +1295,7 @@ def verify_windows(
     """
     taps = coeffs.values
     fmt = FixedFormat(input_width)
-    if ppg_mode is PpgMode.STORED and luts is not None:
-        tables = check_tables(luts, plan, coeffs.format.width)
-    else:
-        tables = tuple(_subset_sums(taps, g) for g in plan.groups)
+    tables = _read_tables(coeffs, plan, ppg_mode, luts)
     datapath, field = _lane_datapath(coeffs, plan, tables, input_width, tree)
     size = _item_size(input_width)
     if type(windows) is _AllWindows and windows.fresh and windows.shape == (len(taps), input_width):
@@ -1343,7 +1321,7 @@ def verify_windows(
                 window = chunk[i] if chunk else tuple(_item(c, i, size) for c in columns)
                 want = _item(expected, i, field)
             if evaluate is None:
-                evaluate, _ = _schedule(coeffs, plan, ppg_mode, input_width, tables)
+                evaluate = _schedule(coeffs, plan, input_width, tables)
             got = evaluate(window)
             if got == want and lane_value is not None:
                 got = lane_value  # the gate-level datapath alone disagrees

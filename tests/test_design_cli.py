@@ -998,6 +998,8 @@ class TestUsage:
     def test_run_to_an_unwritable_path(self, workspace, capsys, flag):
         design = run_design(workspace)
         paths = {"--out": workspace / "out.txt", "--trace": workspace / "trace.jsonl"}
+        for path in paths.values():
+            path.write_bytes(b"keep\n")
         paths[flag] = workspace / "missing" / "file"
         argv = ["run", "--design", str(design), "--samples", str(workspace / "samples.txt")]
         for name, path in paths.items():
@@ -1007,6 +1009,33 @@ class TestUsage:
         assert capsys.readouterr().err == (
             f"error: cannot write {paths[flag]}: {os.strerror(errno.ENOENT)}\n"
         )
+        # the path that could be opened is not truncated
+        (kept,) = (path for name, path in paths.items() if name != flag)
+        assert kept.read_bytes() == b"keep\n"
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (
+                b'{"version": 1',
+                "not valid JSON (Expecting ',' delimiter: line 1 column 14 (char 13))",
+            ),
+            (
+                b"\xff\n",
+                "not UTF-8 text ('utf-8' codec can't decode byte 0xff in position 0: "
+                "invalid start byte)",
+            ),
+        ],
+        ids=["truncated", "not_utf8"],
+    )
+    def test_undecodable_design_names_its_path_once(self, tmp_path, capsys, content, reason):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        assert main(["verify", "--design", str(bad), "--exhaustive"]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: {reason}\n"
+        with pytest.raises(DesignError) as exc:
+            DesignFile.load(str(bad))
+        assert str(exc.value) == f"{bad}: {reason}"
 
     @pytest.mark.parametrize("reader", ["design", "samples", "coefficients", "cost_model"])
     def test_non_utf8_input_names_its_file(self, workspace, capsys, reader):

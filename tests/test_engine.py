@@ -3,7 +3,7 @@
 import io
 import json
 import random
-from itertools import product, zip_longest
+from itertools import chain, product, zip_longest
 from unittest import mock
 
 import pytest
@@ -409,7 +409,8 @@ class TestStreaming:
 
 def scalar_verify(coeffs, plan, mode, input_width, windows, luts=None, limit=1):
     """Window-by-window reference: the scalar schedule against ``direct_fir``."""
-    run, _ = engine._schedule(coeffs, plan, mode, input_width, luts)
+    tables = engine._read_tables(coeffs, plan, mode, luts)
+    run = engine._schedule(coeffs, plan, input_width, tables)
     checked = 0
     mismatches = []
     for checked, window in enumerate(windows, 1):
@@ -436,13 +437,13 @@ def outcome_at_window(call):
     schedule = engine._schedule
 
     def recording(*args, **kwargs):
-        run, spread = schedule(*args, **kwargs)
+        run = schedule(*args, **kwargs)
 
         def recorded(window, *rest):
             seen.append(tuple(window))
             return run(window, *rest)
 
-        return recorded, spread
+        return recorded
 
     with mock.patch.object(engine, "_schedule", recording):
         result = outcome(call)
@@ -919,6 +920,33 @@ class TestSchedule:
                 assert all(len(r.addresses) == plan.num_groups for r in trace)
                 assert all(0 <= a < 1 << group_size for r in trace for a in r.addresses)
 
+    @pytest.mark.parametrize("group_size", [1, 3, 8, 9, 16])
+    def test_mux_and_derived_stored_push_traced_agree(self, group_size):
+        rng = random.Random(group_size)
+        coeffs = coeff_set([rng.randint(-128, 127) for _ in range(17)])
+        plan = partition_taps(17, group_size)
+        samples = [rng.choice((-128, 127, -1, 0, rng.randint(-128, 127))) for _ in range(40)]
+        stored = DaFilter(coeffs, plan, PpgMode.STORED, input_width=8)
+        mux = DaFilter(coeffs, plan, PpgMode.MUX, input_width=8)
+        want = direct_fir(samples, coeffs)
+        for x, y in zip(samples, want):
+            got = mux.push_traced(x)
+            assert got == stored.push_traced(x)
+            assert got[0] == y
+
+    @pytest.mark.parametrize("group_size", [4, 16])
+    def test_mux_construction_and_blocks_form_no_table_above_256_entries(self, group_size):
+        coeffs = coeff_set([(-1) ** k * (5 * k + 3) for k in range(20)])
+        plan = partition_taps(20, group_size)
+        stream = [(-1) ** i * (37 * i % 128) for i in range(1500)]
+        want = direct_fir(stream, coeffs)
+        with mock.patch.object(engine, "_subset_sums", wraps=engine._subset_sums) as subset_sums:
+            filt = DaFilter(coeffs, plan, PpgMode.MUX, input_width=8)
+            assert filt.process(stream[:700]) == want[:700]
+            assert list(chain.from_iterable(filt.blocks(stream[700:]))) == want[700:]
+        assert subset_sums.call_count > 0
+        assert max(len(args[1]) for args, _ in subset_sums.call_args_list) <= 8
+
     def test_addresses_match_address_for_cycle(self):
         rng = random.Random(3)
         coeffs = coeff_set([rng.randint(-128, 127) for _ in range(7)])
@@ -1044,9 +1072,8 @@ class TestSchedule:
                     for w in windows * 3
                 ]
             assert schedule.call_count == 1
-            # derived stored tables are built on the first call only, one per group
-            derived = mode is PpgMode.STORED and tables is None
-            assert subset_sums.call_count == (plan.num_groups if derived else 0)
+            # subset sums, stored or mux, are built on the first call only, one per group
+            assert subset_sums.call_count == (plan.num_groups if tables is None else 0)
             want = [direct_fir(w[::-1], coeffs)[-1] for w in windows * 3]
             assert [value for value, _ in got] == want
             assert got[:3] == got[3:6] == got[6:]
@@ -1058,14 +1085,21 @@ class TestSchedule:
             kinds.append(kind)
             return real(operands, kind, model, bit_level=bit_level)
 
-        with mock.patch.object(engine, "adder_tree_sum", spy):
+        with mock.patch.object(engine, "adder_tree_sum", spy), mock.patch.object(
+            engine, "_schedule", wraps=engine._schedule
+        ) as schedule, mock.patch.object(
+            engine, "_subset_sums", wraps=engine._subset_sums
+        ) as subset_sums:
             for tree in AdderKind:
-                kinds.clear()
-                value, _ = da_inner_product(
-                    windows[0], coeffs, plan, PpgMode.MUX, tree,
-                    input_width=4, collect_trace=False, bit_level=True,
-                )
-                assert value == want[0] and set(kinds) == {tree}
+                for _ in range(2):
+                    kinds.clear()
+                    value, _ = da_inner_product(
+                        windows[0], coeffs, plan, PpgMode.MUX, tree,
+                        input_width=4, collect_trace=False, bit_level=True,
+                    )
+                    assert value == want[0] and set(kinds) == {tree}
+        assert schedule.call_count == len(AdderKind)
+        assert subset_sums.call_count == len(AdderKind) * plan.num_groups
 
     def test_checked_tables_pass_again_only_for_their_shape(self):
         plan = partition_taps(2, 2)
