@@ -141,12 +141,11 @@ class DesignFile:
         return cls(arch, coefficients, plan, luts)
 
     def filter(self) -> DaFilter:
-        """A streaming evaluator running this design's own plan, mode, tree and tables."""
+        """A streaming evaluator running this design's own plan, mode and tables."""
         return DaFilter(
             self.coefficients,
             self.plan,
             self.arch.ppg_mode,
-            self.arch.tree,
             input_width=self.arch.input_width,
             luts=self.luts,
         )

@@ -260,10 +260,15 @@ def _read_tables(
     ppg_mode: PpgMode,
     luts: Sequence[Sequence[int]] | None,
 ) -> tuple[Sequence[int], ...]:
-    """The tables a filter reads: stored mode's ``luts``, checked, when given; else subset sums."""
-    if ppg_mode is PpgMode.STORED and luts is not None:
-        return check_tables(luts, plan, coeffs.format.width)
-    return tuple(_subset_sums(coeffs.values, g) for g in plan.groups)
+    """The tables a filter reads: stored mode's ``luts``, checked, when given; else subset sums.
+
+    A mux filter reads no stored table, so ``luts`` given with it are refused.
+    """
+    if luts is None:
+        return tuple(_subset_sums(coeffs.values, g) for g in plan.groups)
+    if ppg_mode is not PpgMode.STORED:
+        raise ValueError("luts are stored tables; a mux filter cannot read them")
+    return check_tables(luts, plan, coeffs.format.width)
 
 
 def address_for_cycle(
@@ -522,13 +527,12 @@ def da_inner_product(
     integers; the result must not change.
 
     ``luts`` overrides the derived tables in stored mode, which lets a
-    verifier exercise exactly the entries a design file carries.
+    verifier exercise exactly the entries a design file carries; mux
+    mode refuses them.
     """
     dl = _check_inputs(delay_line, coeffs, plan, input_width)
-    if ppg_mode is PpgMode.STORED and luts is not None:
-        luts = check_tables(luts, plan, coeffs.format.width)  # hashable, as the binding's key
-    else:
-        luts = None
+    if luts is not None:
+        luts = _read_tables(coeffs, plan, ppg_mode, luts)  # checked, hashable: the binding's key
     run = _bound_schedule(coeffs, plan, ppg_mode, input_width, luts, tree, bit_level)
     if not collect_trace:
         return run(dl), None
@@ -547,8 +551,7 @@ class DaFilter:
     ``push_traced`` run the bit-serial schedule per sample, in both modes
     on the tables of :meth:`tables`, bound on the first call;
     ``blocks``, ``process`` and ``traced_blocks`` evaluate ``LANES``
-    outputs at a time on the same delay line, except with ``bit_level``,
-    which keeps the schedule.
+    outputs at a time on the same delay line.
     """
 
     def __init__(
@@ -556,11 +559,9 @@ class DaFilter:
         coeffs: CoefficientSet,
         plan: PartitionPlan,
         ppg_mode: PpgMode = PpgMode.STORED,
-        tree: AdderKind = AdderKind.CLA,
         *,
         input_width: int,
         luts: Sequence[Sequence[int]] | None = None,
-        bit_level: bool = False,
     ) -> None:
         if plan.num_taps != len(coeffs):
             raise ValueError(
@@ -569,14 +570,12 @@ class DaFilter:
         self.coeffs = coeffs
         self.plan = plan
         self.ppg_mode = ppg_mode
-        self.tree = tree
         self.input_format = FixedFormat(input_width)
-        self.bit_level = bit_level
         self._luts = luts
         self._spreader = _spreader(input_width, plan.group_size)
-        given = self.tables() if luts is not None else None  # checked now, not at a first sample
-        halves = given.halves if type(given) is _CheckedTables else None
-        self._block = None if bit_level else _block_datapath(coeffs, plan, halves, input_width)
+        # Given tables are checked now, not at a first sample; only stored mode takes them.
+        halves = self.tables().halves if luts is not None else None
+        self._block = _block_datapath(coeffs, plan, halves, input_width)
         self._acc_width = required_accumulator_width(len(coeffs), coeffs.format.width, input_width)
         self.reset()
 
@@ -587,9 +586,7 @@ class DaFilter:
     @functools.cached_property
     def _run(self) -> Callable[..., int]:
         """The scalar schedule, bound on the first ``push`` or ``push_traced``."""
-        return _schedule(
-            self.coeffs, self.plan, self.input_format.width, self._tables, self.tree, self.bit_level
-        )
+        return _schedule(self.coeffs, self.plan, self.input_format.width, self._tables)
 
     def tables(self) -> tuple[Sequence[int], ...]:
         """Each group's 2^M partial products, indexed by address, as this filter reads them.
@@ -638,21 +635,6 @@ class DaFilter:
 
     def _evaluate(self, samples: Iterable[int], traced: bool) -> Iterator:
         """The blocks of ``blocks``, or with ``traced`` those of ``traced_blocks``."""
-        if self._block is None:
-            for x in samples:
-                if not traced:
-                    yield [self.push(x)]
-                    continue
-                y, records = self.push_traced(x)
-                yield TracedBlock(
-                    [y],
-                    1,
-                    tuple(zip(*(r.addresses for r in records))),
-                    tuple(zip(*(r.partials for r in records))) if self.plan.group_size > 8 else (),
-                    [r.tree_sum for r in records],
-                    [r.acc_after for r in records],
-                )
-            return
         fmt = self.input_format
         lo, hi = fmt.min_value, fmt.max_value
         history = len(self.coeffs) - 1

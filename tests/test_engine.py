@@ -957,27 +957,6 @@ class TestSchedule:
             for r in trace:
                 assert r.addresses == address_for_cycle(window, plan, r.cycle, 10)
 
-    def test_gate_level_flag_reaches_the_adders(self, monkeypatch):
-        calls = []
-        real = engine.adder_tree_sum
-
-        def spy(operands, kind, model, bit_level=False):
-            calls.append(bit_level)
-            return real(operands, kind, model, bit_level=bit_level)
-
-        monkeypatch.setattr(engine, "adder_tree_sum", spy)
-        rng = random.Random(17)
-        coeffs = coeff_set([rng.randint(-128, 127) for _ in range(5)])
-        plan = partition_taps(5, 2)
-        samples = [rng.randint(-32, 31) for _ in range(12)]
-        want = direct_fir(samples, coeffs)
-        for mode in PpgMode:
-            for tree in AdderKind:
-                calls.clear()
-                filt = DaFilter(coeffs, plan, mode, tree, input_width=6, bit_level=True)
-                assert filt.process(samples) == want
-                assert len(calls) == len(samples) * 6 and all(calls)
-
     def test_garbage_at_padding_addresses_is_never_read(self):
         # Group (4, None): addresses with bit 1 set select the padding slot,
         # which no sample can drive, so those entries may hold anything.
@@ -1123,6 +1102,29 @@ class TestSchedule:
             DaFilter(coeffs, plan, input_width=8, luts=bad)
         assert str(from_file.value) == str(from_engine.value)
         assert "table 0 entry 4096 cannot be a sum" in str(from_engine.value)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda coeffs, plan, mode, luts: DaFilter(coeffs, plan, mode, input_width=4, luts=luts),
+            lambda coeffs, plan, mode, luts: da_inner_product(
+                (1, 0), coeffs, plan, mode, input_width=4, luts=luts
+            ),
+            lambda coeffs, plan, mode, luts: verify_windows(
+                coeffs, plan, mode, input_width=4, windows=all_windows(2, 4), luts=luts
+            ),
+        ],
+        ids=["DaFilter", "da_inner_product", "verify_windows"],
+    )
+    def test_mux_refuses_stored_tables(self, entry):
+        # Stored mode reads the edited entries; mux mode must not drop them silently.
+        coeffs = coeff_set([3, 5])
+        plan = partition_taps(2, 2)
+        luts = [[0, 99, 99, 99]]
+        entry(coeffs, plan, PpgMode.STORED, luts)
+        with pytest.raises(ValueError, match="a mux filter cannot read them"):
+            entry(coeffs, plan, PpgMode.MUX, luts)
+        entry(coeffs, plan, PpgMode.MUX, None)
 
 
 def stream_outcome(outputs):
@@ -1418,26 +1420,6 @@ class TestBlocks:
         tail = stream_outcome(traced_pushed(scalar, more))
         assert stream_outcome(traced_pushed(block, more)) == tail
 
-    def test_bit_level_traced_blocks_are_push_traced(self):
-        coeffs = coeff_set([3, -5, 7])
-        plan = partition_taps(3, 2)
-        filt = DaFilter(coeffs, plan, input_width=6, bit_level=True)
-        scalar = DaFilter(coeffs, plan, input_width=6)
-        samples = [-32, 31, -1, 0, 17]
-        sizes = []
-        assert list(traced_blocked(filt, samples, sizes)) == list(traced_pushed(scalar, samples))
-        assert sizes == [1] * len(samples)
-        # the trace writer takes its one-sample blocks' tuple columns too
-        filt.reset()
-        scalar.reset()
-        out, trace = io.StringIO(), io.StringIO()
-        cli._write_traced(out, trace, filt, samples)
-        pairs = list(traced_pushed(scalar, samples))
-        assert out.getvalue() == "".join(f"{y}\n" for y, _ in pairs)
-        assert trace.getvalue() == "".join(
-            json_record(i, rec) for i, (_, records) in enumerate(pairs) for rec in records
-        )
-
     @settings(deadline=None, max_examples=40)
     @given(block_cases())
     @example(  # M = 8: one group to a pack, keys of every byte value
@@ -1448,7 +1430,7 @@ class TestBlocks:
         (coeff_set(list(range(-7, 8))), partition_taps(15, 3), PpgMode.MUX, 5, None,
          [-16, 15, -1, 0, 7] * 300, [1])
     )
-    @example(  # M = 16: a %d slot per group
+    @example(  # M = 16: a %d slot per group, gathered partials in tuple columns
         (coeff_set([-(1 << 63), (1 << 63) - 1, 5, -7, 3], 64),
          partition_taps(5, 16), PpgMode.MUX, 64, None,
          [-(1 << 63), (1 << 63) - 1, -1, 0, 12345] * 210, [1])
