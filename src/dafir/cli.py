@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 from decimal import Decimal, InvalidOperation
@@ -224,59 +225,59 @@ def _trace_template(packs: int, slot: str, length: int) -> str:
     )
 
 
-def _pack_keys(addresses: Sequence[Sequence[int]], group_size: int) -> list[bytes]:
-    """Each pack's keys at every cycle and lane, from its groups' address columns at once.
-
-    Each column is moved up by its group's shift in the pack as a whole;
-    the shifted addresses never overlap, so the columns add without carries.
-    """
-    keys = []
-    for pack in _packs(addresses, group_size):
-        key = sum(int.from_bytes(column, "little") << shift for shift, column in pack)
-        keys.append(key.to_bytes(len(pack[0][1]), "little"))
-    return keys
-
-
 def _write_traced(out, trace, filt: DaFilter, samples: Iterable[int]) -> None:
     """Filter ``samples``, writing outputs to ``out`` and JSONL cycle records to ``trace``.
 
     Records go sample by sample, cycle by cycle, each block before the
     next is read, so memory holds one block whatever the stream's length.
-    With M <= 8, a record's addresses and partials are looked up by pack
-    key in text built once per run from the tables the filter reads;
-    above that every address and partial is formatted.
+    A record's addresses and partials are looked up at the keys each read
+    took (:class:`TracedBlock`): with M <= 8 in each pack's text, built
+    once per run from the tables the filter reads; above that a read is
+    one group, whose key is its address and whose partial is its table's
+    entry there, each for a ``%d`` slot.
     """
     group_size = filt.plan.group_size
     length = filt.input_format.width
-    lookups = None
+    tables = filt.tables()
     if group_size <= 8:
         # Each pack's address text and partial text by key, at most 2·256 strings a pack.
         addresses = [str(a) for a in range(1 << group_size)]
-        packs = _packs([list(map(str, table)) for table in filt.tables()], group_size)
+        packs = _packs([list(map(str, table)) for table in tables], group_size)
         texts = [_pack_table([addresses] * len(pack), _COMMA) for pack in packs]
         texts += [_pack_table([column for _, column in pack], _COMMA) for pack in packs]
-        lookups = [text.__getitem__ for text in texts]
-        template = _trace_template(len(packs), "%s", length)
+        slot = "%s"
     else:
-        template = _trace_template(filt.plan.num_groups, "%d", length)
+        texts = [None] * len(tables) + list(tables)  # None: the key is the address
+        slot = "%d"
+    template = _trace_template(len(texts) // 2, slot, length)
     first = 0
     for block in filt.traced_blocks(samples):
         count = len(block.outputs)
         _write_values(out, block.outputs)
         index = list(map(str, range(first, first + count)))
-        if lookups:
-            keys = _pack_keys(block.addresses, group_size) * 2  # for addresses, then partials
+        # Each read's addresses, then its partials, at every position. A
+        # block's L >= 2 cycles give itemgetter two keys or more: a tuple.
+        values = [
+            keys if text is None else itemgetter(*keys)(text)
+            for text, keys in zip(texts, block.addresses * 2)
+        ]
+        values += [block.sums, block.acc]
         # Every cycle's columns, each led by the sample index; zip takes them sample by sample.
         columns = []
         for n in range(length):
-            *reads, sums, acc = block.cycle(n)
-            if lookups:
-                start = n * block.stride
-                reads = map(map, lookups, [k[start : start + count] for k in keys])
-            columns += [index, *reads, sums, acc]
+            start = n * block.stride
+            columns += [index, *[v[start : start + count] for v in values]]
         trace.writelines(map(template.__mod__, zip(*columns)))
         first += count
-        del block, columns  # so the next block is evaluated without this one's columns
+        del block, values, columns  # so the next block is evaluated without this one's columns
+
+
+def _same_file(a: str, b: str) -> bool:
+    """Whether paths ``a`` and ``b`` name one file, through hard or symbolic links."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # a path not made yet is another's only if both resolve alike
+        return os.path.realpath(a) == os.path.realpath(b)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -284,6 +285,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     samples = _parse_samples(args.samples, FixedFormat(design.arch.input_width))
     filt = design.filter()
     if args.trace is not None:
+        if _same_file(args.out, args.trace):
+            raise CliError(f"--out and --trace are the same file: {args.trace}")
         _open_out(args.trace, "a").close()  # a bad --trace fails before --out is truncated
     with _open_out(args.out) as out:
         if args.trace is None:

@@ -317,29 +317,20 @@ class TracedBlock(NamedTuple):
     """A block of consecutive outputs with their cycle records, as cycle-major columns.
 
     Entry ``n * stride + i`` of a column belongs to output i at cycle n,
-    for i below ``len(outputs)``: per group the table address and (M > 8)
-    the partial product read there, then the tree sum over groups and the
-    accumulator after the cycle. With ``DaFilter.tables()``' entries at the
-    addresses as partials for M <= 8, they hold the fields of the
-    CycleRecords ``DaFilter.push_traced`` gives for the same samples.
+    for i below ``len(outputs)``: one key column per table read, then the
+    tree sum over groups and the accumulator after the cycle. For M <= 8 a
+    read is a pack of :func:`_packs`, whose 8-bit key holds its r-th
+    group's address in bits M·r to M·r + M - 1; for M > 8 it is a group,
+    keyed by its address. With ``DaFilter.tables()``' entries at those
+    addresses as partials, they hold the fields of the CycleRecords
+    ``DaFilter.push_traced`` gives for the same samples.
     """
 
     outputs: list[int]
     stride: int
     addresses: tuple[Sequence[int], ...]
-    partials: tuple[Sequence[int], ...]
     sums: Sequence[int]
     acc: Sequence[int]
-
-    def cycle(self, n: int) -> list[Sequence[int]]:
-        """Cycle n's entries of every output: addresses and partials per group, sums, acc."""
-        start = n * self.stride
-        stop = start + len(self.outputs)
-        return [
-            c[start:stop] if isinstance(c, (list, tuple)) else memoryview(c)[start:stop]
-            for c in (*self.addresses, *self.partials, self.sums, self.acc)
-        ]
-
 
 
 def _check_inputs(
@@ -1003,7 +994,6 @@ def _block_reads(
     halves: Sequence[tuple[Sequence[int], Sequence[int]] | None] | None,
     plan: PartitionPlan,
     partial_width: int,
-    traced: bool,
 ) -> tuple[list, list, int, int, set[int]]:
     """The table reads of a block: what is read where, and how wide their sum is.
 
@@ -1011,12 +1001,10 @@ def _block_reads(
     (byte planes, (address bit, tap) members, :func:`_sliding` key, bias),
     the (table, members) of the groups gathered instead, the sum of every
     read's bias, the signed bits any sum of one lane and cycle's reads
-    takes, and the sliding keys' widths. Untraced, each of :func:`_packs`
-    is one read (M <= 8), a table with ``halves`` is two, at its low and
-    high address bytes (M > 8), and any other table is gathered; a read of
+    takes, and the sliding keys' widths. Each of :func:`_packs` is one
+    read (M <= 8), a table with ``halves`` is two, at its low and high
+    address bytes (M > 8), and any other table is gathered; a read of
     consecutive taps, as every read of a consecutive plan is, slides.
-    Traced, every group is read on its own, as a pack of one or a gather,
-    at formed addresses, since its addresses are kept.
     """
     members = [[(j, k) for j, k in enumerate(g) if k is not None] for g in plan.groups]
     reads = []
@@ -1024,19 +1012,18 @@ def _block_reads(
     widths = []
 
     def read(table: Sequence[int], bits: list, width: int) -> None:
-        slide = None if traced else _sliding(bits, plan.num_taps)
+        slide = _sliding(bits, plan.num_taps)
         reads.append((_byte_planes(table, width), bits, slide, 1 << (width - 1)))
         widths.append(width)
 
     if plan.group_size <= 8:
-        # With traced reads, every group is a pack of its own, as for M = 8.
-        for pack in _packs(list(zip(tables, members)), 8 if traced else plan.group_size):
+        for pack in _packs(list(zip(tables, members)), plan.group_size):
             width = tree_output_width(partial_width, len(pack))
             bits = [(shift + j, k) for shift, (_, group) in pack for j, k in group]
             read(_pack_table([t for _, (t, _) in pack]), bits, width)
     else:
         for g, group in enumerate(members):
-            pair = None if traced else halves[g]
+            pair = halves[g] if halves else None
             if pair is None:
                 gathers.append((tables[g], group))
                 widths.append(partial_width)
@@ -1073,8 +1060,9 @@ def _block_datapath(
     sign cycle subtracted, and unpacked once.
 
     With ``traced`` it returns a :class:`TracedBlock` instead: the outputs
-    with the addresses and gathered entries it took for each group and
-    each cycle's sums and accumulator, unbiased by whole-block operations.
+    with the keys of every read and each cycle's sums and accumulator,
+    unbiased by whole-block operations. Traced M > 8 blocks read no
+    halves: every group is gathered, so its addresses are a key column.
 
     Fields hold the reads' sum width + L bits, more than any value entries
     that ``check_tables`` accepts can reach, so no table can wrap one.
@@ -1083,15 +1071,17 @@ def _block_datapath(
     num_taps = len(coeffs)
     partial_width = partial_product_width(coeffs.format.width, plan.group_size)
     size = _item_size(max(length, plan.group_size))
-    routes: dict[bool, tuple] = {}  # traced or not: the reads of _block_reads, bound on first use
+    routes: dict[bool, tuple] = {}  # gathered or not: the reads of _block_reads, bound on first use
     if halves is None and plan.group_size > 8:
         halves = [[_subset_sums(coeffs.values, h) for h in (g[:8], g[8:])] for g in plan.groups]
 
     def run(stream: list[int], tables: Callable, traced: bool = False) -> list[int] | TracedBlock:
-        if traced not in routes:
-            whole = tables() if traced or plan.group_size <= 8 or None in halves else None
-            routes[traced] = _block_reads(whole, halves, plan, partial_width, traced)
-        reads, gathers, bias, sum_width, key_widths = routes[traced]
+        gathered = traced and plan.group_size > 8
+        if gathered not in routes:
+            whole = tables() if gathered or plan.group_size <= 8 or None in halves else None
+            split = None if gathered else halves
+            routes[gathered] = _block_reads(whole, split, plan, partial_width)
+        reads, gathers, bias, sum_width, key_widths = routes[gathered]
         count = len(stream) - num_taps + 1
         stride = len(stream)  # positions per cycle; the first count are the outputs' lanes
         positions = stride * length
@@ -1109,8 +1099,7 @@ def _block_datapath(
         address = _address_former(
             [planes] * num_taps, range(num_taps - 1, -1, -1), stride, width, length
         )
-        kept_addresses: list = []
-        kept_partials: list = []
+        kept_keys = []  # each read's keys, for a TracedBlock
         # Biased reads of every position and group, position-by-cycle, summed.
         total = 0
         for table, bits, slide, _ in reads:
@@ -1119,7 +1108,7 @@ def _block_datapath(
                 addresses = keys[w][offset:]  # position i reads V_w at i + offset
             else:
                 addresses = address(bits)[::width]  # the low byte of wider items
-                kept_addresses.append(addresses)
+            kept_keys.append(addresses)
             total += int.from_bytes(_read_biased(table, addresses, narrow), "little")
         if gathers:
             signs = _repeated(1 << (8 * narrow - 1), narrow, positions)
@@ -1127,14 +1116,11 @@ def _block_datapath(
             for table, group in gathers:
                 # positions >= 2 addresses, so itemgetter returns a tuple
                 addresses = _little_endian(array(_UNSIGNED_CODES[width], address(group)))
-                entries = itemgetter(*addresses)(table)
-                data, _ = _pack(entries, 8 * narrow)
+                data, _ = _pack(itemgetter(*addresses)(table), 8 * narrow)
                 packed = int.from_bytes(data, "little")
                 total += packed
                 negatives += packed & signs
-                if traced:
-                    kept_addresses.append(addresses)
-                    kept_partials.append(entries)
+                kept_keys.append(addresses)
             # Each field read as unsigned is off by twice its sign bit; the
             # bias then makes every sum nonnegative, as in the byte-planes.
             gathered_bias = len(gathers) << (partial_width - 1)
@@ -1176,8 +1162,7 @@ def _block_datapath(
         return TracedBlock(
             outputs,
             stride,
-            tuple(kept_addresses),
-            tuple(kept_partials),
+            tuple(kept_keys),
             _signed_items(tree_sums.to_bytes(narrow * positions, "little"), narrow),
             _signed_items(b"".join(snapshots), field),
         )

@@ -1013,6 +1013,35 @@ class TestUsage:
         (kept,) = (path for name, path in paths.items() if name != flag)
         assert kept.read_bytes() == b"keep\n"
 
+    @pytest.mark.parametrize("link", ["same", "dotted", "hard", "symbolic", "new"])
+    def test_run_refuses_out_and_trace_on_one_file(self, workspace, capsys, link):
+        design = run_design(workspace)
+        out = workspace / "out.txt"
+        if link != "new":
+            out.write_bytes(b"keep\n")
+        trace = {
+            "same": out,
+            "dotted": workspace / "." / "out.txt",
+            "hard": workspace / "hard.txt",
+            "symbolic": workspace / "symbolic.txt",
+            "new": out,
+        }[link]
+        if link == "hard":
+            os.link(out, trace)
+        elif link == "symbolic":
+            trace.symlink_to(out)
+        argv = ["run", "--design", str(design), "--samples", str(workspace / "samples.txt")]
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out), "--trace", str(trace)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --out and --trace are the same file: {trace}\n"
+        )
+        # nothing was truncated, or made
+        if link == "new":
+            assert not out.exists()
+        else:
+            assert out.read_bytes() == b"keep\n"
+
     @pytest.mark.parametrize(
         "content, reason",
         [

@@ -1151,33 +1151,34 @@ def traced_pushed(filt, samples):
 def traced_blocked(filt, samples, sizes):
     """``filt.traced_blocks`` over ``samples`` as (output, records) pairs, as ``push_traced``.
 
-    With M <= 8 a block has no partial columns, and a record's partials
-    are the filter's table entries at its addresses.
+    A record's addresses are cut from its reads' keys: a pack's r-th group
+    (M <= 8) at key bits M·r up, or a group's own key (M > 8). Its
+    partials are the filter's table entries at those addresses.
     """
     last = filt.input_format.width - 1
     tables = filt.tables()
+    group_size, groups = filt.plan.group_size, filt.plan.num_groups
+    per_read = 8 // group_size if group_size <= 8 else 1
+    mask = (1 << group_size) - 1
     for block in filt.traced_blocks(samples):
         sizes.append(len(block.outputs))
-        groups = len(block.addresses)
-        assert len(block.partials) == (groups if filt.plan.group_size > 8 else 0)
-        cycles = [block.cycle(n) for n in range(last + 1)]
+        assert len(block.addresses) == -(-groups // per_read)
+        count, kept = len(block.outputs), (*block.addresses, block.sums, block.acc)
+        # cycle n's entries of every output: each read's keys, sums, acc
+        starts = [n * block.stride for n in range(last + 1)]
+        cycles = [[c[start : start + count] for c in kept] for start in starts]
         # a block cut short by an error holds its earlier outputs' records only
         assert {len(column) for columns in cycles for column in columns} == {len(block.outputs)}
         for i, y in enumerate(block.outputs):
-            records = tuple(
-                CycleRecord(
-                    n,
-                    addresses := tuple(column[i] for column in columns[:groups]),
-                    tuple(column[i] for column in columns[groups:-2])
-                    or tuple(t[a] for t, a in zip(tables, addresses)),
-                    columns[-2][i],
-                    n,
-                    n == last,
-                    columns[-1][i],
+            records = []
+            for n, (*keys, sums, acc) in enumerate(cycles):
+                addresses = tuple(
+                    keys[g // per_read][i] >> (group_size * (g % per_read)) & mask
+                    for g in range(groups)
                 )
-                for n, columns in enumerate(cycles)
-            )
-            yield y, records
+                partials = tuple(t[a] for t, a in zip(tables, addresses))
+                records.append(CycleRecord(n, addresses, partials, sums[i], n, n == last, acc[i]))
+            yield y, tuple(records)
 
 
 def first_difference(got, want):
@@ -1430,7 +1431,7 @@ class TestBlocks:
         (coeff_set(list(range(-7, 8))), partition_taps(15, 3), PpgMode.MUX, 5, None,
          [-16, 15, -1, 0, 7] * 300, [1])
     )
-    @example(  # M = 16: a %d slot per group, gathered partials in tuple columns
+    @example(  # M = 16: a %d slot per group, looked up in the tables at its address
         (coeff_set([-(1 << 63), (1 << 63) - 1, 5, -7, 3], 64),
          partition_taps(5, 16), PpgMode.MUX, 64, None,
          [-(1 << 63), (1 << 63) - 1, -1, 0, 12345] * 210, [1])
@@ -1438,6 +1439,12 @@ class TestBlocks:
     @example(  # the edited entry 511 is read, and overflows, in the second block
         (coeff_set([5]), partition_taps(1, 4), PpgMode.STORED, 4, [[0, 511] + [0] * 14],
          [1] * 1500 + [7] + [1] * 10, [1])
+    )
+    @example(  # M = 12, three groups, one edited: each partial slot reads its own group's table
+        (coeff_set([(-1) ** k * (k + 90) for k in range(30)]), partition_taps(30, 12),
+         PpgMode.STORED, 8, edited_luts(coeff_set([(-1) ** k * (k + 90) for k in range(30)]),
+                                        partition_taps(30, 12), [(1, 300, 7)]),
+         [-128, 127, -1, 0, 85, -86] * 180, [1])
     )
     def test_trace_writer_writes_push_traced_records(self, case):
         """The CLI's trace writer writes what json.dumps of push_traced's records writes."""
@@ -1540,7 +1547,7 @@ class TestBlocks:
             routes.clear()
 
     def test_consecutive_reads_slide_and_others_form_addresses(self, monkeypatch):
-        """Untraced reads of consecutive taps make no address-former call; the others make one."""
+        """Consecutive reads make no address-former call, traced or not; the others make one."""
         formed = []  # each group or pack whose addresses the address former formed
         former = engine._address_former
 
@@ -1580,8 +1587,13 @@ class TestBlocks:
         plan = partition_taps(20, 16)
         luts = edited_luts(coeffs, plan, [(0, 257, 1)])
         assert formed_by(coeffs, plan, luts=luts) == 2
-        # Traced, every group is formed on each block.
-        assert formed_by(coeffs, partition_taps(20, 4), traced=True) == 2 * 5
+        # Traced blocks read what untraced ones read: consecutive packs slide,
+        assert formed_by(coeffs, partition_taps(20, 4), traced=True) == 0
+        # a shuffled plan's packs are formed on each block, one key a pack,
+        reversed_groups = tuple(tuple(range(g + 3, g - 1, -1)) for g in range(0, 20, 4))
+        assert formed_by(coeffs, PartitionPlan(4, reversed_groups, 0), traced=True) == 2 * 3
+        # and M > 8 groups are gathered, one address a group.
+        assert formed_by(coeffs, plan, traced=True) == 2 * 2
 
     @pytest.mark.parametrize("group_size", [9, 16])
     def test_table_range_is_checked_with_or_without_a_split(self, group_size):

@@ -25,8 +25,9 @@ inseparable; its outputs must equal ``push``'s instead of the oracle's.
 Traced rows time what ``dafir run --trace`` does per output at the
 ``TRACED_SHAPES``: the command line's trace writer, which runs
 ``DaFilter.traced_blocks`` and renders each record (addresses and partials
-looked up in string tables built per call for M <= 8, formatted one by one
-above that), against a loop of ``DaFilter.push_traced`` with one
+looked up at each read's key: in string tables built per call for M <= 8,
+in the tables, formatted one by one, above that),
+against a loop of ``DaFilter.push_traced`` with one
 ``json.dumps`` per cycle record (the path traced runs took before blocks).
 Both write outputs and records to in-memory files, and the two traces must
 be byte-identical, so every record of the writer is checked against
