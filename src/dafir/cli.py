@@ -284,18 +284,24 @@ def cmd_run(args: argparse.Namespace) -> int:
     design = _load_design(args.design)
     samples = _parse_samples(args.samples, FixedFormat(design.arch.input_width))
     filt = design.filter()
-    if args.trace is not None:
-        if _same_file(args.out, args.trace):
-            raise CliError(f"--out and --trace are the same file: {args.trace}")
-        _open_out(args.trace, "a").close()  # a bad --trace fails before --out is truncated
-    with _open_out(args.out) as out:
-        if args.trace is None:
+    if args.trace is None:
+        with _open_out(args.out) as out:
             # Each block is written before the next is evaluated.
             for block in filt.blocks(samples):
                 _write_values(out, block)
-            return EXIT_OK
-        with _open_out(args.trace) as trace:
-            _write_traced(out, trace, filt, samples)
+        return EXIT_OK
+    if _same_file(args.out, args.trace):
+        raise CliError(f"--out and --trace are the same file: {args.trace}")
+    made = not os.path.lexists(args.trace)
+    _open_out(args.trace, "a").close()  # a bad --trace fails before --out is truncated
+    try:
+        out = _open_out(args.out)
+    except CliError:
+        if made:
+            os.remove(args.trace)  # and a bad --out leaves no trace file behind
+        raise
+    with out, _open_out(args.trace) as trace:
+        _write_traced(out, trace, filt, samples)
     return EXIT_OK
 
 

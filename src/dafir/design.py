@@ -1,8 +1,10 @@
 """Versioned on-disk filter designs.
 
 A design file is a strict JSON document: architecture, quantized
-coefficients, the partition plan, and (in stored mode) every table entry.
-It is the one description of a filter: running, verifying and reporting
+coefficients, the partition plan, and (in stored mode) each group's table:
+the list of its entries or, for a table of M > 8 members that splits into
+its two 8-bit halves, those halves, which fix every entry. It is the one
+description of a filter: running, verifying and reporting
 all read its plan and tables rather than rebuilding them. Unknown keys,
 booleans and non-integers in integer fields are rejected so golden files
 stay frozen. Loading performs structural validation only; it deliberately
@@ -15,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import islice
+from typing import Sequence
 
 from .adders import AdderKind
 from .engine import (
@@ -22,6 +25,8 @@ from .engine import (
     DaFilter,
     PartitionPlan,
     PpgMode,
+    _subset_tables,
+    _table_forms,
     build_lut,
     check_tables,
     partition_taps,
@@ -122,12 +127,12 @@ class DesignFile:
     arch: ArchConfig
     coefficients: CoefficientSet
     plan: PartitionPlan
-    luts: tuple[tuple[int, ...], ...] | None
+    luts: Sequence[Sequence[int]] | None
     version: int = DESIGN_VERSION
 
     @classmethod
     def create(cls, arch: ArchConfig, coefficients: CoefficientSet) -> "DesignFile":
-        """Derive plan and (stored mode) tables from scratch."""
+        """Derive plan and (stored mode) tables from scratch; M > 8 tables as their halves."""
         if len(coefficients) != arch.num_taps:
             raise DesignError(
                 f"architecture declares {arch.num_taps} taps, got {len(coefficients)}"
@@ -137,7 +142,7 @@ class DesignFile:
         plan = partition_taps(arch.num_taps, arch.group_size)
         luts = None
         if arch.ppg_mode is PpgMode.STORED:
-            luts = tuple(build_lut(coefficients, g).entries for g in plan.groups)
+            luts = _subset_tables(coefficients, plan)
         return cls(arch, coefficients, plan, luts)
 
     def filter(self) -> DaFilter:
@@ -164,14 +169,17 @@ class DesignFile:
         }
 
     def to_dict(self) -> dict:
-        luts = [list(t) for t in self.luts] if self.luts is not None else None
+        """The document: each table that splits as its halves object, any other as a list."""
+        luts = None
+        if self.luts is not None:
+            luts = [f if isinstance(f, dict) else list(f) for f in _table_forms(self.luts)]
         return {**self._head(), "luts": luts}
 
     def save(self, path: str) -> None:
         """Write ``json.dumps(self.to_dict(), indent=2)`` and a newline, byte for byte.
 
         The head goes through that call with ``null`` tables; the tables
-        are written after it a slice of entries at a time.
+        are written after it, a list a slice of entries at a time.
         """
         text = json.dumps({**self._head(), "luts": None}, indent=2) + "\n"
         with open(path, "w", encoding="utf-8") as f:
@@ -180,9 +188,12 @@ class DesignFile:
                 return
             f.write(text.removesuffix("null\n}\n"))
             lead = "[\n    "
-            for table in self.luts:
+            for form in _table_forms(self.luts):
                 f.write(lead)
-                _write_table(f, table)
+                if isinstance(form, dict):  # two halves, a few hundred entries, at indent 4
+                    f.write(json.dumps(form, indent=2).replace("\n", "\n    "))
+                else:
+                    _write_table(f, form)
                 lead = ",\n    "
             f.write("[]\n}\n" if lead.startswith("[") else "\n  ]\n}\n")
 

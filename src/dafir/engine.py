@@ -196,30 +196,87 @@ def mux_ppg(coeffs: CoefficientSet, group: Sequence[TapIndex], address: int) -> 
     return _subset_sums(coeffs.values, members)[address]
 
 
-class _CheckedTables(tuple):
+_Halves = tuple[tuple[int, ...], tuple[int, ...]]  # a table's T[:256] and T[::256]
+
+
+class _CheckedTables(Sequence):
     """Tables ``check_tables`` returned, with the (M, groups, W) they were checked for.
 
-    Only ``check_tables`` makes one, and its tables are tuples of ints, so
-    the same tables checked for the same shape pass again without a scan.
-    ``halves`` holds each table's :func:`_split`, None for M <= 8.
+    Only ``check_tables`` and :func:`_subset_tables` make one. Its tables
+    are tuples of ints, so the same tables checked for the same shape pass
+    again without a scan. ``halves`` holds each table's halves, None for
+    M <= 8 and for a table that does not split (:func:`_split`). A table
+    given as its halves is formed from them, T[256h + l] = high[h] +
+    low[l], when it is first read: untraced blocks read the halves alone.
     """
 
-    shape: tuple[int, int, int]
-    halves: tuple[tuple[Sequence[int], Sequence[int]] | None, ...]
+    def __init__(
+        self, tables: list[tuple[int, ...] | None], halves: Sequence[_Halves | None], shape: tuple
+    ) -> None:
+        self._tables = tables  # None: not formed from its halves yet
+        self.halves = tuple(halves)
+        self.shape = shape
+
+    def __len__(self) -> int:
+        return len(self._tables)
+
+    def __getitem__(self, g: int) -> tuple[int, ...]:
+        table = self._tables[g]
+        if table is None:
+            low, high = self.halves[g]
+            table = self._tables[g] = tuple([h + v for h in high for v in low])
+        return table
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (tuple, _CheckedTables)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"_CheckedTables({tuple(self)!r})"
+
+
+def _given_halves(table: dict, size: int, i: int) -> _Halves:
+    """Table i's ``{"low": T[:256], "high": T[::256]}`` as its halves, of a table of ``size``.
+
+    Both halves hold ints, and start at 0, as the halves of every table
+    that splits do: T[0] = T[0] + T[0].
+    """
+    if set(table) != {"low", "high"}:
+        raise ValueError(f"table {i} must have exactly the keys 'low' and 'high'")
+    for name, length in (("low", 256), ("high", size >> 8)):
+        half = table[name]
+        if (
+            not isinstance(half, (list, tuple))
+            or len(half) != length
+            or set(map(type, half)) != {int}
+        ):
+            raise ValueError(f"table {i} {name} half must be a list of {length} integers")
+    low, high = tuple(table["low"]), tuple(table["high"])
+    if low[0] or high[0]:
+        raise ValueError(f"table {i} halves must start at 0, not low {low[0]} and high {high[0]}")
+    return low, high
 
 
 def check_tables(
-    luts: Sequence[Sequence[int]],
+    luts: Sequence[Sequence[int] | dict],
     plan: PartitionPlan,
     coeff_width: int,
-) -> tuple[tuple[int, ...], ...]:
+) -> Sequence[tuple[int, ...]]:
     """Entries of one table of 2^M integers per group, each within the partial-product width.
 
-    An entry no sum of M coefficients could take is refused before it can
-    reach an accumulator; design files and injected tables share this check.
+    A table is the list of its entries or, with M > 8, for a table that
+    splits (T[256h + l] == T[256h] + T[l] for every h and l), the object
+    ``{"low": T[:256], "high": T[::256]}``. An entry no sum of M
+    coefficients could take is refused before it can reach an accumulator;
+    design files and injected tables share this check. A split table's
+    entries range from its halves' least sum to their greatest, so one
+    given as halves is checked, and kept, without forming its entries.
     Tables this function returned pass again at once for the same group
     size, group count and coefficient width (a loaded design's filter).
-    An M > 8 table that splits (:func:`_split`) has its halves' range.
     """
     shape = (plan.group_size, plan.num_groups, coeff_width)
     if type(luts) is _CheckedTables and luts.shape == shape:
@@ -231,16 +288,22 @@ def check_tables(
     tables = []
     splits = []
     for i, entries in enumerate(luts):
-        if (
+        if isinstance(entries, dict) and plan.group_size > 8:
+            table, halves = None, _given_halves(entries, want, i)
+        elif (
             not isinstance(entries, (list, tuple))
             or len(entries) != want
             or set(map(type, entries)) != {int}
         ):
             raise ValueError(f"table {i} must be a list of {want} integers")
-        table = tuple(entries)
-        halves = _split(table) if plan.group_size > 8 else None
+        else:
+            table = tuple(entries)
+            halves = _split(table) if plan.group_size > 8 else None
         lo, hi = (sum(map(extreme, halves or (table,))) for extreme in (min, max))
         if lo < -bound or hi >= bound:
+            if table is None:
+                low, high = halves
+                table = (h + v for h in high for v in low)  # in address order
             v = next(v for v in table if not -bound <= v < bound)
             raise ValueError(
                 f"table {i} entry {v} cannot be a sum of "
@@ -248,24 +311,54 @@ def check_tables(
             )
         tables.append(table)
         splits.append(halves)
-    checked = _CheckedTables(tables)
-    checked.shape = shape
-    checked.halves = tuple(splits)
-    return checked
+    return _CheckedTables(tables, splits, shape)
+
+
+def _subset_tables(coeffs: CoefficientSet, plan: PartitionPlan) -> _CheckedTables:
+    """Every group's subset sums as checked tables; above 8 members as the halves they split into.
+
+    A group's low half is the subset sums of its first 8 members and its
+    high half those of the rest, so its whole table is formed only when
+    it is first read. Subset sums never leave the partial-product width.
+    """
+    values = coeffs.values
+    shape = (plan.group_size, plan.num_groups, coeffs.format.width)
+    if plan.group_size <= 8:
+        tables = [tuple(_subset_sums(values, g)) for g in plan.groups]
+        return _CheckedTables(tables, [None] * len(tables), shape)
+    halves = [tuple(tuple(_subset_sums(values, h)) for h in (g[:8], g[8:])) for g in plan.groups]
+    return _CheckedTables([None] * len(halves), halves, shape)
+
+
+def _table_forms(luts: Sequence[Sequence[int]]) -> list:
+    """Each table as ``check_tables`` takes it: ``{"low": [...], "high": [...]}`` if it splits.
+
+    A table of more than 256 entries splits as in :func:`_split`; any
+    other table is given as itself, its entries. Checked tables give the
+    halves they keep, so no table is split again or formed from halves.
+    """
+    if type(luts) is _CheckedTables:
+        halves = luts.halves
+    else:
+        halves = [_split(table) if len(table) > 256 else None for table in luts]
+    return [
+        {"low": list(pair[0]), "high": list(pair[1])} if pair else luts[g]
+        for g, pair in enumerate(halves)
+    ]
 
 
 def _read_tables(
     coeffs: CoefficientSet,
     plan: PartitionPlan,
     ppg_mode: PpgMode,
-    luts: Sequence[Sequence[int]] | None,
-) -> tuple[Sequence[int], ...]:
+    luts: Sequence[Sequence[int] | dict] | None,
+) -> _CheckedTables:
     """The tables a filter reads: stored mode's ``luts``, checked, when given; else subset sums.
 
     A mux filter reads no stored table, so ``luts`` given with it are refused.
     """
     if luts is None:
-        return tuple(_subset_sums(coeffs.values, g) for g in plan.groups)
+        return _subset_tables(coeffs, plan)
     if ppg_mode is not PpgMode.STORED:
         raise ValueError("luts are stored tables; a mux filter cannot read them")
     return check_tables(luts, plan, coeffs.format.width)
@@ -565,13 +658,12 @@ class DaFilter:
         self._luts = luts
         self._spreader = _spreader(input_width, plan.group_size)
         # Given tables are checked now, not at a first sample; only stored mode takes them.
-        halves = self.tables().halves if luts is not None else None
-        self._block = _block_datapath(coeffs, plan, halves, input_width)
+        self._block = _block_datapath(coeffs, plan, self.tables().halves, input_width)
         self._acc_width = required_accumulator_width(len(coeffs), coeffs.format.width, input_width)
         self.reset()
 
     @functools.cached_property
-    def _tables(self) -> tuple[Sequence[int], ...]:
+    def _tables(self) -> Sequence[tuple[int, ...]]:
         return _read_tables(self.coeffs, self.plan, self.ppg_mode, self._luts)
 
     @functools.cached_property
@@ -579,12 +671,15 @@ class DaFilter:
         """The scalar schedule, bound on the first ``push`` or ``push_traced``."""
         return _schedule(self.coeffs, self.plan, self.input_format.width, self._tables)
 
-    def tables(self) -> tuple[Sequence[int], ...]:
+    def tables(self) -> Sequence[tuple[int, ...]]:
         """Each group's 2^M partial products, indexed by address, as this filter reads them.
 
         Stored mode's are its checked tables as given (edited entries
-        included); otherwise they are the subset sums of its coefficients,
-        formed on the first call and kept.
+        included); otherwise they are the subset sums of its coefficients.
+        Either is kept from construction on. Above 8 members, a table given
+        as its halves, or derived, is formed from them (``tables().halves``)
+        when ``push`` or traced blocks first read it; untraced blocks read
+        the halves alone.
         """
         return self._tables
 
@@ -991,7 +1086,7 @@ def _signed_items(data: bytes, size: int) -> Sequence[int]:
 
 def _block_reads(
     tables: Sequence[Sequence[int]] | None,
-    halves: Sequence[tuple[Sequence[int], Sequence[int]] | None] | None,
+    halves: Sequence[_Halves | None] | None,
     plan: PartitionPlan,
     partial_width: int,
 ) -> tuple[list, list, int, int, set[int]]:
@@ -1038,7 +1133,7 @@ def _block_reads(
 def _block_datapath(
     coeffs: CoefficientSet,
     plan: PartitionPlan,
-    halves: Sequence[tuple[Sequence[int], Sequence[int]] | None] | None,
+    halves: Sequence[_Halves | None],
     input_width: int,
 ) -> Callable[..., list[int] | TracedBlock]:
     """Bind block evaluation of a stream: consecutive outputs in lanes, one per lane.
@@ -1053,11 +1148,11 @@ def _block_datapath(
     by half its range, and read with one ``bytes.translate`` per entry byte
     into a strided buffer; a gathered group's entries are taken straight
     from its table, packed signed, and their signs fixed and bias added by
-    whole-block operations. ``halves`` are checked tables' (M > 8), or
-    None for subset sums, whose halves are those of the low and high
-    members. The sums of each position and cycle's reads are widened to
-    accumulator fields; the lanes are shifted and accumulated with the
-    sign cycle subtracted, and unpacked once.
+    whole-block operations. ``halves`` are the tables' (``tables().halves``),
+    so a table kept as its halves is read from them alone. The sums of
+    each position and cycle's reads are widened to accumulator fields; the
+    lanes are shifted and accumulated with the sign cycle subtracted, and
+    unpacked once.
 
     With ``traced`` it returns a :class:`TracedBlock` instead: the outputs
     with the keys of every read and each cycle's sums and accumulator,
@@ -1072,8 +1167,6 @@ def _block_datapath(
     partial_width = partial_product_width(coeffs.format.width, plan.group_size)
     size = _item_size(max(length, plan.group_size))
     routes: dict[bool, tuple] = {}  # gathered or not: the reads of _block_reads, bound on first use
-    if halves is None and plan.group_size > 8:
-        halves = [[_subset_sums(coeffs.values, h) for h in (g[:8], g[8:])] for g in plan.groups]
 
     def run(stream: list[int], tables: Callable, traced: bool = False) -> list[int] | TracedBlock:
         gathered = traced and plan.group_size > 8

@@ -18,11 +18,12 @@ from hypothesis import strategies as st
 import dafir.cli as cli
 import dafir.design
 import dafir.engine
+import dafir.numerics
 import dafir.report
 from dafir.adders import AdderKind
 from dafir.cli import main
 from dafir.design import ArchConfig, DesignError, DesignFile, rederive_luts
-from dafir.engine import PpgMode, build_lut
+from dafir.engine import PpgMode, build_lut, check_tables
 from dafir.numerics import AccumulatorOverflow, CoefficientSet, FixedFormat
 from dafir.report import ArchitectureMismatch
 
@@ -369,14 +370,20 @@ class TestSave:
         width=st.integers(4, 24),
         mode=st.sampled_from(PpgMode),
         slice_size=st.sampled_from([SLICE, 1000, 3, 1]),
-        data=st.data(),
+        edit=st.none() | st.tuples(*[st.integers(0, (1 << 16) - 1)] * 3),
     )
-    @example(group_size=16, taps=20, width=16, mode=PpgMode.STORED, slice_size=SLICE, data=None)
-    @example(group_size=13, taps=13, width=9, mode=PpgMode.STORED, slice_size=1000, data=None)
-    @example(group_size=4, taps=9, width=4, mode=PpgMode.STORED, slice_size=3, data=None)
-    @example(group_size=2, taps=5, width=8, mode=PpgMode.MUX, slice_size=SLICE, data=None)
+    @example(group_size=16, taps=20, width=16, mode=PpgMode.STORED, slice_size=SLICE, edit=None)
+    @example(group_size=13, taps=13, width=9, mode=PpgMode.STORED, slice_size=1000, edit=None)
+    @example(group_size=4, taps=9, width=4, mode=PpgMode.STORED, slice_size=3, edit=None)
+    @example(group_size=2, taps=5, width=8, mode=PpgMode.MUX, slice_size=SLICE, edit=None)
+    # Separable M = 16 tables: every table is written as its halves.
+    @example(group_size=16, taps=64, width=16, mode=PpgMode.STORED, slice_size=SLICE, edit=None)
+    # M = 13, table 1 edited in row 1: one table as its halves, one as a list.
+    @example(
+        group_size=13, taps=26, width=12, mode=PpgMode.STORED, slice_size=SLICE, edit=(1, 300, 5)
+    )
     def test_writes_what_json_dumps_writes_and_loads_back(
-        self, tmp_path_factory, group_size, taps, width, mode, slice_size, data
+        self, tmp_path_factory, group_size, taps, width, mode, slice_size, edit
     ):
         rng = random.Random(f"{group_size}:{taps}:{width}")
         half = 1 << (width - 1)
@@ -385,13 +392,13 @@ class TestSave:
             ArchConfig(taps, width, width, group_size, ppg_mode=mode),
             CoefficientSet.from_integers(values, FixedFormat(width)),
         )
-        if design.luts is not None and data is not None and data.draw(st.booleans()):
+        if design.luts is not None and edit is not None:
             # An edited table: one entry takes another entry's value, so it
             # stays in range but no longer derives from the coefficients.
             luts = [list(t) for t in design.luts]
-            table = data.draw(st.sampled_from(luts))
-            a, b = (data.draw(st.integers(0, len(table) - 1)) for _ in range(2))
-            table[a] = table[b]
+            g, a, b = edit
+            table = luts[g % len(luts)]
+            table[a % len(table)] = table[b % len(table)]
             design.luts = tuple(map(tuple, luts))
         path = tmp_path_factory.mktemp("save") / "d.json"
         with mock.patch.object(dafir.design, "_SLICE", slice_size):
@@ -423,11 +430,18 @@ class TestSave:
         assert_saved_as_json_dumps(design, path)
 
     def test_never_builds_the_whole_file_as_one_string(self, tmp_path):
-        # K = 64, M = 16: four tables of 65,536 entries, about 3.5 MB of text.
+        # K = 64, M = 16, every table edited at address 257 (both bytes
+        # nonzero) so that none splits: four lists of 65,536 entries,
+        # about 3.5 MB of text.
         values = [(-1) ** k * (977 * k % 32768) for k in range(64)]
         design = DesignFile.create(
             ArchConfig(64, 16, 16, 16), CoefficientSet.from_integers(values, FixedFormat(16))
         )
+        luts = [list(t) for t in design.luts]
+        for table in luts:
+            table[257] += 1 if table[257] < 0 else -1
+        design.luts = check_tables(luts, design.plan, 16)
+        assert design.luts.halves == (None,) * 4
         path = tmp_path / "d.json"
         tracemalloc.start()
         try:
@@ -439,6 +453,154 @@ class TestSave:
         assert size > 3_000_000
         assert peak < size / 4
         assert_saved_as_json_dumps(design, path)
+
+
+def k64_m16(tmp_path) -> tuple[Path, Path]:
+    """A stored K=64, M=16 design saved as written now (halves) and as a list-form file.
+
+    The list form is ``json.dumps(..., indent=2)`` of the same document
+    with every table as the list of its 65,536 entries, built by
+    ``build_lut``: the layout every earlier version of ``save`` wrote.
+    """
+    values = [(-1) ** k * (977 * k % 32768) for k in range(64)]
+    design = DesignFile.create(
+        ArchConfig(64, 16, 16, 16), CoefficientSet.from_integers(values, FixedFormat(16))
+    )
+    halves, lists = tmp_path / "halves.json", tmp_path / "lists.json"
+    design.save(str(halves))
+    data = design.to_dict()
+    data["luts"] = [list(t) for t in rederive_luts(design)]
+    lists.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+    return halves, lists
+
+
+class TestHalvesForm:
+    """M > 8 tables written as ``{"low": T[:256], "high": T[::256]}``, and list-form files."""
+
+    def test_design_writes_each_separable_table_as_its_halves(self, tmp_path):
+        halves, lists = k64_m16(tmp_path)
+        data = json.loads(halves.read_text())
+        tables = [list(t) for t in rederive_luts(DesignFile.load(str(lists)))]
+        assert data["luts"] == [{"low": t[:256], "high": t[::256]} for t in tables]
+        assert halves.stat().st_size < lists.stat().st_size // 100
+        assert DesignFile.load(str(halves)) == DesignFile.load(str(lists))
+
+    @staticmethod
+    def refused(tmp_path, data) -> str:
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(data))
+        start = time.perf_counter()
+        with pytest.raises(DesignError) as raised:
+            DesignFile.load(str(path))
+        assert time.perf_counter() - start < 0.5
+        prefix = f"{path}: "
+        assert str(raised.value).startswith(prefix)
+        return str(raised.value)[len(prefix):]
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda t: t["low"].pop(), "table 1 low half must be a list of 256 integers"),
+            (lambda t: t["high"].append(0), "table 1 high half must be a list of 2 integers"),
+            (lambda t: t["low"].__setitem__(0, 1),
+             "table 1 halves must start at 0, not low 1 and high 0"),
+            (lambda t: t["high"].__setitem__(0, -1),
+             "table 1 halves must start at 0, not low 0 and high -1"),
+            (lambda t: t.update(low=[0, 2047] + [0] * 254, high=[0, 1]),
+             "table 1 entry 2048 cannot be a sum of 9 coefficients of 8 bits"),
+            (lambda t: t.update(low=[0, 5, -2047] + [0] * 253, high=[0, -2]),
+             "table 1 entry -2049 cannot be a sum of 9 coefficients of 8 bits"),
+            (lambda t: t["low"].__setitem__(3, True),
+             "table 1 low half must be a list of 256 integers"),
+            (lambda t: t["high"].__setitem__(1, 1.5),
+             "table 1 high half must be a list of 2 integers"),
+            (lambda t: t.pop("high"), "table 1 must have exactly the keys 'low' and 'high'"),
+            (lambda t: t.update(mid=[]), "table 1 must have exactly the keys 'low' and 'high'"),
+        ],
+        ids=["short_low", "long_high", "low_origin", "high_origin", "above", "below",
+             "true_entry", "float_entry", "missing_key", "unknown_key"],
+    )
+    def test_malformed_halves_are_refused_naming_file_and_table(self, tmp_path, edit, message):
+        # K=18, M=9, W=8: two tables of 512 entries, each written as halves
+        # of 256 and 2 entries, whose sums must stay in [-2048, 2048).
+        values = [(-1) ** k * (k + 90) for k in range(18)]
+        data = DesignFile.create(
+            ArchConfig(18, 8, 8, 9), CoefficientSet.from_integers(values, FixedFormat(8))
+        ).to_dict()
+        assert all(isinstance(t, dict) for t in data["luts"])
+        edit(data["luts"][1])
+        assert self.refused(tmp_path, data) == message
+
+    def test_halves_are_refused_for_groups_of_eight_or_fewer(self, tmp_path):
+        data = DesignFile.create(
+            ArchConfig(16, 8, 8, 8), CoefficientSet.from_integers(list(range(16)), FixedFormat(8))
+        ).to_dict()
+        table = data["luts"][1]
+        data["luts"][1] = {"low": table[:16], "high": table[::16]}
+        assert self.refused(tmp_path, data) == "table 1 must be a list of 256 integers"
+
+    def test_list_form_files_give_the_same_bytes(self, tmp_path, capsys):
+        halves, lists = k64_m16(tmp_path)
+        samples = tmp_path / "s.txt"
+        samples.write_text("".join(f"{(-1) ** i * (4099 * i % 32768)}\n" for i in range(300)))
+
+        def outcome(design):
+            results = []
+            for argv in (
+                ["run", "--samples", str(samples), "--out", str(tmp_path / "o.txt")],
+                ["run", "--samples", str(samples), "--out", str(tmp_path / "o.txt"),
+                 "--trace", str(tmp_path / "t.jsonl")],
+                ["verify", "--random", "64"],
+                ["report"],
+            ):
+                code = main(argv + ["--design", str(design)])
+                files = [(tmp_path / f).read_bytes() for f in ("o.txt", "t.jsonl")
+                         if (tmp_path / f).exists()]
+                results.append((code, capsys.readouterr(), files))
+                for f in ("o.txt", "t.jsonl"):
+                    (tmp_path / f).unlink(missing_ok=True)
+            return results
+
+        want = outcome(halves)
+        assert [code for code, *_ in want] == [0] * 4
+        assert want[2][1].out == "64/64 ok\n"
+        # The file's encoding changed, not the modelled tables: 2^M entries a group.
+        assert json.loads(want[3][1].out)["memory_locations"] == 4 * 65536
+        assert outcome(lists) == want
+
+    def test_a_corrupted_list_form_entry_is_caught(self, tmp_path, capsys):
+        _, lists = k64_m16(tmp_path)
+        design = DesignFile.load(str(lists))
+        # The address group 2 reads on cycle 0 of the first window that
+        # ``verify --random`` draws (seed 0).
+        rng = random.Random(0)
+        window = [rng.randint(-(1 << 15), (1 << 15) - 1) for _ in range(64)]
+        address = dafir.engine.address_for_cycle(window, design.plan, 0, 16)[2]
+        data = json.loads(lists.read_text())
+        data["luts"][2][address] += 1
+        lists.write_text(json.dumps(data, indent=2) + "\n")
+        assert main(["verify", "--design", str(lists), "--random", "64"]) == 1
+        assert capsys.readouterr().err.startswith(f"mismatch at window {window}: ")
+
+    @pytest.mark.parametrize("mode", list(PpgMode))
+    def test_untraced_run_forms_no_whole_table(self, tmp_path, mode):
+        design = tmp_path / "d.json"
+        values = [(-1) ** k * (977 * k % 32768) for k in range(64)]
+        DesignFile.create(
+            ArchConfig(64, 16, 16, 16, ppg_mode=mode),
+            CoefficientSet.from_integers(values, FixedFormat(16)),
+        ).save(str(design))
+        samples = tmp_path / "s.txt"
+        samples.write_text("".join(f"{(-1) ** i * (4099 * i % 32768)}\n" for i in range(300)))
+        out = tmp_path / "o.txt"
+        whole = AssertionError("a table of 2^M entries was formed")
+        with mock.patch.object(dafir.engine._CheckedTables, "__getitem__", side_effect=whole):
+            argv = ["run", "--design", str(design), "--samples", str(samples), "--out", str(out)]
+            assert main(argv) == 0
+        want = dafir.numerics.direct_fir(
+            [int(x) for x in samples.read_text().split()], tuple(values)
+        )
+        assert out.read_text() == "".join(f"{y}\n" for y in want)
 
 
 class TestCmdDesign:
@@ -1012,6 +1174,25 @@ class TestUsage:
         # the path that could be opened is not truncated
         (kept,) = (path for name, path in paths.items() if name != flag)
         assert kept.read_bytes() == b"keep\n"
+
+    @pytest.mark.parametrize("flag", ["--out", "--trace"])
+    def test_failed_run_makes_no_new_file(self, workspace, capsys, flag):
+        # The other path names no file yet; the run that cannot write
+        # ``flag`` must not leave one there, whichever is opened first.
+        design = run_design(workspace)
+        paths = {"--out": workspace / "out.txt", "--trace": workspace / "trace.jsonl"}
+        paths[flag] = workspace / "missing" / "file"
+        argv = ["run", "--design", str(design), "--samples", str(workspace / "samples.txt")]
+        for name, path in paths.items():
+            argv += [name, str(path)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {paths[flag]}: {os.strerror(errno.ENOENT)}\n"
+        )
+        assert sorted(p.name for p in workspace.iterdir()) == [
+            "coeffs.txt", "design.json", "samples.txt"
+        ]
 
     @pytest.mark.parametrize("link", ["same", "dotted", "hard", "symbolic", "new"])
     def test_run_refuses_out_and_trace_on_one_file(self, workspace, capsys, link):

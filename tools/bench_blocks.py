@@ -11,8 +11,9 @@ same process: ``DaFilter.process`` (blocks of ``LANES`` outputs), a loop of
 before blocks) and ``numerics.direct_fir`` (the plain multiply-accumulate
 oracle). Every output must equal the oracle's. Each timing is the best of
 ``REPEATS`` rounds that run the three in turn, so a host that changes
-speed between rounds affects all three alike. Mux mode forms its tables on its first block;
-a warm-up block is run first, so the figures are steady-state.
+speed between rounds affects all three alike. A block binds its table
+reads on the first block; a warm-up block is run first, so the figures
+are steady-state.
 
 Each row names the route its blocks read tables by: ``pack`` (M <= 8,
 ⌊8/M⌋ groups read at one byte key), ``split`` (M > 8, a separable table
@@ -34,15 +35,21 @@ be byte-identical, so every record of the writer is checked against
 ``push_traced``; the outputs must equal ``direct_fir``.
 
 The intake row times, in ms per call, what ``dafir design`` and untraced
-``dafir run`` do with the stored design at ``INTAKE``: build its tables
-from the coefficients (``rederive_luts``, the ``build_lut`` calls of
-``DesignFile.create``), write the design file (``DesignFile.save``, into
-a temporary directory), decode the text that save wrote (``json.loads``,
-as ``DesignFile.load`` does), check its tables (``check_tables`` on the
-decoded lists, which for M > 8 also splits them), build the filter from
+``dafir run`` do with the stored design at ``INTAKE``: create it from the
+coefficients (``DesignFile.create``, which builds each M > 8 table's two
+8-bit halves), write the design file (``DesignFile.save``, into a
+temporary directory; each table as its halves), decode the text that
+save wrote (``json.loads``, as ``DesignFile.load`` does), check its
+tables (``check_tables`` on the decoded halves), build the filter from
 the checked tables and evaluate its first one-sample block (binding the
-block's reads) and filter ``SAMPLES`` samples in steady blocks. Every
-save must write the same text.
+block's reads) and filter ``SAMPLES`` samples in steady blocks. The
+``_lists`` steps decode and check the same design in the list form that
+earlier versions of ``save`` wrote (every table as its 2^M entries, which
+``check_tables`` also splits), in the same rounds, so the two forms are
+timed by alternating calls in one process; ``file_bytes`` and
+``file_bytes_lists`` are the two files' sizes. Every save must write the
+same text, and both forms must check to the tables ``rederive_luts``
+builds.
 
 Verify rows time ``verify_windows`` per window at the ``verify`` workload's
 shape (K = 4, W = 8, L = 4) and configurations over all 65,536 windows,
@@ -97,7 +104,8 @@ SHAPES = ((8, 4), (64, 2), (64, 4), (64, 8), (64, 16))  # (K, M)
 EDITED = (64, 16)  # (K, M) of the stored row whose first table has one edited entry
 INTAKE = (64, 16)  # (K, M) of the stored design whose intake is timed
 INTAKE_STEPS = (
-    "build_luts", "save", "json_decode", "check_tables", "first_block", "steady_blocks"
+    "create", "save", "json_decode", "check_tables", "json_decode_lists", "check_tables_lists",
+    "first_block", "steady_blocks",
 )
 TRACED_SHAPES = ((16, 2), (16, 4), (64, 4), (64, 8), (64, 16))
 VERIFY_CONFIGS = ((PpgMode.STORED, 4), (PpgMode.STORED, 2), (PpgMode.MUX, 2), (PpgMode.MUX, 1))
@@ -157,7 +165,7 @@ def seeded(taps: int, group_size: int, mode: PpgMode, count: int, edited: bool =
 
 def measure(taps: int, group_size: int, mode: PpgMode, edited: bool = False) -> dict:
     filt, values, samples = seeded(taps, group_size, mode, SAMPLES, edited)
-    filt.process(samples[:1])  # warm-up: mux mode forms its tables here
+    filt.process(samples[:1])  # warm-up: the first block binds its reads
 
     def blocks(xs):
         filt.reset()
@@ -181,7 +189,7 @@ def measure(taps: int, group_size: int, mode: PpgMode, edited: bool = False) -> 
 
 def measure_traced(taps: int, group_size: int, mode: PpgMode) -> dict:
     filt, values, samples = seeded(taps, group_size, mode, TRACED_SAMPLES)
-    filt.process(samples[:1])  # warm-up: mux mode forms its tables here
+    filt.process(samples[:1])  # warm-up: the first block binds its reads
     files = {}
 
     def traced_blocks(xs):
@@ -228,12 +236,18 @@ def measure_traced(taps: int, group_size: int, mode: PpgMode) -> dict:
 def measure_intake(taps: int, group_size: int, scratch: Path) -> dict:
     filt, values, samples = seeded(taps, group_size, PpgMode.STORED, SAMPLES)
     arch = ArchConfig(taps, WIDTH, WIDTH, group_size)
-    design = DesignFile.create(arch, CoefficientSet.from_integers(values, FixedFormat(WIDTH)))
+    coeffs = CoefficientSet.from_integers(values, FixedFormat(WIDTH))
+    design = DesignFile.create(arch, coeffs)
     path = str(scratch / "design.json")
     design.save(path)
     text = Path(path).read_text(encoding="utf-8")  # what DesignFile.load decodes
     luts = json.loads(text)["luts"]
     checked = check_tables(luts, design.plan, WIDTH)
+    # The list form: the same document with every table as its entries.
+    document = design.to_dict()
+    document["luts"] = [list(t) for t in rederive_luts(design)]
+    text_lists = json.dumps(document, indent=2) + "\n"
+    luts_lists = json.loads(text_lists)["luts"]
 
     def first_block(_):
         fresh = DaFilter(design.coefficients, design.plan, input_width=WIDTH, luts=checked)
@@ -245,14 +259,17 @@ def measure_intake(taps: int, group_size: int, scratch: Path) -> dict:
 
     if steady(samples) != direct_fir(samples, values) or first_block(None) != steady(samples[:1]):
         raise SystemExit(f"intake K={taps} M={group_size}: outputs differ from direct_fir")
-    if rederive_luts(design) != checked:
+    built = rederive_luts(design)
+    if built != checked or built != check_tables(luts_lists, design.plan, WIDTH):
         raise SystemExit(f"intake K={taps} M={group_size}: saved tables differ from built ones")
     times = best_us_per_unit(
         {
-            "build_luts": lambda _: rederive_luts(design),
+            "create": lambda _: DesignFile.create(arch, coeffs),
             "save": lambda _: design.save(path),
             "json_decode": lambda _: json.loads(text),
             "check_tables": lambda _: check_tables(luts, design.plan, WIDTH),
+            "json_decode_lists": lambda _: json.loads(text_lists),
+            "check_tables_lists": lambda _: check_tables(luts_lists, design.plan, WIDTH),
             "first_block": first_block,
             "steady_blocks": steady,
         },
@@ -262,7 +279,8 @@ def measure_intake(taps: int, group_size: int, scratch: Path) -> dict:
     if Path(path).read_text(encoding="utf-8") != text:
         raise SystemExit(f"intake K={taps} M={group_size}: saves differ")
     times = {key.replace("_us", "_ms"): value for key, value in times.items()}
-    return {"taps": taps, "group_size": group_size, "mode": "stored", **times}
+    sizes = {"file_bytes": len(text.encode()), "file_bytes_lists": len(text_lists.encode())}
+    return {"taps": taps, "group_size": group_size, "mode": "stored", **sizes, **times}
 
 
 def measure_verify(mode: PpgMode, group_size: int) -> dict:
@@ -313,10 +331,13 @@ def main() -> int:
         "direct_fir = the oracle; traced_block = the CLI's trace writer over "
         "DaFilter.traced_blocks, push_traced = per-sample push_traced with json.dumps per record; "
         "all_windows / list = verify_windows over all_windows(4, 4) / the same windows in a list; "
-        "intake: ms per call (_ms, _ref_ms) of build_luts = the design's tables from its "
-        "coefficients, save = DesignFile.save of the design, "
+        "intake: ms per call (_ms, _ref_ms) of create = DesignFile.create from the "
+        "coefficients, save = DesignFile.save of the design (tables as halves), "
         "json_decode = json.loads of the file save wrote, "
-        "check_tables = its tables checked, first_block = DaFilter from the checked tables and "
+        "check_tables = its tables checked, json_decode_lists / check_tables_lists = the same "
+        "for the list form of the design (every table as its entries), in the same rounds, "
+        "file_bytes / file_bytes_lists = the two files' sizes, "
+        "first_block = DaFilter from the checked tables and "
         "its first one-sample block, steady_blocks = DaFilter.process of the samples; "
         "raw figures best of REPEATS, in one process",
         "width": WIDTH,
@@ -352,7 +373,7 @@ def main() -> int:
             f"{step} {intake[f'{step}_ref_ms']}"
             for step in INTAKE_STEPS
         )
-        + " reference ms"
+        + f" reference ms; {intake['file_bytes']} bytes (lists: {intake['file_bytes_lists']})"
     )
     for row in traced_rows:
         print(
