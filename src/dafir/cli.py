@@ -126,9 +126,9 @@ def _load_design(path: str) -> DesignFile:
 
 
 def _open_out(path: str, mode: str = "w"):
-    """``path`` opened for writing text in ``mode``, or the one-line error naming it."""
-    try:
-        return open(path, mode, encoding="utf-8")
+    """``path`` opened for writing in ``mode``, UTF-8 if text, or the one-line error naming it."""
+    try:  # a 64 KiB buffer: one sample's trace records are a few kB
+        return open(path, mode, 1 << 16, None if "b" in mode else "utf-8")
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc.strerror}")
 
@@ -204,37 +204,37 @@ def _write_values(out, values: Sequence[int]) -> None:
 # subtract flag filled in; the sample index, the tree sum and the
 # accumulator are slots, and so is each pack's address and partial text.
 _RECORD = (
-    '{"sample_index": %%s, "cycle": %d, "addresses": [%s], "partials": [%s], '
-    '"tree_sum": %%d, "subtract": %s, "acc": %%d}\n'
+    b'{"sample_index": %%s, "cycle": %d, "addresses": [%s], "partials": [%s], '
+    b'"tree_sum": %%d, "subtract": %s, "acc": %%d}\n'
 )
 _COMMA = "{}, {}".format  # joins two list items as json.dumps does
 
 
 @functools.cache
-def _trace_template(packs: int, slot: str, length: int) -> str:
-    """The ``%`` template of one sample's ``length`` trace records, cycle by cycle.
+def _trace_template(packs: int, slot: bytes, length: int) -> bytes:
+    """The bytes ``%`` template of one sample's ``length`` trace records, cycle by cycle.
 
-    Per cycle it takes the sample index as text, ``packs`` address slots,
+    Per cycle it takes the sample index as bytes, ``packs`` address slots,
     ``packs`` partial slots, the tree sum and the accumulator, and writes
-    the line ``json.dumps`` writes for that record's dict. A slot is
-    ``%s`` for a pack's text or ``%d`` for one group's value.
+    the line ``json.dumps`` writes for that record's dict, ending in ``\n``.
+    A slot is ``%s`` for a pack's text or ``%d`` for one group's value.
     """
-    slots = ", ".join([slot] * packs)
-    return "".join(
-        _RECORD % (n, slots, slots, "true" if n == length - 1 else "false") for n in range(length)
+    slots = b", ".join([slot] * packs)
+    return b"".join(
+        _RECORD % (n, slots, slots, b"true" if n == length - 1 else b"false") for n in range(length)
     )
 
 
 def _write_traced(out, trace, filt: DaFilter, samples: Iterable[int]) -> None:
-    """Filter ``samples``, writing outputs to ``out`` and JSONL cycle records to ``trace``.
+    """Filter ``samples``, writing outputs to text ``out``, JSONL cycle records to binary ``trace``.
 
     Records go sample by sample, cycle by cycle, each block before the
-    next is read, so memory holds one block whatever the stream's length.
-    A record's addresses and partials are looked up at the keys each read
-    took (:class:`TracedBlock`): with M <= 8 in each pack's text, built
-    once per run from the tables the filter reads; above that a read is
-    one group, whose key is its address and whose partial is its table's
-    entry there, each for a ``%d`` slot.
+    next is read, so memory holds one block whatever the stream's length;
+    each sample's records are one bytes object. A record's addresses and
+    partials are looked up at the keys each read took (:class:`TracedBlock`):
+    with M <= 8 in each pack's text, built once per run from the tables the
+    filter reads; above that a read is one group, whose key is its address
+    and whose partial is its table's entry there, each for a ``%d`` slot.
     """
     group_size = filt.plan.group_size
     length = filt.input_format.width
@@ -245,16 +245,17 @@ def _write_traced(out, trace, filt: DaFilter, samples: Iterable[int]) -> None:
         packs = _packs([list(map(str, table)) for table in tables], group_size)
         texts = [_pack_table([addresses] * len(pack), _COMMA) for pack in packs]
         texts += [_pack_table([column for _, column in pack], _COMMA) for pack in packs]
-        slot = "%s"
+        texts = [list(map(str.encode, text)) for text in texts]  # ASCII: digits, '-', ', '
+        slot = b"%s"
     else:
         texts = [None] * len(tables) + list(tables)  # None: the key is the address
-        slot = "%d"
+        slot = b"%d"
     template = _trace_template(len(texts) // 2, slot, length)
     first = 0
     for block in filt.traced_blocks(samples):
         count = len(block.outputs)
         _write_values(out, block.outputs)
-        index = list(map(str, range(first, first + count)))
+        index = list(map(b"%d".__mod__, range(first, first + count)))
         # Each read's addresses, then its partials, at every position. A
         # block's L >= 2 cycles give itemgetter two keys or more: a tuple.
         values = [
@@ -293,14 +294,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     if _same_file(args.out, args.trace):
         raise CliError(f"--out and --trace are the same file: {args.trace}")
     made = not os.path.lexists(args.trace)
-    _open_out(args.trace, "a").close()  # a bad --trace fails before --out is truncated
+    _open_out(args.trace, "ab").close()  # a bad --trace fails before --out is truncated
     try:
         out = _open_out(args.out)
     except CliError:
         if made:
             os.remove(args.trace)  # and a bad --out leaves no trace file behind
         raise
-    with out, _open_out(args.trace) as trace:
+    with out, _open_out(args.trace, "wb") as trace:
         _write_traced(out, trace, filt, samples)
     return EXIT_OK
 

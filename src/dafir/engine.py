@@ -426,6 +426,15 @@ class TracedBlock(NamedTuple):
     acc: Sequence[int]
 
 
+_format = functools.lru_cache(maxsize=None)(FixedFormat)  # one per input width
+
+
+def _all_in(samples: Sequence[int], fmt: FixedFormat) -> bool:
+    """Whether every one of ``samples`` is an ``int`` within ``fmt``, checked at C level."""
+    lo, hi = fmt.min_value, fmt.max_value
+    return set(map(type, samples)) == {int} and lo <= min(samples) and max(samples) <= hi
+
+
 def _check_inputs(
     delay_line: Sequence[int],
     coeffs: CoefficientSet,
@@ -440,9 +449,10 @@ def _check_inputs(
     dl = tuple(delay_line)
     if len(dl) != num_taps:
         raise ValueError(f"delay line has {len(dl)} entries, expected {num_taps}")
-    fmt = FixedFormat(input_width)
-    for x in dl:
-        fmt.check(x, "sample")
+    fmt = _format(input_width)
+    if not _all_in(dl, fmt):
+        for x in dl:  # raises what the first bad sample raises
+            fmt.check(x, "sample")
     return dl
 
 
@@ -728,7 +738,7 @@ class DaFilter:
         samples = iter(samples)
         while chunk := list(islice(samples, LANES)):
             good = chunk
-            if not (set(map(type, chunk)) == {int} and lo <= min(chunk) and max(chunk) <= hi):
+            if not _all_in(chunk, fmt):
                 good = list(takewhile(lambda x: type(x) is int and lo <= x <= hi, chunk))
             if good:
                 block = self._block(self._delay[:history][::-1] + good, self.tables, traced)
@@ -837,9 +847,9 @@ def _byte_planes(table: Sequence[int], width: int) -> list[bytes]:
     byte a of plane b, so :func:`_read_biased` reads every lane's entry
     with one ``bytes.translate`` of 8-bit addresses per plane.
     """
-    bias = 1 << (width - 1)
-    biased = [v + bias for v in table]
-    return [bytes((u >> b) & 255 for u in biased).ljust(256, b"\0") for b in range(0, width, 8)]
+    # Biased entries are nonnegative, so they pack as signed items of one bit more.
+    data, size = _pack(map(add, table, repeat(1 << (width - 1))), width + 1)
+    return [data[b::size].ljust(256, b"\0") for b in range(-(-width // 8))]
 
 
 def _read_biased(planes: Sequence[bytes], addresses: bytes, size: int) -> bytearray:

@@ -760,6 +760,35 @@ class TestCmdRun:
         assert out.read_text() == "".join(written)
         assert trace.read_text() == "".join(records)
 
+    def test_trace_of_an_edited_m12_design_is_what_json_dumps_writes(self, tmp_path):
+        # M = 12: each read is one group, written through the template's %d
+        # slots. Table 1 is edited at 4095, the address an all-ones window
+        # reads there on every cycle, so the file holds it as a list.
+        values = [(-1) ** k * (k + 90) for k in range(24)]
+        design = DesignFile.create(
+            ArchConfig(24, 8, 8, 12), CoefficientSet.from_integers(values, FixedFormat(8))
+        )
+        table = list(build_lut(design.coefficients, design.plan.groups[1]).entries)
+        data = design.to_dict()
+        data["luts"][1] = table[:4095] + table[4094:4095]
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(data))
+        stream = [-1] * 40 + [(-1) ** i * (37 * i % 128) for i in range(1100)]
+        samples, out, trace = tmp_path / "s.txt", tmp_path / "y.txt", tmp_path / "t.jsonl"
+        samples.write_text("".join(f"{x}\n" for x in stream))
+        argv = ["run", "--design", str(path), "--samples", str(samples), "--out", str(out)]
+        assert main(argv + ["--trace", str(trace)]) == 0
+        filt = DesignFile.load(str(path)).filter()
+        assert filt.tables()[1][4095] == table[4094] != table[4095]
+        written, records = [], []
+        for i, x in enumerate(stream):
+            y, cycles = filt.push_traced(x)
+            written.append(f"{y}\n")
+            records += [trace_line(i, rec) for rec in cycles]
+        assert out.read_text() == "".join(written)
+        assert trace.read_bytes() == "".join(records).encode()
+        assert any(rec["addresses"][1] == 4095 for rec in map(json.loads, records))
+
     def test_repeated_runs_byte_identical(self, workspace):
         design = run_design(workspace)
         out1, out2 = workspace / "o1.txt", workspace / "o2.txt"
@@ -861,22 +890,23 @@ def test_samples_parse_in_bulk_as_line_by_line(tmp_path_factory, pieces, width):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_trace_template_writes_what_json_dumps_writes(data):
-    """The traced writer's ``%`` template, against json.dumps of each record's dict.
+    """The traced writer's bytes ``%`` template, against json.dumps of each record's dict.
 
-    Its slots take each pack's address and partial text (``%s``), or each
-    group's address and partial (``%d``).
+    Its slots take the sample index and each pack's address and partial
+    text as bytes (``%s``), or each group's address and partial (``%d``).
     """
     groups = data.draw(st.integers(1, 64), label="groups")
     length = data.draw(st.integers(1, 4), label="length")
-    slot = data.draw(st.sampled_from(["%s", "%d"]), label="slot")
-    size = data.draw(st.integers(1, 8), label="pack size") if slot == "%s" else 1
+    slot = data.draw(st.sampled_from([b"%s", b"%d"]), label="slot")
+    size = data.draw(st.integers(1, 8), label="pack size") if slot == b"%s" else 1
     value = st.integers(-(1 << 80), 1 << 80) | st.integers(-2, 2)
     index = data.draw(st.integers(0, 1 << 70))
 
     def slots(values):
-        if slot == "%d":
+        if slot == b"%d":
             return list(values)
-        return [", ".join(map(str, values[g : g + size])) for g in range(0, groups, size)]
+        texts = list(map(b"%d".__mod__, values))
+        return [b", ".join(texts[g : g + size]) for g in range(0, groups, size)]
 
     args, lines = [], []
     for n in range(length):
@@ -889,11 +919,11 @@ def test_trace_template_writes_what_json_dumps_writes(data):
             n == length - 1,
             data.draw(value),
         )
-        args += [str(index), *slots(rec.addresses), *slots(rec.partials), rec.tree_sum]
+        args += [b"%d" % index, *slots(rec.addresses), *slots(rec.partials), rec.tree_sum]
         args.append(rec.acc_after)
         lines.append(trace_line(index, rec))
     packs = -(-groups // size)
-    assert cli._trace_template(packs, slot, length) % tuple(args) == "".join(lines)
+    assert cli._trace_template(packs, slot, length) % tuple(args) == "".join(lines).encode()
 
 
 class TestCmdVerify:

@@ -327,6 +327,28 @@ class TestInnerProduct:
                     input_width=4, collect_trace=collect,
                 )
 
+    @pytest.mark.parametrize("position", [0, 4, 8], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize(
+        "bad", [True, 2.0, "3", None, 128, -129, 1 << 70], ids=repr
+    )
+    def test_bad_sample_raises_what_checking_each_sample_raises(self, position, bad):
+        """A window checked at once raises what ``check`` raises at its first bad sample."""
+        fmt = FixedFormat(8)
+        window = [-128, 127, -1, 0, 85, -86, 5, 6, 7]
+        window[position] = bad
+        if position < 8:
+            window[8] = 1 << 70  # a later bad sample must not be the one named
+        with pytest.raises((TypeError, ValueError)) as want:
+            for x in window:
+                fmt.check(x, "sample")
+        for mode, collect in product(PpgMode, (False, True)):
+            with pytest.raises(want.type) as got:
+                da_inner_product(
+                    window, coeff_set(list(range(1, 10))), partition_taps(9, 3), mode,
+                    input_width=8, collect_trace=collect,
+                )
+            assert str(got.value) == str(want.value)
+
     def test_absurd_injected_tables_rejected(self):
         # Entries no subset of coefficients could produce are refused at
         # injection, before they can reach the accumulator.
@@ -1453,7 +1475,7 @@ class TestBlocks:
         scalar = DaFilter(coeffs, plan, mode, input_width=input_width, luts=luts)
         tables = luts or [build_lut(coeffs, g).entries for g in plan.groups]
         assert list(map(list, filt.tables())) == list(map(list, tables))
-        out, trace = io.StringIO(), io.StringIO()
+        out, trace = io.StringIO(), io.BytesIO()
         try:
             cli._write_traced(out, trace, filt, samples)
             error = None, None
@@ -1466,7 +1488,7 @@ class TestBlocks:
         want = "".join(
             json_record(i, rec) for i, (_, records) in enumerate(pairs) for rec in records
         )
-        assert first_difference(trace.getvalue(), want) is None
+        assert first_difference(trace.getvalue().decode(), want) is None
         if error == (None, None) and luts is None:
             assert [y for y, _ in pairs] == direct_fir(samples, coeffs)
 
@@ -1678,6 +1700,20 @@ class TestBlocks:
         assert str(raised.value) == "inner product 4098 exceeds the 13-bit accumulator"
         # -8 entered the delay line, as push left it
         assert [filt.push(x) for x in (0, 3)] == [scalar.push(x) for x in (0, 3)] == [-8, -1536]
+
+    @pytest.mark.parametrize("width", [2, 7, 8, 9, 16, 17, 32, 63, 64, 65, 67, 72])
+    @pytest.mark.parametrize("count", [3, 256])
+    def test_byte_planes_are_the_bytes_of_the_biased_entries(self, width, count):
+        """Every byte of every biased entry, as the per-byte reference cuts them."""
+        rng = random.Random(f"{width}:{count}")
+        bias = 1 << (width - 1)
+        table = [-bias, bias - 1, 0, -1] + [rng.randrange(-bias, bias) for _ in range(252)]
+        table = table[:count]
+        want = [
+            bytes(((v + bias) >> b) & 255 for v in table).ljust(256, b"\0")
+            for b in range(0, width, 8)
+        ]
+        assert engine._byte_planes(table, width) == want
 
     def test_blocks_are_read_one_at_a_time(self):
         filt = DaFilter(coeff_set([1, 2, 3]), partition_taps(3, 2), input_width=16)

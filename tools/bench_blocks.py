@@ -26,11 +26,12 @@ inseparable; its outputs must equal ``push``'s instead of the oracle's.
 Traced rows time what ``dafir run --trace`` does per output at the
 ``TRACED_SHAPES``: the command line's trace writer, which runs
 ``DaFilter.traced_blocks`` and renders each record (addresses and partials
-looked up at each read's key: in string tables built per call for M <= 8,
-in the tables, formatted one by one, above that),
+looked up at each read's key: in bytes tables built per call for M <= 8,
+in the tables, formatted one by one, above that) and writes them as bytes,
 against a loop of ``DaFilter.push_traced`` with one
 ``json.dumps`` per cycle record (the path traced runs took before blocks).
-Both write outputs and records to in-memory files, and the two traces must
+Both write outputs and records to in-memory files (the writer's records to
+a binary one, as ``dafir run`` opens ``--trace``), and the two traces must
 be byte-identical, so every record of the writer is checked against
 ``push_traced``; the outputs must equal ``direct_fir``.
 
@@ -194,7 +195,7 @@ def measure_traced(taps: int, group_size: int, mode: PpgMode) -> dict:
 
     def traced_blocks(xs):
         filt.reset()
-        out, trace = files["traced_block"] = io.StringIO(), io.StringIO()
+        out, trace = files["traced_block"] = io.StringIO(), io.BytesIO()
         _write_traced(out, trace, filt, xs)
 
     def push_traced(xs):
@@ -228,7 +229,7 @@ def measure_traced(taps: int, group_size: int, mode: PpgMode) -> dict:
     want = "".join(f"{y}\n" for y in direct_fir(samples, values))
     if block_out.getvalue() != want or push_out.getvalue() != want:
         raise SystemExit(f"K={taps} M={group_size} {mode.value}: outputs differ from direct_fir")
-    if block_trace.getvalue() != push_trace.getvalue():
+    if block_trace.getvalue() != push_trace.getvalue().encode():
         raise SystemExit(f"K={taps} M={group_size} {mode.value}: traces differ from push_traced")
     return {"taps": taps, "group_size": group_size, "mode": mode.value, **times}
 
