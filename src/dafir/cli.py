@@ -58,6 +58,13 @@ def _read_payloads(path: str) -> list[str]:
     return list(map(str.strip, lines))
 
 
+def _plain(text: str) -> str:
+    """``text`` if ASCII without '_', else ValueError: ``int`` and ``Decimal`` take '1_0', '٣'."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not a plain number: {text!r}")
+    return text
+
+
 def _parse_coefficients(path: str, fmt: FixedFormat):
     """One value per line; a '.', 'e' or 'E' marks a real to be quantized."""
     values = []
@@ -65,25 +72,21 @@ def _parse_coefficients(path: str, fmt: FixedFormat):
     for lineno, text in enumerate(_read_payloads(path), start=1):
         if not text:
             continue
-        if any(ch in text for ch in ".eE"):
-            try:
-                code, saturated = quantize_coefficient(text, fmt)
-            except ValueError:
-                raise CliError(f"{path}:{lineno}: cannot parse coefficient {text!r}")
-            if saturated:
-                warnings.append(f"{path}:{lineno}: {text} saturated to {code}")
-            values.append(code)
-        else:
-            try:
-                v = int(text)
-            except ValueError:
-                raise CliError(f"{path}:{lineno}: cannot parse coefficient {text!r}")
-            if not fmt.contains(v):
-                raise CliError(
-                    f"{path}:{lineno}: integer coefficient {v} outside signed "
-                    f"{fmt.width}-bit range"
-                )
-            values.append(v)
+        try:
+            if any(ch in text for ch in ".eE"):
+                code, saturated = quantize_coefficient(_plain(text), fmt)
+            else:
+                code, saturated = int(_plain(text)), False
+                if not fmt.contains(code):
+                    raise CliError(
+                        f"{path}:{lineno}: integer coefficient {code} outside signed "
+                        f"{fmt.width}-bit range"
+                    )
+        except ValueError:
+            raise CliError(f"{path}:{lineno}: cannot parse coefficient {text!r}")
+        if saturated:
+            warnings.append(f"{path}:{lineno}: {text} saturated to {code}")
+        values.append(code)
     if not values:
         raise CliError(f"{path}: no coefficients found")
     return values, warnings
@@ -97,6 +100,7 @@ def _parse_samples(path: str, fmt: FixedFormat) -> list[int]:
     """
     payloads = _read_payloads(path)
     try:
+        _plain("".join(payloads))  # every line at once, at C level
         samples = list(map(int, filter(None, payloads)))
     except ValueError:
         pass
@@ -108,7 +112,7 @@ def _parse_samples(path: str, fmt: FixedFormat) -> list[int]:
 
 def _sample(path: str, lineno: int, text: str, fmt: FixedFormat) -> int:
     try:
-        v = int(text)
+        v = int(_plain(text))
     except ValueError:
         raise CliError(f"{path}:{lineno}: cannot parse sample {text!r}")
     if not fmt.min_value <= v <= fmt.max_value:

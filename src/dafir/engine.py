@@ -207,7 +207,8 @@ class _CheckedTables(Sequence):
     again without a scan. ``halves`` holds each table's halves, None for
     M <= 8 and for a table that does not split (:func:`_split`). A table
     given as its halves is formed from them, T[256h + l] = high[h] +
-    low[l], when it is first read: untraced blocks read the halves alone.
+    low[l], when ``push``, the trace writer or ``verify`` first reads it:
+    blocks, traced or not, read the halves alone.
     """
 
     def __init__(
@@ -665,21 +666,21 @@ class DaFilter:
         self.plan = plan
         self.ppg_mode = ppg_mode
         self.input_format = FixedFormat(input_width)
-        self._luts = luts
-        self._spreader = _spreader(input_width, plan.group_size)
         # Given tables are checked now, not at a first sample; only stored mode takes them.
-        self._block = _block_datapath(coeffs, plan, self.tables().halves, input_width)
+        self._tables = _read_tables(coeffs, plan, ppg_mode, luts)
+        self._spreader = _spreader(input_width, plan.group_size)
         self._acc_width = required_accumulator_width(len(coeffs), coeffs.format.width, input_width)
         self.reset()
-
-    @functools.cached_property
-    def _tables(self) -> Sequence[tuple[int, ...]]:
-        return _read_tables(self.coeffs, self.plan, self.ppg_mode, self._luts)
 
     @functools.cached_property
     def _run(self) -> Callable[..., int]:
         """The scalar schedule, bound on the first ``push`` or ``push_traced``."""
         return _schedule(self.coeffs, self.plan, self.input_format.width, self._tables)
+
+    @functools.cached_property
+    def _block(self) -> Callable[..., list[int] | TracedBlock]:
+        """The block datapath, its reads bound on the first block, traced or not."""
+        return _block_datapath(self.coeffs, self.plan, self._tables, self.input_format.width)
 
     def tables(self) -> Sequence[tuple[int, ...]]:
         """Each group's 2^M partial products, indexed by address, as this filter reads them.
@@ -688,8 +689,8 @@ class DaFilter:
         included); otherwise they are the subset sums of its coefficients.
         Either is kept from construction on. Above 8 members, a table given
         as its halves, or derived, is formed from them (``tables().halves``)
-        when ``push`` or traced blocks first read it; untraced blocks read
-        the halves alone.
+        when ``push`` or the trace writer first reads it; blocks, traced or
+        not, read the halves alone.
         """
         return self._tables
 
@@ -741,7 +742,7 @@ class DaFilter:
             if not _all_in(chunk, fmt):
                 good = list(takewhile(lambda x: type(x) is int and lo <= x <= hi, chunk))
             if good:
-                block = self._block(self._delay[:history][::-1] + good, self.tables, traced)
+                block = self._block(self._delay[:history][::-1] + good, traced)
                 outputs = block.outputs if traced else block
                 if min(outputs) < -bound or max(outputs) >= bound:
                     bad = next(i for i, y in enumerate(outputs) if not -bound <= y < bound)
@@ -1095,10 +1096,7 @@ def _signed_items(data: bytes, size: int) -> Sequence[int]:
 
 
 def _block_reads(
-    tables: Sequence[Sequence[int]] | None,
-    halves: Sequence[_Halves | None] | None,
-    plan: PartitionPlan,
-    partial_width: int,
+    tables: _CheckedTables, plan: PartitionPlan, partial_width: int
 ) -> tuple[list, list, int, int, set[int]]:
     """The table reads of a block: what is read where, and how wide their sum is.
 
@@ -1107,11 +1105,12 @@ def _block_reads(
     the (table, members) of the groups gathered instead, the sum of every
     read's bias, the signed bits any sum of one lane and cycle's reads
     takes, and the sliding keys' widths. Each of :func:`_packs` is one
-    read (M <= 8), a table with ``halves`` is two, at its low and high
-    address bytes (M > 8), and any other table is gathered; a read of
-    consecutive taps, as every read of a consecutive plan is, slides.
+    read (M <= 8), a table with halves is two, at its low and high
+    address bytes (M > 8), and any other table is gathered, so no table
+    kept as its halves is formed; a read of consecutive taps, as every
+    read of a consecutive plan is, slides.
     """
-    members = [[(j, k) for j, k in enumerate(g) if k is not None] for g in plan.groups]
+    members = [tuple((j, k) for j, k in enumerate(g) if k is not None) for g in plan.groups]
     reads = []
     gathers = []
     widths = []
@@ -1127,8 +1126,7 @@ def _block_reads(
             bits = [(shift + j, k) for shift, (_, group) in pack for j, k in group]
             read(_pack_table([t for _, (t, _) in pack]), bits, width)
     else:
-        for g, group in enumerate(members):
-            pair = halves[g] if halves else None
+        for g, (group, pair) in enumerate(zip(members, tables.halves)):
             if pair is None:
                 gathers.append((tables[g], group))
                 widths.append(partial_width)
@@ -1143,31 +1141,29 @@ def _block_reads(
 def _block_datapath(
     coeffs: CoefficientSet,
     plan: PartitionPlan,
-    halves: Sequence[_Halves | None],
+    tables: _CheckedTables,
     input_width: int,
 ) -> Callable[..., list[int] | TracedBlock]:
     """Bind block evaluation of a stream: consecutive outputs in lanes, one per lane.
 
-    The bound function takes K - 1 + N samples, oldest first, and the
-    filter's ``tables()``, and returns the N inner products of their last
-    N windows, unchecked against the accumulator range. Output i's tap k
-    is stream item i + K - 1 - k. Table entries are read as packed fields,
-    one per stream position and cycle, of which each cycle's first N are
-    the outputs' lanes (see :func:`_block_reads`): a table read at 8-bit
-    sliding keys or addresses is kept as byte-planes of its entries biased
-    by half its range, and read with one ``bytes.translate`` per entry byte
-    into a strided buffer; a gathered group's entries are taken straight
-    from its table, packed signed, and their signs fixed and bias added by
-    whole-block operations. ``halves`` are the tables' (``tables().halves``),
-    so a table kept as its halves is read from them alone. The sums of
-    each position and cycle's reads are widened to accumulator fields; the
-    lanes are shifted and accumulated with the sign cycle subtracted, and
-    unpacked once.
+    The bound function takes K - 1 + N samples, oldest first, and returns
+    the N inner products of their last N windows, unchecked against the
+    accumulator range. Output i's tap k is stream item i + K - 1 - k.
+    Table entries are read as packed fields, one per stream position and
+    cycle, of which each cycle's first N are the outputs' lanes (see
+    :func:`_block_reads`, bound once here): a table read at 8-bit sliding
+    keys or addresses is kept as byte-planes of its entries biased by half
+    its range, and read with one ``bytes.translate`` per entry byte into a
+    strided buffer; a gathered group's entries are taken straight from its
+    table, packed signed, and their signs fixed and bias added by
+    whole-block operations. The sums of each position and cycle's reads
+    are widened to accumulator fields; the lanes are shifted and
+    accumulated with the sign cycle subtracted, and unpacked once.
 
-    With ``traced`` it returns a :class:`TracedBlock` instead: the outputs
-    with the keys of every read and each cycle's sums and accumulator,
-    unbiased by whole-block operations. Traced M > 8 blocks read no
-    halves: every group is gathered, so its addresses are a key column.
+    With ``traced`` it returns a :class:`TracedBlock` instead, from the
+    same reads: the outputs with the keys of every read (for M > 8, every
+    group's address) and each cycle's sums and accumulator, unbiased by
+    whole-block operations.
 
     Fields hold the reads' sum width + L bits, more than any value entries
     that ``check_tables`` accepts can reach, so no table can wrap one.
@@ -1176,15 +1172,10 @@ def _block_datapath(
     num_taps = len(coeffs)
     partial_width = partial_product_width(coeffs.format.width, plan.group_size)
     size = _item_size(max(length, plan.group_size))
-    routes: dict[bool, tuple] = {}  # gathered or not: the reads of _block_reads, bound on first use
+    reads, gathers, bias, sum_width, key_widths = _block_reads(tables, plan, partial_width)
+    groups = [tuple((j, k) for j, k in enumerate(g) if k is not None) for g in plan.groups]
 
-    def run(stream: list[int], tables: Callable, traced: bool = False) -> list[int] | TracedBlock:
-        gathered = traced and plan.group_size > 8
-        if gathered not in routes:
-            whole = tables() if gathered or plan.group_size <= 8 or None in halves else None
-            split = None if gathered else halves
-            routes[gathered] = _block_reads(whole, split, plan, partial_width)
-        reads, gathers, bias, sum_width, key_widths = routes[gathered]
+    def run(stream: list[int], traced: bool = False) -> list[int] | TracedBlock:
         count = len(stream) - num_taps + 1
         stride = len(stream)  # positions per cycle; the first count are the outputs' lanes
         positions = stride * length
@@ -1194,14 +1185,16 @@ def _block_datapath(
         narrow = _field_size(sum_width) if traced or gathers else -(-sum_width // 8)
         # Bytes per lane of the accumulator: an array item size up to 64 bits.
         field = _field_size(sum_width + length)
-        # Bytes per address: one, unless a gathered group takes wider ones.
-        width = _item_size(plan.group_size) if gathers else 1
+        # Bytes per address: one, unless gathered or traced groups take wider ones.
+        width = _item_size(plan.group_size) if gathers or traced else 1
         samples = _little_endian(array(_SIGNED_CODES[size], stream)).tobytes()
         planes = int.from_bytes(_bit_planes(samples, size, length, width), "little")
         keys = _sliding_keys(planes, width, key_widths, positions)
         address = _address_former(
             [planes] * num_taps, range(num_taps - 1, -1, -1), stride, width, length
         )
+        # A group's addresses, formed once a block: to gather it, or as a traced M > 8 key column.
+        form = functools.cache(lambda g: _little_endian(array(_UNSIGNED_CODES[width], address(g))))
         kept_keys = []  # each read's keys, for a TracedBlock
         # Biased reads of every position and group, position-by-cycle, summed.
         total = 0
@@ -1218,12 +1211,10 @@ def _block_datapath(
             negatives = 0
             for table, group in gathers:
                 # positions >= 2 addresses, so itemgetter returns a tuple
-                addresses = _little_endian(array(_UNSIGNED_CODES[width], address(group)))
-                data, _ = _pack(itemgetter(*addresses)(table), 8 * narrow)
+                data, _ = _pack(itemgetter(*form(group))(table), 8 * narrow)
                 packed = int.from_bytes(data, "little")
                 total += packed
                 negatives += packed & signs
-                kept_keys.append(addresses)
             # Each field read as unsigned is off by twice its sign bit; the
             # bias then makes every sum nonnegative, as in the byte-planes.
             gathered_bias = len(gathers) << (partial_width - 1)
@@ -1262,6 +1253,8 @@ def _block_datapath(
         ones = _repeated(1, narrow, positions)
         half = 1 << (8 * narrow - 1)
         tree_sums = (total + (half - bias) * ones) ^ (half * ones)
+        if plan.group_size > 8:
+            kept_keys = list(map(form, groups))
         return TracedBlock(
             outputs,
             stride,

@@ -643,6 +643,16 @@ class TestCmdDesign:
         assert code == 2
         assert "coeffs.txt:2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["1_0", "0.2_5", "1e1_0", "\u0663", "0.\u0665", "\uff11"])
+    def test_coefficients_are_ascii_without_underscores(self, workspace, capsys, text):
+        """int and Decimal read '1_0' as 10 and '٣' as 3; the file format lists neither."""
+        (workspace / "coeffs.txt").write_text(f"0.25\n{text}\n", encoding="utf-8")
+        out = workspace / "d.json"
+        code = main(["design", str(workspace / "coeffs.txt"), "--out", str(out)])
+        assert code == 2 and not out.exists()
+        path = workspace / "coeffs.txt"
+        assert capsys.readouterr().err == f"error: {path}:2: cannot parse coefficient {text!r}\n"
+
     def test_integer_out_of_range_is_error(self, workspace, capsys):
         (workspace / "coeffs.txt").write_text("40000\n")
         code = main(
@@ -824,6 +834,17 @@ class TestCmdRun:
         assert code == 2
         assert "s.txt:2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["1_000", "-1_0", "\u0663", "\uff11", "1\u0660"])
+    def test_samples_are_ascii_without_underscores(self, workspace, capsys, text):
+        """int reads '1_000' as 1000 and '٣' as 3; the file format lists neither."""
+        design = run_design(workspace)
+        samples = workspace / "s.txt"
+        samples.write_text(f"1\n{text}\n2\n", encoding="utf-8")
+        out = workspace / "o.txt"
+        code = main(["run", "--design", str(design), "--samples", str(samples), "--out", str(out)])
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == f"error: {samples}:2: cannot parse sample {text!r}\n"
+
     def test_outputs_match_oracle(self, workspace):
         from dafir.numerics import direct_fir
 
@@ -847,7 +868,10 @@ class TestCmdRun:
 
 
 def samples_line_by_line(path, width):
-    """The sample file's integers, or the error for its first bad line, one line at a time."""
+    """The sample file's integers, or the error for its first bad line, one line at a time.
+
+    A line is an integer in ASCII without '_', though ``int`` takes '1_000' and '٣' too.
+    """
     lo, hi = -(1 << (width - 1)), (1 << (width - 1)) - 1
     samples = []
     with open(path, encoding="utf-8") as f:
@@ -856,8 +880,10 @@ def samples_line_by_line(path, width):
             if not text:
                 continue
             try:
-                v = int(text)
+                v = int(text) if text.isascii() and "_" not in text else None
             except ValueError:
+                v = None
+            if v is None:
                 return f"{path}:{lineno}: cannot parse sample {text!r}"
             if not lo <= v <= hi:
                 return f"{path}:{lineno}: sample {v} outside signed {width}-bit range"

@@ -1523,6 +1523,23 @@ class TestBlocks:
         if want[1] is None and luts is None:
             assert got[0] == direct_fir(samples, coeffs)
 
+    @settings(deadline=None, max_examples=40)
+    @given(route_cases())
+    @example(  # M = 12, a separable table and an edited one: split and gather in one block
+        (coeff_set([(-1) ** k * (k + 90) for k in range(24)]), partition_taps(24, 12),
+         PpgMode.STORED, 8, edited_luts(coeff_set([(-1) ** k * (k + 90) for k in range(24)]),
+                                        partition_taps(24, 12), [(1, 257, 7)]),
+         [-1] * 20 + [-128, 127, -1, 0, 85, -86] * 200)
+    )
+    def test_every_read_route_traced_equals_push_traced(self, case):
+        coeffs, plan, mode, input_width, luts, samples = case
+        block = DaFilter(coeffs, plan, mode, input_width=input_width, luts=luts)
+        scalar = DaFilter(coeffs, plan, mode, input_width=input_width, luts=luts)
+        got = stream_outcome(traced_blocked(block, samples, []))
+        assert got == stream_outcome(traced_pushed(scalar, samples))
+        if got[1] is None and luts is None:
+            assert [y for y, _ in got[0]] == direct_fir(samples, coeffs)
+
     def test_separable_tables_are_split_and_edited_ones_gathered(self, monkeypatch):
         coeffs = coeff_set([(-1) ** k * (100 + 7 * k) for k in range(20)], 16)
         plan = partition_taps(20, 16)
@@ -1545,12 +1562,19 @@ class TestBlocks:
         monkeypatch.setattr(engine, "_block_reads", reads_spy)
         stream = [(-1) ** i * (37 * i % 128) for i in range(1500)]
         want = direct_fir(stream, coeffs)
+        whole = mock.patch.object(
+            engine._CheckedTables, "__getitem__", side_effect=AssertionError("whole tables")
+        )
         for mode in PpgMode:
             # Subset sums are read as the subset sums of their low and high
-            # members, with no whole table formed or tested.
+            # members, traced or not, with no whole table formed or tested:
+            # one route, bound on the first block, serves both.
             filt = DaFilter(coeffs, plan, mode, input_width=8)
-            with mock.patch.object(filt, "tables", side_effect=AssertionError("whole tables")):
+            with whole:
                 assert filt.process(stream) == want
+                filt.reset()
+                traced = list(filt.traced_blocks(stream))
+            assert [y for block in traced for y in block.outputs] == want
             assert splits == [] and routes == [(4, 0)]
             routes.clear()
         # Checked tables are split once, by check_tables; a table edited at
@@ -1563,7 +1587,13 @@ class TestBlocks:
             assert luts.halves == (None, (luts[1][:256], luts[1][::256]))
             filt = DaFilter(coeffs, plan, input_width=8, luts=luts)
             scalar = DaFilter(coeffs, plan, input_width=8, luts=luts)
-            assert filt.process(stream) == [scalar.push(x) for x in stream]
+            pushed_outputs = [scalar.push(x) for x in stream]
+            assert filt.process(stream) == pushed_outputs
+            filt.reset()
+            assert [y for block in filt.traced_blocks(stream) for y in block.outputs] == (
+                pushed_outputs
+            )
+            # The push-only filter binds no block reads.
             assert splits == [False, True] and routes == [(2, 1)]
             splits.clear()
             routes.clear()
@@ -1614,8 +1644,10 @@ class TestBlocks:
         # a shuffled plan's packs are formed on each block, one key a pack,
         reversed_groups = tuple(tuple(range(g + 3, g - 1, -1)) for g in range(0, 20, 4))
         assert formed_by(coeffs, PartitionPlan(4, reversed_groups, 0), traced=True) == 2 * 3
-        # and M > 8 groups are gathered, one address a group.
-        assert formed_by(coeffs, plan, traced=True) == 2 * 2
+        # and M > 8 groups are read as untraced ones are, with one address a
+        # group formed for its key column: a gathered group's once, for both.
+        assert formed_by(coeffs, partition_taps(20, 16), traced=True) == 2 * 2
+        assert formed_by(coeffs, plan, luts=luts, traced=True) == 2 * 2
 
     @pytest.mark.parametrize("group_size", [9, 16])
     def test_table_range_is_checked_with_or_without_a_split(self, group_size):

@@ -64,7 +64,10 @@ seconds at a time. Each figure is given raw (``*_us``, the best round)
 and in reference microseconds (``*_ref_us``, the median round): a call's
 time scaled by ``REFERENCE_SECONDS`` over the loop's time around it,
 which is what the call would take with the host in the state that
-constant was measured in. Ratios are of reference figures.
+constant was measured in. Ratios are of reference figures. Each reference
+figure comes with the interquartile range of its rounds (``*_ref_iqr``, in
+the same unit), the spread of the same call on this host: a move between
+two files smaller than it is noise.
 
 The result is written to ``BENCH_blocks.json`` beside ``src/``.
 """
@@ -124,7 +127,9 @@ def best_us_per_unit(runs: dict, arg, units: int) -> dict:
     ``REPEATS`` rounds run all of ``runs`` in turn; each call is bracketed
     by the reference loop. A bracket that caught the host in another state
     than the call did skews that call's reference figure, and the least of
-    them would pick such a call, so the reference figure is the median.
+    them would pick such a call, so the reference figure is the median,
+    given with the interquartile range of the rounds' reference figures
+    (``*_ref_iqr``), against which a move of that figure can be judged.
     """
     raw = {name: [] for name in runs}
     ref = {name: [] for name in runs}
@@ -139,8 +144,10 @@ def best_us_per_unit(runs: dict, arg, units: int) -> dict:
             ref[name].append(seconds / reference * REFERENCE_SECONDS)
     times = {}
     for name in runs:
+        q1, median, q3 = statistics.quantiles(ref[name], n=4)
         times[f"{name}_us"] = round(min(raw[name]) / units * 1e6, 3)
-        times[f"{name}_ref_us"] = round(statistics.median(ref[name]) / units * 1e6, 3)
+        times[f"{name}_ref_us"] = round(median / units * 1e6, 3)
+        times[f"{name}_ref_iqr"] = round((q3 - q1) / units * 1e6, 3)
     return times
 
 
@@ -326,7 +333,7 @@ def main() -> int:
     record = {
         "what": "us per output (rows, traced_rows) or per window (verify_rows), raw (_us) and "
         "in reference us (_ref_us: scaled to the reference loop taking reference_seconds, "
-        "median of REPEATS); "
+        "median of REPEATS, with _ref_iqr the interquartile range of those REPEATS rounds); "
         "block = DaFilter.process (route: how its blocks read tables), "
         "push = per-sample DaFilter.push, "
         "direct_fir = the oracle; traced_block = the CLI's trace writer over "
