@@ -4,8 +4,9 @@ The package splits into:
 
 - :mod:`dafir.numerics`: fixed-point formats, quantization, the direct-form
   golden oracle, accumulator sizing.
-- :mod:`dafir.engine`: DA lookup tables, tap partitioning, the mux-based
-  partial-product generator and the L-cycle bit-serial evaluator.
+- :mod:`dafir.engine`: DA lookup tables, tap partitioning and the L-cycle
+  bit-serial evaluator, whose mux mode reads the subset sums its
+  multiplexers select.
 - :mod:`dafir.adders`: gate-level ripple / carry-save / carry-lookahead
   models with a declared unit-gate cost model.
 - :mod:`dafir.design`: the architecture and design-file format; a design
@@ -30,19 +31,16 @@ from .adders import (
 from .design import ArchConfig, DesignFile, rederive_luts
 from .engine import (
     CycleRecord,
-    CycleTrace,
     DaFilter,
     DaLut,
     Mismatch,
     PartitionPlan,
     PpgMode,
     TracedBlock,
-    address_for_cycle,
     all_windows,
     build_lut,
     da_inner_product,
     memory_locations,
-    mux_ppg,
     partial_product_width,
     partition_taps,
     verify_windows,

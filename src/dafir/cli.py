@@ -36,6 +36,7 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 
 EXHAUSTIVE_BITS_CAP = 24  # exhaustive verify limited to 2^24 windows
+_ASCII_SPACE = " \t\n\r\x0b\x0c"
 
 
 class CliError(Exception):
@@ -45,7 +46,11 @@ class CliError(Exception):
 
 
 def _read_payloads(path: str) -> list[str]:
-    """Every line's payload, '' for a blank line; '#' starts a comment."""
+    """Every line's payload, '' for a blank line; '#' starts a comment.
+
+    Only ASCII whitespace is stripped, so any other character at a line's
+    edge stays in its payload for the parsers to refuse.
+    """
     try:
         with open(path, "r", encoding="utf-8") as f:
             lines = f.readlines()
@@ -55,12 +60,16 @@ def _read_payloads(path: str) -> list[str]:
         raise CliError(f"{path}: not UTF-8 text ({exc})")
     if "#" in "".join(lines):
         lines = map(itemgetter(0), map(str.partition, lines, repeat("#")))
-    return list(map(str.strip, lines))
+    return list(map(str.strip, lines, repeat(_ASCII_SPACE)))
 
 
 def _plain(text: str) -> str:
-    """``text`` if ASCII without '_', else ValueError: ``int`` and ``Decimal`` take '1_0', '٣'."""
-    if not text.isascii() or "_" in text:
+    """``text`` if ASCII without '_' or edge whitespace, else ValueError.
+
+    ``int`` and ``Decimal`` take '1_0' and '٣', and ``Decimal`` also takes
+    the ASCII separators '\\x1c' to '\\x1f' at an edge, which lines keep.
+    """
+    if not text.isascii() or "_" in text or text != text.strip():
         raise ValueError(f"not a plain number: {text!r}")
     return text
 
@@ -147,7 +156,7 @@ def _load_cost_model(path: str | None) -> CostModel:
         raise CliError(f"cannot read {path}: {exc.strerror}")
     except UnicodeDecodeError as exc:
         raise CliError(f"{path}: not UTF-8 text ({exc})")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
         raise CliError(f"{path}: not valid JSON ({exc})")
     try:
         return CostModel.from_dict(data)

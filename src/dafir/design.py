@@ -261,11 +261,12 @@ class DesignFile:
         try:
             with open(path, "r", encoding="utf-8") as f:
                 data = json.load(f)
-            return cls.from_dict(data)
         except UnicodeDecodeError as exc:
             raise DesignError(f"{path}: not UTF-8 text ({exc})") from exc
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
             raise DesignError(f"{path}: not valid JSON ({exc})") from exc
+        try:
+            return cls.from_dict(data)
         except DesignError as exc:
             raise DesignError(f"{path}: {exc}") from exc
 

@@ -43,20 +43,17 @@ from .numerics import (
 
 __all__ = [
     "CycleRecord",
-    "CycleTrace",
     "DaFilter",
     "DaLut",
     "Mismatch",
     "PartitionPlan",
     "PpgMode",
     "TracedBlock",
-    "address_for_cycle",
     "all_windows",
     "build_lut",
     "check_tables",
     "da_inner_product",
     "memory_locations",
-    "mux_ppg",
     "partial_product_width",
     "partition_taps",
     "verify_windows",
@@ -183,19 +180,6 @@ def build_lut(coeffs: CoefficientSet, group: Sequence[TapIndex]) -> DaLut:
     return DaLut(members, tuple(_subset_sums(coeffs.values, members)))
 
 
-def mux_ppg(coeffs: CoefficientSet, group: Sequence[TapIndex], address: int) -> int:
-    """Partial product computed directly from the address, with no stored table.
-
-    Models the shared multiplexer structure: the address bits steer the
-    group's coefficients into an on-the-fly sum. Must match the stored
-    table at every address.
-    """
-    members = tuple(group)
-    if not (0 <= address < 1 << len(members)):
-        raise ValueError(f"address {address} out of range for a {len(members)}-bit group")
-    return _subset_sums(coeffs.values, members)[address]
-
-
 _Halves = tuple[tuple[int, ...], tuple[int, ...]]  # a table's T[:256] and T[::256]
 
 
@@ -207,8 +191,9 @@ class _CheckedTables(Sequence):
     again without a scan. ``halves`` holds each table's halves, None for
     M <= 8 and for a table that does not split (:func:`_split`). A table
     given as its halves is formed from them, T[256h + l] = high[h] +
-    low[l], when ``push``, the trace writer or ``verify`` first reads it:
-    blocks, traced or not, read the halves alone.
+    low[l], when the scalar schedule (``push``, a window ``verify``
+    flags) or the trace writer first reads it: blocks, traced or not, and
+    ``verify``'s lanes read the halves alone.
     """
 
     def __init__(
@@ -365,32 +350,6 @@ def _read_tables(
     return check_tables(luts, plan, coeffs.format.width)
 
 
-def address_for_cycle(
-    delay_line: Sequence[int],
-    plan: PartitionPlan,
-    cycle: int,
-    input_width: int,
-) -> tuple[int, ...]:
-    """Per-group table addresses formed from bit ``cycle`` of every sample.
-
-    ``delay_line[i]`` holds x(current - i), so tap i multiplies the sample
-    it should. Address bit j of a group belongs to group member j; padding
-    slots read as 0.
-    """
-    if not (0 <= cycle < input_width):
-        raise ValueError(f"cycle {cycle} out of range for {input_width}-bit inputs")
-    if len(delay_line) != plan.num_taps:
-        raise ValueError("delay line length must equal the plan's tap count")
-    addresses = []
-    for group in plan.groups:
-        a = 0
-        for j, idx in enumerate(group):
-            if idx is not None:
-                a |= ((delay_line[idx] >> cycle) & 1) << j
-        addresses.append(a)
-    return tuple(addresses)
-
-
 @dataclass(frozen=True)
 class CycleRecord:
     """Everything one clock of the bit-serial schedule did."""
@@ -402,9 +361,6 @@ class CycleRecord:
     shift: int
     subtract: bool
     acc_after: int
-
-
-CycleTrace = tuple[CycleRecord, ...]
 
 
 class TracedBlock(NamedTuple):
@@ -487,10 +443,6 @@ def _spreader(input_width: int, group_size: int) -> Callable[[Sequence[int]], li
     return spread
 
 
-# observe(cycle, addresses, partials, tree_sum, acc_after), called after each cycle
-Observer = Callable[[int, list, list, int, int], None]
-
-
 def _overflow(acc: int, acc_width: int) -> AccumulatorOverflow:
     return AccumulatorOverflow(f"inner product {acc} exceeds the {acc_width}-bit accumulator")
 
@@ -512,7 +464,8 @@ def _schedule(
     addresses come from interleaved group words (:func:`_spreader`), whose
     address fields are one byte wide (M <= 8) or two (M <= 16), so a group
     word's bytes list its addresses in cycle order and the tables are read
-    in one pass.
+    in one pass. Given a ``records`` list, the bound loop appends each
+    cycle's :class:`CycleRecord` to it.
     """
     length = input_width
     last = length - 1
@@ -539,7 +492,7 @@ def _schedule(
     def run(
         dl: Sequence[int],
         spread_line: Sequence[int] | None = None,
-        observe: Observer | None = None,
+        records: list[CycleRecord] | None = None,
     ) -> int:
         """Inner product of ``dl``, newest sample first, whose spread words are ``spread_line``."""
         if spread_line is None:
@@ -560,25 +513,14 @@ def _schedule(
                 acc -= t << n
             else:
                 acc += t << n
-            if observe is not None:
-                observe(n, [column[n] for column in addresses], partials, t, acc)
+            if records is not None:
+                at_n = tuple(column[n] for column in addresses)
+                records.append(CycleRecord(n, at_n, tuple(partials), t, n, n == last, acc))
         if acc >= bound or acc < -bound:
             raise _overflow(acc, acc_width)
         return acc
 
     return run
-
-
-def _recorder(records: list, input_width: int) -> Observer:
-    """Observer that appends one CycleRecord per cycle to ``records``."""
-    last = input_width - 1
-
-    def observe(n: int, addresses: list, partials: list, tree_sum: int, acc: int) -> None:
-        records.append(
-            CycleRecord(n, tuple(addresses), tuple(partials), tree_sum, n, n == last, acc)
-        )
-
-    return observe
 
 
 @functools.lru_cache(maxsize=16)
@@ -612,7 +554,7 @@ def da_inner_product(
     luts: Sequence[Sequence[int]] | None = None,
     collect_trace: bool = True,
     bit_level: bool = False,
-) -> tuple[int, CycleTrace | None]:
+) -> tuple[int, tuple[CycleRecord, ...] | None]:
     """Run the L-cycle bit-serial schedule on one delay-line snapshot.
 
     Returns the accumulator value, which equals sum_k A_k * x_k exactly,
@@ -632,7 +574,7 @@ def da_inner_product(
     if not collect_trace:
         return run(dl), None
     records: list[CycleRecord] = []
-    value = run(dl, observe=_recorder(records, input_width))
+    value = run(dl, records=records)
     return value, tuple(records)
 
 
@@ -705,10 +647,10 @@ class DaFilter:
         self._admit(sample)
         return self._run(self._delay, self._spread)
 
-    def push_traced(self, sample: int) -> tuple[int, CycleTrace]:
+    def push_traced(self, sample: int) -> tuple[int, tuple[CycleRecord, ...]]:
         self._admit(sample)
         records: list[CycleRecord] = []
-        value = self._run(self._delay, self._spread, _recorder(records, self.input_format.width))
+        value = self._run(self._delay, self._spread, records)
         return value, tuple(records)
 
     def blocks(self, samples: Iterable[int]) -> Iterator[list[int]]:
@@ -988,7 +930,7 @@ def _sliding_keys(planes: int, item: int, widths: Iterable[int], nbytes: int) ->
 def _lane_datapath(
     coeffs: CoefficientSet,
     plan: PartitionPlan,
-    tables: Sequence[Sequence[int]],
+    tables: _CheckedTables,
     input_width: int,
     tree: AdderKind,
 ) -> tuple[Callable[[Sequence[bytes], bytes], Iterator[tuple[int, int]]], int]:
@@ -1011,8 +953,11 @@ def _lane_datapath(
     With M <= 8 a group's reads are the blocks' byte-plane reads of its
     entries biased by 2^(width - 1), which differ from the entries' two's
     complement in the top bit alone: the read buffer's planes, the top one
-    inverted, are the entries' planes. Above that the entries are gathered
-    from the tables.
+    inverted, are the entries' planes. Above that a table with halves is
+    read as blocks read it, each half at one byte of the 2-byte addresses,
+    T[a] = low[a & 255] + high[a >> 8]: the two biases add 2^width, which
+    the entries' low ``width`` planes drop. Only a table without halves is
+    gathered whole, so no table kept as its halves is formed.
     """
     length = input_width
     num_taps = len(coeffs)
@@ -1025,8 +970,12 @@ def _lane_datapath(
     size = _item_size(length)  # bytes per sample item
     width = _item_size(plan.group_size)  # bytes per address item
     bytewise = width == 1
-    entry_size = -(-partial_width // 8)  # bytes per byte-plane read
-    reads = [_byte_planes(t, partial_width) for t in tables] if bytewise else tables
+    if bytewise:
+        entry_size = -(-partial_width // 8)  # bytes per byte-plane read
+        reads = [_byte_planes(t, partial_width) for t in tables]
+    else:  # each biased half is below 2^width, so their sum takes one byte more at most
+        entry_size = -(-(partial_width + 1) // 8)
+        reads = [pair and [_byte_planes(h, partial_width) for h in pair] for pair in tables.halves]
 
     def run(columns: Sequence[bytes], expected: bytes) -> Iterator[tuple[int, int]]:
         """(lane, datapath value) of each window, in order, whose value is not ``expected``'s."""
@@ -1037,17 +986,24 @@ def _lane_datapath(
         ]
         address = _address_former(planes, [0] * num_taps, count, width, length)
         operands = []
-        for table, group in zip(reads, members):
-            # Item n*count + i is lane i's address at cycle n.
+        for g, (read, group) in enumerate(zip(reads, members)):
+            items = address(group)  # item n*count + i is lane i's address at cycle n
             if bytewise:
                 parts = _packed_planes(
-                    _read_biased(table, address(group), entry_size), entry_size, partial_width
+                    _read_biased(read, items, entry_size), entry_size, partial_width
                 )
                 parts[-1] ^= every
+            elif read:  # the halves, at each address's low byte and at its high byte
+                low, high = (
+                    int.from_bytes(_read_biased(half, items[b::2], entry_size), "little")
+                    for b, half in enumerate(read)
+                )
+                total = (low + high).to_bytes(entry_size * count * length, "little")
+                parts = _packed_planes(total, entry_size, partial_width)
             else:
-                addresses = _little_endian(array(_UNSIGNED_CODES[width], address(group)))
+                addresses = _little_endian(array(_UNSIGNED_CODES[width], items))
                 # count * length >= 2 addresses, so itemgetter returns a tuple
-                parts = _lane_planes(itemgetter(*addresses)(table), partial_width)
+                parts = _lane_planes(itemgetter(*addresses)(tables[g]), partial_width)
             operands.append(parts + parts[-1:] * (tree_width - partial_width))
         # Cycle n is lanes [n*count, (n+1)*count) of the tree's planes.
         sums = _tree_planes(operands, tree, every, block)
@@ -1345,11 +1301,12 @@ def verify_windows(
     side is an independent plain multiply-accumulate, never a table.
 
     Windows run ``LANES`` at a time as tap columns through a bit-sliced
-    datapath: the design's tables (mux mode: the same subset sums, formed
-    once), the gate-level ``tree`` and a gate-level accumulator, checked
-    against a word-parallel multiply-accumulate of the same columns. A
-    fresh :func:`all_windows` of this filter's K and L gives its columns
-    directly; other windows are packed into columns a chunk at a time.
+    datapath: the design's tables (mux mode: the same subset sums), read
+    as their halves where they have them, the gate-level ``tree`` and a
+    gate-level accumulator, checked against a word-parallel
+    multiply-accumulate of the same columns. A fresh :func:`all_windows`
+    of this filter's K and L gives its columns directly; other windows
+    are packed into columns a chunk at a time.
     Only a window the datapath flags is run again through the scalar
     schedule, which yields each Mismatch or raises AccumulatorOverflow
     just as a window-by-window loop would; a chunk holding a sample that

@@ -29,7 +29,6 @@ from dafir.engine import (
     all_windows,
     da_inner_product,
     memory_locations,
-    mux_ppg,
     partial_product_width,
     partition_taps,
     verify_windows,
@@ -228,7 +227,8 @@ def test_criterion_7_cycle_count_contract():
 def test_criterion_8_width_claims():
     # mux output at the W=16 coefficient extremes needs exactly 17 signed bits
     coeffs = CoefficientSet.from_integers([-32768, -32768], FMT16)
-    extreme = mux_ppg(coeffs, (0, 1), 3)
+    mux = DaFilter(coeffs, partition_taps(2, 2), PpgMode.MUX, input_width=16)
+    extreme = mux.tables()[0][3]
     assert extreme == -65536
     assert min_signed_width(extreme) == 17
     assert partial_product_width(16, 2) == 17

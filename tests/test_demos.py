@@ -1,6 +1,7 @@
-"""Every demo script runs to completion against the package in ``src``."""
+"""Every demo script and README python block runs against the package in ``src``."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,3 +26,12 @@ def test_demo_exits_zero(demo):
         [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_readme_python_blocks_run():
+    """The README's python blocks (its quick tour) run as written, asserts and all."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, re.M | re.S)
+    assert blocks
+    for i, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {i}", "exec"), {"__name__": "readme"})

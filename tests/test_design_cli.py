@@ -575,7 +575,7 @@ class TestHalvesForm:
         # ``verify --random`` draws (seed 0).
         rng = random.Random(0)
         window = [rng.randint(-(1 << 15), (1 << 15) - 1) for _ in range(64)]
-        address = dafir.engine.address_for_cycle(window, design.plan, 0, 16)[2]
+        address = sum((window[k] & 1) << j for j, k in enumerate(design.plan.groups[2]))
         data = json.loads(lists.read_text())
         data["luts"][2][address] += 1
         lists.write_text(json.dumps(data, indent=2) + "\n")
@@ -601,6 +601,67 @@ class TestHalvesForm:
             [int(x) for x in samples.read_text().split()], tuple(values)
         )
         assert out.read_text() == "".join(f"{y}\n" for y in want)
+
+    def test_verify_forms_no_whole_table(self, tmp_path):
+        """verify_windows reads a table with halves at its address bytes, as blocks do."""
+        engine = dafir.engine
+        rng = random.Random(19)
+        fmt = FixedFormat(16)
+        coeffs = CoefficientSet.from_integers([rng.randint(-32768, 32767) for _ in range(20)], fmt)
+        plan = engine.partition_taps(20, 16)  # groups of taps 0-15 and 16-19 with 12 pads
+        design = DesignFile.load(str(k64_m16(tmp_path)[0]))
+        cases = [
+            (coeffs, plan, PpgMode.STORED, engine.DaFilter(coeffs, plan, input_width=16).tables()),
+            (coeffs, plan, PpgMode.MUX, None),
+            (design.coefficients, design.plan, PpgMode.STORED, design.luts),
+        ]
+
+        def windows(num_taps, count):
+            extremes = [(-32768,) * num_taps, (32767,) * num_taps]
+            return extremes + [
+                tuple(rng.randint(-32768, 32767) for _ in range(num_taps)) for _ in range(count)
+            ]
+
+        whole = AssertionError("a table of 2^M entries was formed")
+        for taps, split_plan, mode, luts in cases:
+            drawn = windows(len(taps), 300)
+            with mock.patch.object(engine._CheckedTables, "__getitem__", side_effect=whole):
+                got = engine.verify_windows(
+                    taps, split_plan, mode, input_width=16, windows=drawn, luts=luts
+                )
+            assert got == (len(drawn), [])
+
+        # A table edited where no sample reaches (a padding bit) no longer
+        # splits: it alone is gathered whole, and still checks clean.
+        tables = [list(build_lut(coeffs, g).entries) for g in plan.groups]
+        tables[1][1 << 15] += 1
+        assert engine.check_tables(tables, plan, 16).halves[1] is None
+        drawn = windows(20, 300)
+        read = []
+        getitem = engine._CheckedTables.__getitem__
+
+        def recording(self, g):
+            read.append(g)
+            return getitem(self, g)
+
+        with mock.patch.object(engine._CheckedTables, "__getitem__", recording):
+            got = engine.verify_windows(
+                coeffs, plan, PpgMode.STORED, input_width=16, windows=drawn, luts=tables
+            )
+        assert got == (len(drawn), []) and set(read) == {1}
+
+        # One entry moved by one is found at the first window that reads it.
+        def addresses(window):
+            members = [(j, k) for j, k in enumerate(plan.groups[1]) if k is not None]
+            return {sum(((window[k] >> n) & 1) << j for j, k in members) for n in range(16)}
+
+        address = min(addresses(drawn[5]))
+        tables[1][address] -= 1
+        first = next(i for i, window in enumerate(drawn) if address in addresses(window))
+        checked, [bad] = engine.verify_windows(
+            coeffs, plan, PpgMode.STORED, input_width=16, windows=drawn, luts=tables
+        )
+        assert (checked, bad.window) == (first + 1, drawn[first])
 
 
 class TestCmdDesign:
@@ -643,9 +704,17 @@ class TestCmdDesign:
         assert code == 2
         assert "coeffs.txt:2" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", ["1_0", "0.2_5", "1e1_0", "\u0663", "0.\u0665", "\uff11"])
+    @pytest.mark.parametrize(
+        "text",
+        ["1_0", "0.2_5", "1e1_0", "\u0663", "0.\u0665", "\uff11",
+         "5\u3000", "\u00a07", "0.5\u2028", "\x1c0.5", "0.5\x1f"],
+    )
     def test_coefficients_are_ascii_without_underscores(self, workspace, capsys, text):
-        """int and Decimal read '1_0' as 10 and '٣' as 3; the file format lists neither."""
+        """int and Decimal read '1_0' as 10, '٣' as 3 and '5\\u3000' as 5; the format lists none.
+
+        Only ASCII whitespace is stripped from a line, and ``Decimal`` also
+        takes '\\x1c' to '\\x1f' at an edge.
+        """
         (workspace / "coeffs.txt").write_text(f"0.25\n{text}\n", encoding="utf-8")
         out = workspace / "d.json"
         code = main(["design", str(workspace / "coeffs.txt"), "--out", str(out)])
@@ -834,9 +903,16 @@ class TestCmdRun:
         assert code == 2
         assert "s.txt:2" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", ["1_000", "-1_0", "\u0663", "\uff11", "1\u0660"])
+    @pytest.mark.parametrize(
+        "text",
+        ["1_000", "-1_0", "\u0663", "\uff11", "1\u0660",
+         "5\u3000", "\u00a07", "7\x85", "\u20285", "5\x1c"],
+    )
     def test_samples_are_ascii_without_underscores(self, workspace, capsys, text):
-        """int reads '1_000' as 1000 and '٣' as 3; the file format lists neither."""
+        """int reads '1_000' as 1000, '٣' as 3 and '5\\u3000' as 5; the file format lists none.
+
+        Only ASCII whitespace is stripped from a line.
+        """
         design = run_design(workspace)
         samples = workspace / "s.txt"
         samples.write_text(f"1\n{text}\n2\n", encoding="utf-8")
@@ -870,13 +946,14 @@ class TestCmdRun:
 def samples_line_by_line(path, width):
     """The sample file's integers, or the error for its first bad line, one line at a time.
 
-    A line is an integer in ASCII without '_', though ``int`` takes '1_000' and '٣' too.
+    A line is an integer in ASCII without '_', though ``int`` takes '1_000' and '٣' too,
+    stripped of ASCII whitespace alone.
     """
     lo, hi = -(1 << (width - 1)), (1 << (width - 1)) - 1
     samples = []
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f.readlines(), start=1):
-            text = line.split("#", 1)[0].strip()
+            text = line.split("#", 1)[0].strip(" \t\n\r\x0b\x0c")
             if not text:
                 continue
             try:
@@ -1302,6 +1379,27 @@ class TestUsage:
         with pytest.raises(DesignError) as exc:
             DesignFile.load(str(bad))
         assert str(exc.value) == f"{bad}: {reason}"
+
+    @pytest.mark.parametrize("nesting", ["[", '{"a": '], ids=["arrays", "objects"])
+    @pytest.mark.parametrize("entry", ["report", "run", "verify", "cost_model"])
+    def test_deeply_nested_json_is_a_usage_error(self, workspace, capsys, entry, nesting):
+        """JSON nested past the decoder's depth is refused as invalid, exit 2, not a traceback."""
+        text = nesting * 100_000
+        with pytest.raises(RecursionError) as deep:
+            json.loads(text)
+        bad = workspace / "deep.json"
+        bad.write_text(text, encoding="utf-8")
+        argv = {
+            "report": ["report", "--design", str(bad)],
+            "run": ["run", "--design", str(bad), "--samples", str(workspace / "samples.txt"),
+                    "--out", str(workspace / "o.txt")],
+            "verify": ["verify", "--design", str(bad), "--random", "4"],
+            "cost_model": ["report", "--design", str(run_design(workspace)),
+                           "--cost-model", str(bad)],
+        }[entry]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {bad}: not valid JSON ({deep.value})\n"
 
     @pytest.mark.parametrize("reader", ["design", "samples", "coefficients", "cost_model"])
     def test_non_utf8_input_names_its_file(self, workspace, capsys, reader):

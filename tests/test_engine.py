@@ -19,13 +19,11 @@ from dafir.engine import (
     DaFilter,
     PartitionPlan,
     PpgMode,
-    address_for_cycle,
     all_windows,
     build_lut,
     check_tables,
     da_inner_product,
     memory_locations,
-    mux_ppg,
     partial_product_width,
     partition_taps,
     verify_windows,
@@ -44,6 +42,20 @@ FMT16 = FixedFormat(16)
 
 def coeff_set(values, width=8):
     return CoefficientSet.from_integers(values, FixedFormat(width))
+
+
+def address_for_cycle(delay_line, plan, cycle):
+    """Reference addresses: bit j of a group's is bit ``cycle`` of member j's sample; pads read 0."""
+    return tuple(
+        sum(((delay_line[k] >> cycle) & 1) << j for j, k in enumerate(g) if k is not None)
+        for g in plan.groups
+    )
+
+
+def mux_tables(coeffs, group_size):
+    """The tables a mux filter over all of ``coeffs``, in groups of ``group_size``, reads."""
+    plan = partition_taps(len(coeffs), group_size)
+    return DaFilter(coeffs, plan, PpgMode.MUX, input_width=8).tables()
 
 
 def subset_sum_oracle(values, group, address):
@@ -143,19 +155,16 @@ class TestLutAndMux:
         assert lut.entries == (0, 13, 0, 13)
 
     def test_mux_matches_example(self):
-        assert mux_ppg(coeff_set([3, 5]), (0, 1), 3) == 8
+        assert mux_tables(coeff_set([3, 5]), 2)[0][3] == 8
+        assert build_lut(coeff_set([3, 5]), (0, 1)).entries[3] == 8
 
     def test_mux_address_zero_is_zero(self):
-        assert mux_ppg(coeff_set([17, -99]), (0, 1), 0) == 0
+        assert mux_tables(coeff_set([17, -99]), 2)[0][0] == 0
 
     def test_mux_extremes_need_seventeen_bits(self):
         coeffs = coeff_set([-32768, -32768], 16)
-        assert mux_ppg(coeffs, (0, 1), 3) == -65536
+        assert mux_tables(coeffs, 2)[0][3] == -65536
         assert partial_product_width(16, 2) == 17
-
-    def test_mux_rejects_out_of_range_address(self):
-        with pytest.raises(ValueError):
-            mux_ppg(coeff_set([3, 5]), (0, 1), 4)
 
     @settings(deadline=None)
     @given(
@@ -166,41 +175,45 @@ class TestLutAndMux:
         # Core identity: stored entries equal mux outputs at every address.
         coeffs = coeff_set(values)
         plan = partition_taps(4, group_size)
-        for group in plan.groups:
+        for group, mux in zip(plan.groups, mux_tables(coeffs, group_size)):
             lut = build_lut(coeffs, group)
             for address in range(1 << group_size):
                 want = subset_sum_oracle(values, group, address)
                 assert lut.entries[address] == want
-                assert mux_ppg(coeffs, group, address) == want
+                assert mux[address] == want
+
+
+def traced_addresses(delay_line, plan, input_width):
+    """Each cycle's addresses as the schedule's records give them."""
+    coeffs = coeff_set([1] * plan.num_taps)
+    _, trace = da_inner_product(delay_line, coeffs, plan, input_width=input_width)
+    return [r.addresses for r in trace]
 
 
 class TestAddressing:
     def test_lsb_cycle(self):
         plan = partition_taps(2, 2)
-        assert address_for_cycle([5, 3], plan, 0, 4) == (3,)  # LSBs of 5 and 3 are both 1
+        assert address_for_cycle([5, 3], plan, 0) == (3,)  # LSBs of 5 and 3 are both 1
+        assert traced_addresses([5, 3], plan, 4)[0] == (3,)
 
     def test_msb_cycle_of_positive_samples(self):
         plan = partition_taps(2, 2)
-        assert address_for_cycle([5, 3], plan, 3, 4) == (0,)
+        assert address_for_cycle([5, 3], plan, 3) == (0,)
+        assert traced_addresses([5, 3], plan, 4)[3] == (0,)
 
     def test_minus_one_sets_every_cycle(self):
         plan = partition_taps(1, 1)
         for n in range(4):
-            assert address_for_cycle([-1], plan, n, 4) == (1,)
-
-    def test_cycle_out_of_range(self):
-        plan = partition_taps(1, 1)
-        with pytest.raises(ValueError):
-            address_for_cycle([0], plan, 4, 4)
-        with pytest.raises(ValueError):
-            address_for_cycle([0], plan, -1, 4)
-
-    def test_wrong_delay_line_length(self):
-        with pytest.raises(ValueError):
-            address_for_cycle([1, 2, 3], partition_taps(2, 2), 0, 4)
+            assert address_for_cycle([-1], plan, n) == (1,)
+        assert traced_addresses([-1], plan, 4) == [(1,)] * 4
 
 
 class TestInnerProduct:
+    def test_delay_line_of_another_length_is_refused(self):
+        for window in ([1, 2, 3], [1]):
+            with pytest.raises(ValueError, match=f"delay line has {len(window)} entries"):
+                da_inner_product(window, coeff_set([3, 5]), partition_taps(2, 2), input_width=4)
+
     def test_sign_bit_subtraction(self):
         # -8 is 0b1000: three idle cycles, then subtract 1 << 3
         value, trace = da_inner_product(
@@ -790,7 +803,7 @@ class TestVerifyWindows:
     )
     def test_word_parallel_oracle_is_direct_fir_at_the_extremes(self, case):
         coeffs, plan, input_width, windows = case
-        tables = [engine._subset_sums(coeffs.values, g) for g in plan.groups]
+        tables = engine._subset_tables(coeffs, plan)
         _, field = engine._lane_datapath(coeffs, plan, tables, input_width, AdderKind.CLA)
         size = engine._item_size(input_width)
         fmt = FixedFormat(input_width)
@@ -977,7 +990,7 @@ class TestSchedule:
             window = [rng.randint(-512, 511) for _ in range(7)]
             _, trace = da_inner_product(window, coeffs, plan, mode, input_width=10)
             for r in trace:
-                assert r.addresses == address_for_cycle(window, plan, r.cycle, 10)
+                assert r.addresses == address_for_cycle(window, plan, r.cycle)
 
     def test_garbage_at_padding_addresses_is_never_read(self):
         # Group (4, None): addresses with bit 1 set select the padding slot,

@@ -58,6 +58,14 @@ given as ``all_windows`` (the tap columns ``dafir verify --exhaustive``
 checks) and as the same windows in a list (packed into columns a chunk at
 a time). Every call must report all windows checked with no mismatch.
 
+The halves verify row times, in ms per call, ``verify_windows`` over
+``HALVES_WINDOWS`` seeded random windows (what ``dafir verify --random
+64`` checks) on the stored design at ``HALVES_VERIFY``, saved as
+``dafir design`` writes it (every table as its halves): ``fresh`` on a
+design just loaded, which no call has read yet, one per round (the first
+call of a ``dafir verify`` run), and ``warm`` on one design that calls
+have read before. Both must report every window checked, no mismatch.
+
 Every timed call is bracketed by the benchmark's fixed reference loop
 (``benchmarks/workloads.py``), since a shared host can change speed for
 seconds at a time. Each figure is given raw (``*_us``, the best round)
@@ -114,6 +122,8 @@ INTAKE_STEPS = (
 TRACED_SHAPES = ((16, 2), (16, 4), (64, 4), (64, 8), (64, 16))
 VERIFY_CONFIGS = ((PpgMode.STORED, 4), (PpgMode.STORED, 2), (PpgMode.MUX, 2), (PpgMode.MUX, 1))
 VERIFY_TAPS, VERIFY_COEFF_WIDTH, VERIFY_INPUT_WIDTH = 4, 8, 4
+HALVES_VERIFY = (64, 16)  # (K, M) of the stored halves design verify is timed on
+HALVES_WINDOWS = 64
 WIDTH = 16  # coefficient and sample bits
 SAMPLES = 4000
 TRACED_SAMPLES = 2000
@@ -317,11 +327,44 @@ def measure_verify(mode: PpgMode, group_size: int) -> dict:
     return {"taps": VERIFY_TAPS, "group_size": group_size, "mode": mode.value, **times}
 
 
+def measure_halves_verify(taps: int, group_size: int, scratch: Path) -> dict:
+    _, values, _ = seeded(taps, group_size, PpgMode.STORED, 0)
+    coeffs = CoefficientSet.from_integers(values, FixedFormat(WIDTH))
+    path = str(scratch / "halves.json")
+    DesignFile.create(ArchConfig(taps, WIDTH, WIDTH, group_size), coeffs).save(path)
+    rng = random.Random(f"{SEED}:halves_verify")
+    half = 1 << (WIDTH - 1)
+    windows = [
+        tuple(rng.randrange(-half, half) for _ in range(taps)) for _ in range(HALVES_WINDOWS)
+    ]
+    fresh = [DesignFile.load(path) for _ in range(REPEATS)]  # one unread design a round
+    warm = DesignFile.load(path)
+
+    def checked(design):
+        result = verify_windows(
+            design.coefficients, design.plan, PpgMode.STORED,
+            input_width=WIDTH, windows=windows, luts=design.luts,
+        )
+        if result != (len(windows), []):
+            raise SystemExit(f"halves verify K={taps} M={group_size}: {result[0]}, {result[1]}")
+
+    checked(warm)
+    times = best_us_per_unit(
+        {"fresh": lambda _: checked(fresh.pop()), "warm": lambda _: checked(warm)}, None, 1000
+    )
+    times = {key.replace("_us", "_ms"): value for key, value in times.items()}
+    return {
+        "taps": taps, "group_size": group_size, "mode": "stored", "windows": HALVES_WINDOWS,
+        **times,
+    }
+
+
 def main() -> int:
     rows = [measure(k, m, mode) for k, m in SHAPES for mode in PpgMode]
     rows.append(measure(*EDITED, PpgMode.STORED, edited=True))
     with tempfile.TemporaryDirectory() as scratch:
         intake = measure_intake(*INTAKE, Path(scratch))
+        halves_verify = measure_halves_verify(*HALVES_VERIFY, Path(scratch))
     for row in rows:
         row["push_over_block"] = round(row["push_ref_us"] / row["block_ref_us"], 2)
     traced_rows = [measure_traced(k, m, mode) for k, m in TRACED_SHAPES for mode in PpgMode]
@@ -347,6 +390,8 @@ def main() -> int:
         "file_bytes / file_bytes_lists = the two files' sizes, "
         "first_block = DaFilter from the checked tables and "
         "its first one-sample block, steady_blocks = DaFilter.process of the samples; "
+        "halves_verify: ms per call of verify_windows over random windows on the stored "
+        "halves design, fresh = just loaded (the first call), warm = read by earlier calls; "
         "raw figures best of REPEATS, in one process",
         "width": WIDTH,
         "samples": SAMPLES,
@@ -367,6 +412,7 @@ def main() -> int:
         "intake": intake,
         "traced_rows": traced_rows,
         "verify_rows": verify_rows,
+        "halves_verify": halves_verify,
     }
     (ROOT / "BENCH_blocks.json").write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     for row in rows:
@@ -395,6 +441,11 @@ def main() -> int:
             f"verify all_windows {row['all_windows_ref_us']:>6} list {row['list_ref_us']:>6} "
             f"reference us/window"
         )
+    print(
+        f"K={halves_verify['taps']:>2} M={halves_verify['group_size']:>2} stored halves verify "
+        f"of {HALVES_WINDOWS} windows: fresh {halves_verify['fresh_ref_ms']} "
+        f"warm {halves_verify['warm_ref_ms']} reference ms"
+    )
     return 0
 
 
