@@ -49,7 +49,9 @@ def _read_payloads(path: str) -> list[str]:
     """Every line's payload, '' for a blank line; '#' starts a comment.
 
     Only ASCII whitespace is stripped, so any other character at a line's
-    edge stays in its payload for the parsers to refuse.
+    edge stays in its payload for the parsers to refuse. A text with no
+    '#' and no whitespace but line breaks is split at them, not stripped
+    line by line.
     """
     try:
         with open(path, "r", encoding="utf-8") as f:
@@ -58,7 +60,10 @@ def _read_payloads(path: str) -> list[str]:
         raise CliError(f"cannot read {path}: {exc.strerror}")
     except UnicodeDecodeError as exc:
         raise CliError(f"{path}: not UTF-8 text ({exc})")
-    if "#" in "".join(lines):
+    text = "".join(lines)
+    if not any(map(text.__contains__, "# \t\r\x0b\x0c")):
+        return text.split("\n")[: len(lines)]
+    if "#" in text:
         lines = map(itemgetter(0), map(str.partition, lines, repeat("#")))
     return list(map(str.strip, lines, repeat(_ASCII_SPACE)))
 
@@ -82,7 +87,7 @@ def _parse_coefficients(path: str, fmt: FixedFormat):
         if not text:
             continue
         try:
-            if any(ch in text for ch in ".eE"):
+            if "." in text or "e" in text or "E" in text:
                 code, saturated = quantize_coefficient(_plain(text), fmt)
             else:
                 code, saturated = int(_plain(text)), False

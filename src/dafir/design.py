@@ -14,6 +14,7 @@ catch a corrupted entry instead of silently repairing it.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from itertools import islice
@@ -41,17 +42,19 @@ _TOP_KEYS = {"version", "arch", "coefficients", "plan", "luts"}
 _ARCH_KEYS = {"num_taps", "coeff_width", "input_width", "group_size", "ppg_mode", "tree"}
 _PLAN_KEYS = {"group_size", "groups", "padded_taps"}
 
-# A table's entries as ``json.dumps(..., indent=2)`` lays them out inside
-# "luts", one per line at indent 6. The C encoder writes them; ``json.dump``
-# falls back to the pure-Python encoder whenever ``indent`` is set.
-_ENTRIES = json.JSONEncoder(separators=(",\n      ", ": "))
+# A list or object whose entries are all of these types goes through the C encoder.
+_SCALARS = frozenset({int, float, str, bool, type(None)})
+_SLICE = 4096  # list entries encoded per write, so no string near the file's size is built
+# The C encoder separating entries as ``json.dumps(..., indent=2)`` does ``indent``
+# spaces in; with ``indent`` set, ``json.dumps`` runs the pure-Python encoder.
+_encoder = functools.cache(lambda indent: json.JSONEncoder(separators=(",\n" + " " * indent, ": ")))
 # The C encoder's first call makes small objects that it keeps for the life
 # of the process. Made here, at import, they do not land in the middle of a
 # save's short-lived strings and hold that memory: made by the first save,
 # they left the benchmark's `stream` and `verify` runs about 0.25 MiB higher
-# in peak RSS.
-_ENTRIES.encode([0])
-_SLICE = 4096  # entries encoded per write, so no string near the file's size is built
+# in peak RSS. A design's entries are at most 8 spaces in.
+for _indent in range(0, 10, 2):
+    _encoder(_indent).encode([0])
 
 
 class DesignError(ValueError):
@@ -61,7 +64,8 @@ class DesignError(ValueError):
 def _integer(value: object, where: str) -> int:
     """``value`` itself if it is a JSON integer; ``true`` and ``1.0`` are not."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise DesignError(f"{where} must be an integer, got {value!r}")
+        text = repr(value)  # cut: the value may be a list of any length
+        raise DesignError(f"{where} must be an integer, got {text[:40]}{'...' * (len(text) > 40)}")
     return value
 
 
@@ -155,8 +159,15 @@ class DesignFile:
             luts=self.luts,
         )
 
-    def _head(self) -> dict:
-        """Everything but the tables, in the document's key order."""
+    def to_dict(self) -> dict:
+        """The document: each table that splits as its halves object, any other as a list."""
+        return self._document(list)
+
+    def _document(self, table: type) -> dict:
+        """The document, with each table that does not split as ``table(entries)``."""
+        luts = None
+        if self.luts is not None:
+            luts = [f if isinstance(f, dict) else table(f) for f in _table_forms(self.luts)]
         return {
             "version": self.version,
             "arch": self.arch.to_dict(),
@@ -166,36 +177,17 @@ class DesignFile:
                 "groups": [list(g) for g in self.plan.groups],
                 "padded_taps": self.plan.padded_taps,
             },
+            "luts": luts,
         }
-
-    def to_dict(self) -> dict:
-        """The document: each table that splits as its halves object, any other as a list."""
-        luts = None
-        if self.luts is not None:
-            luts = [f if isinstance(f, dict) else list(f) for f in _table_forms(self.luts)]
-        return {**self._head(), "luts": luts}
 
     def save(self, path: str) -> None:
         """Write ``json.dumps(self.to_dict(), indent=2)`` and a newline, byte for byte.
 
-        The head goes through that call with ``null`` tables; the tables
-        are written after it, a list a slice of entries at a time.
+        Its tables are tuples, as checked tables are, so none is copied.
         """
-        text = json.dumps({**self._head(), "luts": None}, indent=2) + "\n"
         with open(path, "w", encoding="utf-8") as f:
-            if self.luts is None:
-                f.write(text)
-                return
-            f.write(text.removesuffix("null\n}\n"))
-            lead = "[\n    "
-            for form in _table_forms(self.luts):
-                f.write(lead)
-                if isinstance(form, dict):  # two halves, a few hundred entries, at indent 4
-                    f.write(json.dumps(form, indent=2).replace("\n", "\n    "))
-                else:
-                    _write_table(f, form)
-                lead = ",\n    "
-            f.write("[]\n}\n" if lead.startswith("[") else "\n  ]\n}\n")
+            _write(f, self._document(tuple), 0)
+            f.write("\n")
 
     @classmethod
     def from_dict(cls, data: dict) -> "DesignFile":
@@ -271,18 +263,30 @@ class DesignFile:
             raise DesignError(f"{path}: {exc}") from exc
 
 
-def _write_table(f, table) -> None:
-    """One table as ``json.dumps(..., indent=2)`` lays it out inside "luts" at indent 4.
+def _write(f, value, indent: int) -> None:
+    """Write ``value`` as ``json.dumps(value, indent=2)`` lays it out ``indent`` spaces in.
 
-    The entries must be JSON scalars, as table entries are: a nested list
-    or object would be written on one line.
+    A list or object whose entries are all JSON scalars goes through the C
+    encoder, ``_SLICE`` entries per write; any other is written entry by
+    entry. Object keys must be strings, as a design's are.
     """
-    entries = iter(table)
-    lead = "[\n      "
-    while chunk := list(islice(entries, _SLICE)):
-        f.write(lead + _ENTRIES.encode(chunk)[1:-1])
-        lead = ",\n      "
-    f.write("[]" if lead.startswith("[") else "\n    ]")
+    if not value or not isinstance(value, (dict, list, tuple)):  # a scalar, [] or {}
+        f.write(_encoder(0).encode(value))
+        return
+    encoder = _encoder(indent + 2)
+    is_dict = isinstance(value, dict)
+    lead = ("{" if is_dict else "[") + encoder.item_separator[1:]
+    if _SCALARS.issuperset(map(type, value.values() if is_dict else value)):
+        entries = iter(value.items() if is_dict else value)
+        while chunk := (dict if is_dict else list)(islice(entries, _SLICE)):
+            f.write(lead + encoder.encode(chunk)[1:-1])
+            lead = encoder.item_separator
+    else:
+        for entry in value:
+            f.write(lead + (_encoder(0).encode(entry) + ": " if is_dict else ""))
+            _write(f, value[entry] if is_dict else entry, indent + 2)
+            lead = encoder.item_separator
+    f.write("\n" + " " * indent + ("}" if is_dict else "]"))
 
 
 def rederive_luts(design: DesignFile) -> tuple[tuple[int, ...], ...]:

@@ -12,7 +12,7 @@ so it deliberately uses Python's unbounded integers and nothing else.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from decimal import ROUND_05UP, Context, Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -118,11 +118,19 @@ class CoefficientSet:
         return cls(tuple(code for code, _ in pairs), fmt), tuple(flag for _, flag in pairs)
 
 
-def _to_fraction(real: RealLike) -> Fraction:
+# Every rounding tie point of every width up to MAX_WIDTH is an odd multiple
+# of 2^-width, so a multiple of 10^-MAX_WIDTH. A value below 10^(MAX_WIDTH+1)
+# rounded to this context's digits, the last below 10^-MAX_WIDTH, is exact
+# or, by ROUND_05UP, ends in a digit other than 0: either way it lies
+# between the same two tie points as the value and quantizes alike, while a
+# long mantissa costs no integer of its length.
+_CUT = Context(prec=2 * MAX_WIDTH + 2, rounding=ROUND_05UP)
+
+
+def _to_ratio(real: RealLike) -> tuple[int, int]:
+    """(numerator, denominator > 0) of ``real``, or of a value that quantizes alike."""
     # Text goes through Decimal so "0.1" means the decimal 1/10, not the
     # nearest binary float; floats are taken at their exact binary value.
-    if isinstance(real, (int, Fraction)):
-        return Fraction(real)
     if isinstance(real, str):
         try:
             real = Decimal(real)
@@ -130,29 +138,20 @@ def _to_fraction(real: RealLike) -> Fraction:
             raise ValueError(f"cannot parse {real!r} as a number") from exc
     elif isinstance(real, float):
         real = Decimal(real)
+    elif isinstance(real, (int, Fraction)):
+        return real.as_integer_ratio()
     elif not isinstance(real, Decimal):
         raise TypeError(f"unsupported value type {type(real).__name__}")
     if not real.is_finite():
         raise ValueError(f"cannot quantize the non-finite value {real}")
-    # Beyond 10^(+-MAX_WIDTH) every code of every width saturates or rounds
-    # to zero. Clamping first keeps Fraction from building an integer with
-    # as many digits as the exponent.
+    # Beyond 10^(+-MAX_WIDTH) every code of every width saturates or rounds to
+    # zero, and 0 at any exponent (0E70) is 0. Clamping first keeps
+    # as_integer_ratio from building an integer with as many digits as the exponent.
+    if not real or real.adjusted() < -MAX_WIDTH:
+        return 0, 1
     if real.adjusted() > MAX_WIDTH:
-        return Fraction(1 << MAX_WIDTH if real > 0 else -(1 << MAX_WIDTH))
-    if real.adjusted() < -MAX_WIDTH:
-        return Fraction(0)
-    # Every rounding tie point of every width up to MAX_WIDTH is an odd
-    # multiple of 2^-width, which has at most MAX_WIDTH fractional decimal
-    # digits. Cutting below 10^-MAX_WIDTH and keeping one sticky digit for
-    # whatever was cut leaves the value between the same two tie points,
-    # so the result is unchanged while a long mantissa costs no Fraction
-    # of its length.
-    sign, digits, exponent = real.as_tuple()
-    if exponent < -MAX_WIDTH:
-        keep = len(digits) + exponent + MAX_WIDTH  # digits at or above 10^-MAX_WIDTH
-        sticky = 1 if any(digits[keep:]) else 0
-        real = Decimal((sign, digits[:keep] + (sticky,), -MAX_WIDTH - 1))
-    return Fraction(real)
+        return (1 << MAX_WIDTH if real > 0 else -(1 << MAX_WIDTH)), 1
+    return _CUT.plus(real).as_integer_ratio()
 
 
 def quantize_coefficient(real: RealLike, fmt: FixedFormat) -> tuple[int, bool]:
@@ -162,10 +161,12 @@ def quantize_coefficient(real: RealLike, fmt: FixedFormat) -> tuple[int, bool]:
     then saturates to the representable range. Returns the code and a
     flag telling whether saturation clipped the value.
     """
-    scaled = _to_fraction(real) * fmt.scale
-    code = round(scaled)  # round() on Fraction is exact half-to-even
-    saturated = code < fmt.min_value or code > fmt.max_value
-    return max(fmt.min_value, min(fmt.max_value, code)), saturated
+    num, den = _to_ratio(real)
+    code, rest = divmod(num << (fmt.width - 1), den)  # floor, and 0 <= rest < den
+    if 2 * rest > den or (2 * rest == den and code & 1):  # past half, or a tie to an odd floor
+        code += 1
+    lo, hi = fmt.min_value, fmt.max_value
+    return max(lo, min(hi, code)), not lo <= code <= hi
 
 
 def dequantize(code: int, fmt: FixedFormat) -> Fraction:

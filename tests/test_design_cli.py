@@ -289,6 +289,25 @@ class TestDesignFile:
         with pytest.raises(DesignError):
             DesignFile.from_dict(data)
 
+    @pytest.mark.parametrize(
+        "value, shown",
+        [
+            ("1.5", "1.5"),
+            ('"' + "x" * 38 + '"', "'" + "x" * 38 + "'"),  # 40 characters: shown whole
+            (json.dumps([7] * 100_000), "[7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, ..."),
+            ("[" * 500 + "]" * 500, "[" * 40 + "..."),
+        ],
+        ids=["float", "forty_characters", "list_of_100000", "nested_500_deep"],
+    )
+    def test_a_non_integer_is_shown_cut_to_forty_characters(self, tmp_path, capsys, value, shown):
+        path = tmp_path / "design.json"
+        text = json.dumps(replaced(BASE_DESIGN, ("coefficients", 0), "@"))
+        path.write_text(text.replace('"@"', value))
+        assert main(["report", "--design", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: every coefficient must be an integer, got {shown}\n"
+        )
+
     def test_coefficient_count_must_match_num_taps(self, tmp_path, capsys):
         # A fifth coefficient on a 4-tap design used to load; running it then
         # failed with the engine's "plan covers 4 taps but the filter has 5".
@@ -427,6 +446,36 @@ class TestSave:
         path = tmp_path / "d.json"
         with mock.patch.object(dafir.design, "_SLICE", slice_size):
             design.save(str(path))
+        assert_saved_as_json_dumps(design, path)
+
+    @pytest.mark.parametrize(
+        "taps, group_size, mode, edited, shape",
+        [
+            (9, 9, PpgMode.STORED, False, lambda d: [len(t["high"]) for t in d["luts"]] == [2]),
+            (64, 16, PpgMode.STORED, False, lambda d: all(isinstance(t, dict) for t in d["luts"])),
+            (26, 13, PpgMode.STORED, True, lambda d: [type(t) for t in d["luts"]] == [dict, list]),
+            (10, 4, PpgMode.MUX, False, lambda d: d["luts"] is None),
+            (10, 4, PpgMode.STORED, False, lambda d: d["plan"]["groups"][-1][2:] == [None, None]),
+            (1, 1, PpgMode.STORED, False, lambda d: d["luts"] == [[0, d["coefficients"][0]]]),
+        ],
+        ids=["m9_high_halves_of_2", "m16", "halves_and_list", "mux", "padded", "k1"],
+    )
+    def test_each_document_form_is_written_as_json_dumps_writes_it(
+        self, tmp_path, taps, group_size, mode, edited, shape
+    ):
+        rng = random.Random(f"{taps}:{group_size}")
+        values = [rng.randrange(-(1 << 11), 1 << 11) for _ in range(taps)]
+        design = DesignFile.create(
+            ArchConfig(taps, 12, 12, group_size, ppg_mode=mode),
+            CoefficientSet.from_integers(values, FixedFormat(12)),
+        )
+        if edited:  # the second table's entry 300 takes entry 5's value: it no longer splits
+            luts = [list(t) for t in design.luts]
+            luts[1][300] = luts[1][5]
+            design.luts = tuple(map(tuple, luts))
+        assert shape(design.to_dict())
+        path = tmp_path / "d.json"
+        design.save(str(path))
         assert_saved_as_json_dumps(design, path)
 
     def test_never_builds_the_whole_file_as_one_string(self, tmp_path):
@@ -968,9 +1017,13 @@ def samples_line_by_line(path, width):
     return samples
 
 
+# The pieces hold each character the parsers treat apart from digits and
+# signs: '#', '_', the ASCII whitespace a line is stripped of, and '\x1c' to
+# '\x1f', which str.split cuts at but int refuses.
 sample_pieces = st.sampled_from(
-    ["1", "-7", "+2", "1_000", "1__0", "99999", "-40000", "x", "1.5", "\u0663", "#", "# c",
-     " ", "\t", "\x0c", "\x85", "\u2028", "\n", "\n", "\r\n", "\r"]
+    ["1", "-7", "+2", "1_000", "1__0", "_", "99999", "-40000", "x", "1.5", "\u0663", "#", "# c",
+     " ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\n", "\n",
+     "\r\n", "\r"]
 )
 
 
@@ -978,6 +1031,12 @@ sample_pieces = st.sampled_from(
 @given(st.lists(sample_pieces | st.text(max_size=3), max_size=40), st.sampled_from([4, 16]))
 @example(["1\n", "\x0c", "2\n", "3\x85", "4\u2028", "5\n"], 16)
 @example(["1\r\n", "\r\n", "#x\r\n", "99\r\n", "abc"], 4)
+@example([], 4)
+@example(["1\n", "\n", "-2\n", "3"], 4)
+@example(["1\n", "2", "\x1c", "3\n"], 16)
+@example(["1\n", "\x1f", "\n"], 16)
+@example(["1_0\n"], 16)
+@example(["1\x0b\n", "2\n"], 16)
 def test_samples_parse_in_bulk_as_line_by_line(tmp_path_factory, pieces, width):
     """Bulk parsing gives the line-by-line result: the same integers, or the same error line."""
     path = tmp_path_factory.mktemp("samples") / "s.txt"
@@ -988,6 +1047,20 @@ def test_samples_parse_in_bulk_as_line_by_line(tmp_path_factory, pieces, width):
     except cli.CliError as exc:
         got = str(exc)
     assert got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(sample_pieces | st.text(max_size=3), max_size=40))
+@example([])
+@example(["0.5\n", "\n", "-0.25"])
+@example(["0.5\n", "\n"])
+def test_payloads_are_the_lines_cut_at_hash_and_stripped(tmp_path_factory, pieces):
+    """Split at line breaks or stripped line by line, a file gives the same payloads."""
+    path = tmp_path_factory.mktemp("payloads") / "p.txt"
+    path.write_text("".join(pieces), encoding="utf-8", newline="")
+    with open(path, encoding="utf-8") as f:
+        want = [line.split("#", 1)[0].strip(" \t\n\r\x0b\x0c") for line in f.readlines()]
+    assert cli._read_payloads(str(path)) == want
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,8 +1,18 @@
 """Formats, quantization, the direct-form oracle and accumulator sizing."""
 
 import random
+import sys
 import time
-from decimal import ROUND_HALF_EVEN, Context, Decimal, Inexact, localcontext
+from decimal import (
+    MAX_EMAX,
+    MIN_EMIN,
+    ROUND_HALF_EVEN,
+    Context,
+    Decimal,
+    Inexact,
+    InvalidOperation,
+    localcontext,
+)
 from fractions import Fraction
 from itertools import product
 
@@ -38,13 +48,21 @@ def quantize_oracle(value: Fraction, width: int) -> tuple[int, bool]:
 
 
 def decimal_oracle(text: str, width: int) -> tuple[int, bool]:
-    # Exact at any length: the context keeps every digit and traps any
-    # rounding, so the only rounding is the explicit half-even one.
-    with localcontext(Context(prec=len(text) + 40, traps=[Inexact])):
+    # Exact at any length and exponent: the context keeps every digit and
+    # traps any rounding, so the only rounding is the explicit half-even
+    # one, and the code is clamped before it becomes an int.
+    context = Context(prec=len(text) + 40, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
+    with localcontext(context):
         scaled = Decimal(text) * (1 << (width - 1))
-        code = int(scaled.to_integral_value(ROUND_HALF_EVEN))
+        code = scaled.to_integral_value(ROUND_HALF_EVEN)
     lo, hi = -(1 << (width - 1)), (1 << (width - 1)) - 1
-    return max(lo, min(hi, code)), not lo <= code <= hi
+    return int(max(lo, min(hi, code))), not lo <= code <= hi
+
+
+# Number-shaped text: sign, up to 80 digits either side of a point, an exponent of up to 12 digits.
+NUMBER_TEXT = st.from_regex(
+    r"[+-]?[0-9]{0,80}\.?[0-9]{0,80}([eE][+-]?[0-9]{1,12})?", fullmatch=True
+)
 
 
 class TestFixedFormat:
@@ -118,6 +136,68 @@ class TestQuantize:
     )
     def test_matches_rational_oracle(self, value, width):
         assert quantize_coefficient(value, FixedFormat(width)) == quantize_oracle(value, width)
+
+    @settings(max_examples=300)
+    @given(st.floats(allow_nan=False, allow_infinity=False), st.integers(2, 64))
+    @example(5e-324, 64)  # the least subnormal
+    @example(-2.2250738585072014e-308, 2)  # the least normal, negated
+    @example(sys.float_info.max, 64)
+    @example(-sys.float_info.max, 16)
+    @example(-0.0, 8)
+    @example(0.9999999999999999, 53)
+    def test_floats_match_rational_oracle(self, value, width):
+        # A float is its exact binary value: all 64 bits of it, subnormals included.
+        got = quantize_coefficient(value, FixedFormat(width))
+        assert got == quantize_oracle(Fraction(value), width)
+
+    @given(
+        st.integers(2, 64),
+        st.integers(-(1 << 20), 1 << 20),
+        st.sampled_from([float, Decimal, str]),
+    )
+    @example(2, 0, str)  # "25e-2": 0.25, halfway between the W=2 codes 0 and 1
+    @example(64, -(1 << 20), float)
+    def test_exact_ties_match_rational_oracle(self, width, k, kind):
+        # (2k + 1) / 2^width lies halfway between two codes of the 2^-(width-1) grid.
+        tie = Fraction(2 * k + 1, 1 << width)
+        text = f"{(2 * k + 1) * 5**width}e-{width}"  # the same value in decimal, exactly
+        value = float(tie) if kind is float else kind(text)
+        assert Fraction(Decimal(value)) == tie
+        got = quantize_coefficient(value, FixedFormat(width))
+        assert got == quantize_oracle(tie, width)
+
+    @settings(max_examples=300)
+    @given(
+        st.decimals(min_value=-(10**70), max_value=10**70, allow_nan=False, allow_infinity=False),
+        st.integers(2, 64),
+    )
+    # Mantissas longer than the 130 digits kept: just above, at and below a
+    # tie, and all nines below the greatest value that is not clamped.
+    @example(Decimal("0.25" + "0" * 200 + "1"), 2)
+    @example(Decimal("-0.25" + "0" * 200), 2)
+    @example(Decimal("0.2" + "4" * 200), 2)
+    @example(Decimal("9." + "9" * 200 + "e64"), 64)
+    @example(Decimal("-1." + "0" * 200 + "1e-64"), 64)
+    @example(Decimal("0E+70"), 16)
+    def test_decimals_match_rational_oracle(self, value, width):
+        got = quantize_coefficient(value, FixedFormat(width))
+        assert got == quantize_oracle(Fraction(value), width)
+
+    @settings(deadline=None, max_examples=300)
+    @given(NUMBER_TEXT, st.integers(2, 64))
+    @example("1e999999999999", 16)
+    @example("0E70", 2)  # zero, however large its exponent
+    @example("-0e999999999999", 64)
+    @example("-0.000000000000000000000000000000000000000000000000000000000000000055", 64)
+    @example("0.2500000000000000000000000000000000000000000000000000000000000000001", 2)
+    def test_number_text_matches_exact_decimal_oracle(self, text, width):
+        try:
+            Decimal(text)
+        except InvalidOperation:
+            with pytest.raises(ValueError):
+                quantize_coefficient(text, FixedFormat(width))
+        else:
+            assert quantize_coefficient(text, FixedFormat(width)) == decimal_oracle(text, width)
 
     @given(st.integers(-128, 127))
     def test_idempotent_on_codes(self, code):
@@ -193,7 +273,7 @@ class TestQuantize:
     @given(
         st.one_of(
             st.text(),
-            st.from_regex(r"[+-]?[0-9]{0,80}\.?[0-9]{0,80}([eE][+-]?[0-9]{1,12})?", fullmatch=True),
+            NUMBER_TEXT,
         )
     )
     @example("0." + "1" * 10**6)

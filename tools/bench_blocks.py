@@ -36,10 +36,14 @@ be byte-identical, so every record of the writer is checked against
 ``push_traced``; the outputs must equal ``direct_fir``.
 
 The intake row times, in ms per call, what ``dafir design`` and untraced
-``dafir run`` do with the stored design at ``INTAKE``: create it from the
+``dafir run`` do with the stored design at ``INTAKE``: parse and quantize
+its K coefficients from text (``cli._parse_coefficients`` on a file of K
+seeded reals with 9 decimals, as the benchmark writes them, each checked
+against an exact ``Fraction`` rounding), create the design from the
 coefficients (``DesignFile.create``, which builds each M > 8 table's two
 8-bit halves), write the design file (``DesignFile.save``, into a
-temporary directory; each table as its halves), decode the text that
+temporary directory; each table as its halves, and ``save_m4``: the same
+coefficients stored at M = 4, every table a list), decode the text that
 save wrote (``json.loads``, as ``DesignFile.load`` does), check its
 tables (``check_tables`` on the decoded halves), build the filter from
 the checked tables and evaluate its first one-sample block (binding the
@@ -49,7 +53,8 @@ earlier versions of ``save`` wrote (every table as its 2^M entries, which
 ``check_tables`` also splits), in the same rounds, so the two forms are
 timed by alternating calls in one process; ``file_bytes`` and
 ``file_bytes_lists`` are the two files' sizes. Every save must write the
-same text, and both forms must check to the tables ``rederive_luts``
+same text, both files must be what ``json.dumps(..., indent=2)`` writes
+for the design, and both forms must check to the tables ``rederive_luts``
 builds.
 
 Verify rows time ``verify_windows`` per window at the ``verify`` workload's
@@ -91,13 +96,14 @@ import statistics
 import sys
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "benchmarks"))
 
-from dafir.cli import _write_traced  # noqa: E402
+from dafir.cli import _parse_coefficients, _write_traced  # noqa: E402
 from dafir.design import ArchConfig, DesignFile, rederive_luts  # noqa: E402
 from dafir.engine import (  # noqa: E402
     LANES,
@@ -110,14 +116,14 @@ from dafir.engine import (  # noqa: E402
     verify_windows,
 )
 from dafir.numerics import CoefficientSet, FixedFormat, direct_fir  # noqa: E402
-from workloads import REFERENCE_SECONDS, reference_seconds  # noqa: E402
+from workloads import REFERENCE_SECONDS, real_coefficients, reference_seconds  # noqa: E402
 
 SHAPES = ((8, 4), (64, 2), (64, 4), (64, 8), (64, 16))  # (K, M)
 EDITED = (64, 16)  # (K, M) of the stored row whose first table has one edited entry
 INTAKE = (64, 16)  # (K, M) of the stored design whose intake is timed
 INTAKE_STEPS = (
-    "create", "save", "json_decode", "check_tables", "json_decode_lists", "check_tables_lists",
-    "first_block", "steady_blocks",
+    "quantize", "create", "save", "save_m4", "json_decode", "check_tables", "json_decode_lists",
+    "check_tables_lists", "first_block", "steady_blocks",
 )
 TRACED_SHAPES = ((16, 2), (16, 4), (64, 4), (64, 8), (64, 16))
 VERIFY_CONFIGS = ((PpgMode.STORED, 4), (PpgMode.STORED, 2), (PpgMode.MUX, 2), (PpgMode.MUX, 1))
@@ -259,6 +265,15 @@ def measure_intake(taps: int, group_size: int, scratch: Path) -> dict:
     path = str(scratch / "design.json")
     design.save(path)
     text = Path(path).read_text(encoding="utf-8")  # what DesignFile.load decodes
+    reals = real_coefficients(random.Random(f"{SEED}:reals:{taps}"), taps, 9)
+    reals_path = str(scratch / "coeffs.txt")
+    Path(reals_path).write_text("".join(f"{r}\n" for r in reals), encoding="utf-8")
+    if _parse_coefficients(reals_path, FixedFormat(WIDTH)) != (
+        [round(Fraction(r) * (1 << (WIDTH - 1))) for r in reals], []  # Fraction: half to even
+    ):
+        raise SystemExit(f"intake K={taps}: quantized coefficients differ from Fraction rounding")
+    m4 = DesignFile.create(ArchConfig(taps, WIDTH, WIDTH, 4), coeffs)
+    m4_path = str(scratch / "m4.json")
     luts = json.loads(text)["luts"]
     checked = check_tables(luts, design.plan, WIDTH)
     # The list form: the same document with every table as its entries.
@@ -282,8 +297,10 @@ def measure_intake(taps: int, group_size: int, scratch: Path) -> dict:
         raise SystemExit(f"intake K={taps} M={group_size}: saved tables differ from built ones")
     times = best_us_per_unit(
         {
+            "quantize": lambda _: _parse_coefficients(reals_path, FixedFormat(WIDTH)),
             "create": lambda _: DesignFile.create(arch, coeffs),
             "save": lambda _: design.save(path),
+            "save_m4": lambda _: m4.save(m4_path),
             "json_decode": lambda _: json.loads(text),
             "check_tables": lambda _: check_tables(luts, design.plan, WIDTH),
             "json_decode_lists": lambda _: json.loads(text_lists),
@@ -296,6 +313,10 @@ def measure_intake(taps: int, group_size: int, scratch: Path) -> dict:
     )
     if Path(path).read_text(encoding="utf-8") != text:
         raise SystemExit(f"intake K={taps} M={group_size}: saves differ")
+    for saved, saved_path in ((design, path), (m4, m4_path)):
+        want = json.dumps(saved.to_dict(), indent=2) + "\n"
+        if Path(saved_path).read_text(encoding="utf-8") != want:
+            raise SystemExit(f"intake: {saved_path} is not what json.dumps writes")
     times = {key.replace("_us", "_ms"): value for key, value in times.items()}
     sizes = {"file_bytes": len(text.encode()), "file_bytes_lists": len(text_lists.encode())}
     return {"taps": taps, "group_size": group_size, "mode": "stored", **sizes, **times}
@@ -382,8 +403,10 @@ def main() -> int:
         "direct_fir = the oracle; traced_block = the CLI's trace writer over "
         "DaFilter.traced_blocks, push_traced = per-sample push_traced with json.dumps per record; "
         "all_windows / list = verify_windows over all_windows(4, 4) / the same windows in a list; "
-        "intake: ms per call (_ms, _ref_ms) of create = DesignFile.create from the "
+        "intake: ms per call (_ms, _ref_ms) of quantize = cli._parse_coefficients of the "
+        "K coefficients as 9-decimal text, create = DesignFile.create from the "
         "coefficients, save = DesignFile.save of the design (tables as halves), "
+        "save_m4 = DesignFile.save of the same coefficients stored at M = 4 (tables as lists), "
         "json_decode = json.loads of the file save wrote, "
         "check_tables = its tables checked, json_decode_lists / check_tables_lists = the same "
         "for the list form of the design (every table as its entries), in the same rounds, "
