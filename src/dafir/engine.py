@@ -28,10 +28,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 from .adders import (
     DEFAULT_COST_MODEL,
     AdderKind,
-    BitVector,
     _cpa_planes,
     _tree_planes,
-    adder_tree_sum,
     tree_output_width,
 )
 from .numerics import (
@@ -452,14 +450,11 @@ def _schedule(
     plan: PartitionPlan,
     input_width: int,
     tables: Sequence[Sequence[int]],
-    tree: AdderKind = AdderKind.CLA,
-    bit_level: bool = False,
 ) -> Callable[..., int]:
-    """Bind the one L-cycle bit-serial loop to a plan, its tables and a tree step.
+    """Bind the one L-cycle bit-serial loop to a plan and its tables.
 
     Each cycle reads one partial product per group from ``tables`` (see
-    :func:`_read_tables`; callers check outside tables), sums them in the
-    tree step (native, or the gate-level adders with ``bit_level``), then
+    :func:`_read_tables`; callers check outside tables), sums them, then
     shifts and accumulates, subtracting on the sign cycle. Every cycle's
     addresses come from interleaved group words (:func:`_spreader`), whose
     address fields are one byte wide (M <= 8) or two (M <= 16), so a group
@@ -481,13 +476,6 @@ def _schedule(
         tuple((j, idx) for j, idx in enumerate(g) if idx is not None) for g in plan.groups
     )
     spread = _spreader(input_width, size)
-    tree_sum = sum
-    if bit_level:
-        width = partial_product_width(coeffs.format.width, size)
-
-        def tree_sum(partials: list) -> int:
-            operands = [BitVector(width, p) for p in partials]
-            return adder_tree_sum(operands, tree, DEFAULT_COST_MODEL, bit_level=True)[0]
 
     def run(
         dl: Sequence[int],
@@ -508,7 +496,7 @@ def _schedule(
         acc = 0
         for n in range(length):
             partials = reads[n::length]
-            t = tree_sum(partials)
+            t = sum(partials)
             if n == last:
                 acc -= t << n
             else:
@@ -530,17 +518,19 @@ def _bound_schedule(
     ppg_mode: PpgMode,
     input_width: int,
     luts: tuple[tuple[int, ...], ...] | None,
-    tree: AdderKind,
-    bit_level: bool,
-) -> Callable[..., int]:
-    """The schedule bound once per distinct set of arguments, for single-window callers.
+    tree: AdderKind | None,
+) -> tuple[Callable[..., int], tuple | None]:
+    """The schedule and, for a ``tree``, its lanes, bound once per distinct set of arguments.
 
-    ``luts`` are checked ones (tuples of exact ints, so equal tables
-    behave alike) or None; every argument is immutable, so a binding
-    cannot go stale.
+    The lanes are :func:`_lane_datapath`'s (function, field size) on the
+    same tables, for single-window callers that want the gate-level
+    value; None when ``tree`` is. ``luts`` are checked ones (tuples of
+    exact ints, so equal tables behave alike) or None; every argument is
+    immutable, so a binding cannot go stale.
     """
     tables = _read_tables(coeffs, plan, ppg_mode, luts)
-    return _schedule(coeffs, plan, input_width, tables, tree, bit_level)
+    lanes = None if tree is None else _lane_datapath(coeffs, plan, tables, input_width, tree)
+    return _schedule(coeffs, plan, input_width, tables), lanes
 
 
 def da_inner_product(
@@ -558,10 +548,12 @@ def da_inner_product(
     """Run the L-cycle bit-serial schedule on one delay-line snapshot.
 
     Returns the accumulator value, which equals sum_k A_k * x_k exactly,
-    and the per-cycle trace (or None when ``collect_trace`` is off). With
-    ``bit_level=True`` each cycle's group outputs are summed through the
-    gate-level adder tree of the configured kind instead of native
-    integers; the result must not change.
+    and the schedule's per-cycle trace (or None when ``collect_trace`` is
+    off). With ``bit_level=True`` the value is the gate-level datapath's
+    instead: the window runs as a one-lane chunk of the bit-sliced lanes
+    ``verify_windows`` checks with, through the adder tree of the
+    configured kind and a gate-level accumulator; the result must not
+    change.
 
     ``luts`` overrides the derived tables in stored mode, which lets a
     verifier exercise exactly the entries a design file carries; mux
@@ -570,12 +562,18 @@ def da_inner_product(
     dl = _check_inputs(delay_line, coeffs, plan, input_width)
     if luts is not None:
         luts = _read_tables(coeffs, plan, ppg_mode, luts)  # checked, hashable: the binding's key
-    run = _bound_schedule(coeffs, plan, ppg_mode, input_width, luts, tree, bit_level)
-    if not collect_trace:
-        return run(dl), None
-    records: list[CycleRecord] = []
+    run, lanes = _bound_schedule(
+        coeffs, plan, ppg_mode, input_width, luts, tree if bit_level else None
+    )
+    records: list[CycleRecord] | None = [] if collect_trace else None
     value = run(dl, records=records)
-    return value, tuple(records)
+    if lanes:
+        datapath, field = lanes
+        size = _item_size(input_width)
+        columns = [x.to_bytes(size, "little", signed=True) for x in dl]
+        expected = value.to_bytes(field, "little", signed=True)
+        value = next((v for _, v in datapath(columns, expected)), value)
+    return value, None if records is None else tuple(records)
 
 
 class DaFilter:

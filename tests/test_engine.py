@@ -29,6 +29,7 @@ from dafir.engine import (
     verify_windows,
 )
 from dafir.numerics import (
+    MIN_WIDTH,
     AccumulatorOverflow,
     CoefficientSet,
     DirectFormFir,
@@ -276,21 +277,63 @@ class TestInnerProduct:
     def test_traced_untraced_and_bit_level_agree(self):
         rng = random.Random(23)
         coeffs = coeff_set([rng.randint(-512, 511) for _ in range(4)], 10)
+        cases = [(coeffs, partition_taps(4, 2), None, 6, rng)]
+        # M > 8 one-lane chunks at L = MIN_WIDTH read derived halves, a table
+        # given as its halves, and a list table that does not split, which is
+        # gathered whole at count * L = 2 addresses.
+        wide_rng = random.Random(29)
+        wide = coeff_set([wide_rng.randint(-128, 127) for _ in range(9)])
+        wide_plan = partition_taps(9, 9)
+        table = list(build_lut(wide, wide_plan.groups[0]).entries)
+        edited = table.copy()
+        edited[300] += 1
+        for luts in (None, [{"low": table[:256], "high": table[::256]}], [edited]):
+            cases.append((wide, wide_plan, luts, MIN_WIDTH, wide_rng))
+        for coeffs, plan, luts, width, draw in cases:
+            half = 1 << (width - 1)
+            windows = [
+                [draw.randint(-half, half - 1) for _ in range(len(coeffs))] for _ in range(20)
+            ]
+            if luts is not None:
+                windows.append([(300 >> k) & 1 for k in range(len(coeffs))])  # reads entry 300
+            for window in windows:
+                fast, none_trace = da_inner_product(
+                    window, coeffs, plan, input_width=width, luts=luts, collect_trace=False
+                )
+                assert none_trace is None
+                for tree in (AdderKind.RIPPLE, AdderKind.CSA_TREE, AdderKind.CLA):
+                    traced, _ = da_inner_product(
+                        window, coeffs, plan, tree=tree, input_width=width, luts=luts
+                    )
+                    gated, _ = da_inner_product(
+                        window, coeffs, plan, tree=tree, input_width=width, luts=luts,
+                        bit_level=True,
+                    )
+                    assert fast == traced == gated
+            if luts is not None:
+                direct = sum(a * x for a, x in zip(coeffs.values, windows[-1]))
+                assert fast == direct + (luts[0] is edited)
+
+    def test_faults_in_the_gate_level_tree_reach_bit_level_values(self):
+        # A bit_level route that returned the schedule's value would pass every other test.
+        real = engine._tree_planes
+
+        def flipped(operands, kind, mask, block):
+            planes = real(operands, kind, mask, block)
+            return [planes[0] ^ mask, *planes[1:]]  # bit 0 of every cycle's tree sum
+
+        rng = random.Random(41)
+        coeffs = coeff_set([rng.randint(-128, 127) for _ in range(4)])
         plan = partition_taps(4, 2)
-        for _ in range(20):
-            window = [rng.randint(-32, 31) for _ in range(4)]
-            fast, none_trace = da_inner_product(
-                window, coeffs, plan, input_width=6, collect_trace=False
-            )
-            assert none_trace is None
-            for tree in (AdderKind.RIPPLE, AdderKind.CSA_TREE, AdderKind.CLA):
-                traced, _ = da_inner_product(
-                    window, coeffs, plan, tree=tree, input_width=6
+        windows = [[rng.randint(-8, 7) for _ in range(4)] for _ in range(10)]
+        with mock.patch.object(engine, "_tree_planes", flipped):
+            for window, tree in product(windows, AdderKind):
+                direct = sum(a * x for a, x in zip(coeffs.values, window))
+                value, records = da_inner_product(
+                    window, coeffs, plan, tree=tree, input_width=4, bit_level=True
                 )
-                gated, _ = da_inner_product(
-                    window, coeffs, plan, tree=tree, input_width=6, bit_level=True
-                )
-                assert fast == traced == gated
+                assert value != direct
+                assert records[-1].acc_after == direct  # the records are the schedule's
 
     def test_partition_invariance(self):
         # Same value for every legal group size, all equal to the dot product.
@@ -1093,13 +1136,13 @@ class TestSchedule:
             assert got[:3] == got[3:6] == got[6:]
         # each tree kind has its own binding, whose gate-level adders are that kind's
         kinds = []
-        real = engine.adder_tree_sum
+        real = engine._tree_planes
 
-        def spy(operands, kind, model, bit_level=False):
+        def spy(operands, kind, mask, block):
             kinds.append(kind)
-            return real(operands, kind, model, bit_level=bit_level)
+            return real(operands, kind, mask, block)
 
-        with mock.patch.object(engine, "adder_tree_sum", spy), mock.patch.object(
+        with mock.patch.object(engine, "_tree_planes", spy), mock.patch.object(
             engine, "_schedule", wraps=engine._schedule
         ) as schedule, mock.patch.object(
             engine, "_subset_sums", wraps=engine._subset_sums

@@ -14,6 +14,7 @@ from dafir.numerics import CoefficientSet, FixedFormat
 from dafir.report import (
     ArchitectureMismatch,
     ExternalFigures,
+    _pct_delta,
     adp,
     compare_architectures,
     estimate_resources,
@@ -41,6 +42,13 @@ class TestAdp:
 
     def test_zero_cells(self):
         assert adp(0, "123.456") == 0
+
+    def test_ties_round_to_even(self):
+        # 0.125 and 0.05 are exact ties; rounding half up would give 0.13 and 0.1.
+        assert adp(5, "0.025") == Decimal("0.125")
+        assert format_adp(adp(5, "0.025")) == Decimal("0.12")
+        assert _pct_delta(400, "399.8") == 0.0
+        assert _pct_delta(400, "399.4") == 0.2  # 0.15, to even upwards
 
     def test_float_inputs_mean_their_decimal_text(self):
         assert adp(606, 2.375) == Decimal("1439.250")

@@ -63,6 +63,13 @@ given as ``all_windows`` (the tap columns ``dafir verify --exhaustive``
 checks) and as the same windows in a list (packed into columns a chunk at
 a time). Every call must report all windows checked with no mismatch.
 
+Probe rows time ``da_inner_product(..., bit_level=True)`` per window, one
+row per adder tree, at the ``verify`` workload's gate-level probe: mux
+M = 1 at the verify shape, over ``PROBE_WINDOWS`` seeded random windows,
+untraced. Each window runs the scalar schedule, then a one-lane chunk of
+the gate-level lanes ``verify_windows`` checks with; every value must
+equal the plain multiply-accumulate. The trees run in turn each round.
+
 The halves verify row times, in ms per call, ``verify_windows`` over
 ``HALVES_WINDOWS`` seeded random windows (what ``dafir verify --random
 64`` checks) on the stored design at ``HALVES_VERIFY``, saved as
@@ -103,6 +110,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "benchmarks"))
 
+from dafir.adders import AdderKind  # noqa: E402
 from dafir.cli import _parse_coefficients, _write_traced  # noqa: E402
 from dafir.design import ArchConfig, DesignFile, rederive_luts  # noqa: E402
 from dafir.engine import (  # noqa: E402
@@ -112,6 +120,7 @@ from dafir.engine import (  # noqa: E402
     all_windows,
     build_lut,
     check_tables,
+    da_inner_product,
     partition_taps,
     verify_windows,
 )
@@ -128,6 +137,8 @@ INTAKE_STEPS = (
 TRACED_SHAPES = ((16, 2), (16, 4), (64, 4), (64, 8), (64, 16))
 VERIFY_CONFIGS = ((PpgMode.STORED, 4), (PpgMode.STORED, 2), (PpgMode.MUX, 2), (PpgMode.MUX, 1))
 VERIFY_TAPS, VERIFY_COEFF_WIDTH, VERIFY_INPUT_WIDTH = 4, 8, 4
+PROBE_CONFIG = (PpgMode.MUX, 1)  # the verify workload's gate-level probe
+PROBE_WINDOWS = 1200
 HALVES_VERIFY = (64, 16)  # (K, M) of the stored halves design verify is timed on
 HALVES_WINDOWS = 64
 WIDTH = 16  # coefficient and sample bits
@@ -348,6 +359,47 @@ def measure_verify(mode: PpgMode, group_size: int) -> dict:
     return {"taps": VERIFY_TAPS, "group_size": group_size, "mode": mode.value, **times}
 
 
+def measure_probe() -> list[dict]:
+    mode, group_size = PROBE_CONFIG
+    rng = random.Random(f"{SEED}:probe")
+    half = 1 << (VERIFY_COEFF_WIDTH - 1)
+    values = [rng.randrange(-half, half) for _ in range(VERIFY_TAPS)]
+    coeffs = CoefficientSet.from_integers(values, FixedFormat(VERIFY_COEFF_WIDTH))
+    plan = partition_taps(VERIFY_TAPS, group_size)
+    half = 1 << (VERIFY_INPUT_WIDTH - 1)
+    windows = [
+        tuple(rng.randrange(-half, half) for _ in range(VERIFY_TAPS)) for _ in range(PROBE_WINDOWS)
+    ]
+    want = [sum(a * x for a, x in zip(values, w)) for w in windows]
+
+    def probe(tree: AdderKind):
+        def run(given):
+            got = [
+                da_inner_product(
+                    w, coeffs, plan, mode, tree, input_width=VERIFY_INPUT_WIDTH,
+                    collect_trace=False, bit_level=True,
+                )[0]
+                for w in given
+            ]
+            if got != want:
+                raise SystemExit(f"probe {tree.name.lower()}: a value differs from the oracle")
+
+        return run
+
+    names = {tree.name.lower(): tree for tree in AdderKind}
+    times = best_us_per_unit(
+        {name: probe(tree) for name, tree in names.items()}, windows, len(windows)
+    )
+    return [
+        {
+            "tree": name, "taps": VERIFY_TAPS, "group_size": group_size, "mode": mode.value,
+            "windows": PROBE_WINDOWS,
+            **{f"bit_level{unit}": times[name + unit] for unit in ("_us", "_ref_us", "_ref_iqr")},
+        }
+        for name in names
+    ]
+
+
 def measure_halves_verify(taps: int, group_size: int, scratch: Path) -> dict:
     _, values, _ = seeded(taps, group_size, PpgMode.STORED, 0)
     coeffs = CoefficientSet.from_integers(values, FixedFormat(WIDTH))
@@ -394,6 +446,7 @@ def main() -> int:
             row["push_traced_ref_us"] / row["traced_block_ref_us"], 2
         )
     verify_rows = [measure_verify(mode, m) for mode, m in VERIFY_CONFIGS]
+    probe_rows = measure_probe()
     record = {
         "what": "us per output (rows, traced_rows) or per window (verify_rows), raw (_us) and "
         "in reference us (_ref_us: scaled to the reference loop taking reference_seconds, "
@@ -403,6 +456,8 @@ def main() -> int:
         "direct_fir = the oracle; traced_block = the CLI's trace writer over "
         "DaFilter.traced_blocks, push_traced = per-sample push_traced with json.dumps per record; "
         "all_windows / list = verify_windows over all_windows(4, 4) / the same windows in a list; "
+        "probe_rows: us per window of da_inner_product(bit_level=True) per tree at mux M = 1, "
+        "the verify workload's gate-level probe; "
         "intake: ms per call (_ms, _ref_ms) of quantize = cli._parse_coefficients of the "
         "K coefficients as 9-decimal text, create = DesignFile.create from the "
         "coefficients, save = DesignFile.save of the design (tables as halves), "
@@ -435,6 +490,7 @@ def main() -> int:
         "intake": intake,
         "traced_rows": traced_rows,
         "verify_rows": verify_rows,
+        "probe_rows": probe_rows,
         "halves_verify": halves_verify,
     }
     (ROOT / "BENCH_blocks.json").write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
@@ -463,6 +519,11 @@ def main() -> int:
             f"K={row['taps']:>2} M={row['group_size']:>2} {row['mode']:<6} "
             f"verify all_windows {row['all_windows_ref_us']:>6} list {row['list_ref_us']:>6} "
             f"reference us/window"
+        )
+    for row in probe_rows:
+        print(
+            f"K={row['taps']:>2} M={row['group_size']:>2} {row['mode']:<6} "
+            f"probe {row['tree']:<8} bit_level {row['bit_level_ref_us']:>6} reference us/window"
         )
     print(
         f"K={halves_verify['taps']:>2} M={halves_verify['group_size']:>2} stored halves verify "
