@@ -22,7 +22,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from itertools import chain, islice, product, repeat, takewhile
-from operator import add, and_, itemgetter, mul
+from operator import add, and_, itemgetter, lshift, mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .adders import (
@@ -412,25 +412,22 @@ def _check_inputs(
 
 
 @functools.lru_cache(maxsize=None)
-def _spreader(input_width: int, group_size: int) -> Callable[[Sequence[int]], list[int]]:
-    """Map samples to interleaved words: bit n of each L-bit pattern moves to n * field.
+def _spreader(width: int, field: int) -> Callable[[Sequence[int]], list[int]]:
+    """Map values to interleaved words: bit b of each ``width``-bit pattern moves to b * field.
 
-    A field is one byte for group sizes M <= 8 and two above, so spread
-    words of group members, shifted by their member index j < M, never
-    overlap, and OR-ing them gives a word whose field n is the group's
-    table address at cycle n. One 256-entry byte table per (L, M) does the
+    A value's pattern is its low ``width`` bits, its two's complement for
+    a negative value. One 256-entry byte table per (width, field) does the
     spreading, so memory stays flat at any width.
     """
-    field = 8 * _item_size(group_size)
     table = tuple(sum(((b >> i) & 1) << (i * field) for i in range(8)) for b in range(256))
-    pattern = (1 << input_width) - 1
-    if input_width <= 8:
-        return lambda samples: [table[x & pattern] for x in samples]
-    steps = tuple((k, k * field) for k in range(8, input_width, 8))
+    pattern = (1 << width) - 1
+    if width <= 8:
+        return lambda values: [table[x & pattern] for x in values]
+    steps = tuple((k, k * field) for k in range(8, width, 8))
 
-    def spread(samples: Sequence[int]) -> list[int]:
+    def spread(values: Sequence[int]) -> list[int]:
         words = []
-        for x in samples:
+        for x in values:
             u = x & pattern
             word = table[u & 255]
             for k, s in steps:
@@ -441,8 +438,59 @@ def _spreader(input_width: int, group_size: int) -> Callable[[Sequence[int]], li
     return spread
 
 
+def _address_field(group_size: int) -> int:
+    """Bits per address field of a sample's spread word: 8 for M <= 8, 16 above."""
+    return 8 * _item_size(group_size)
+
+
 def _overflow(acc: int, acc_width: int) -> AccumulatorOverflow:
     return AccumulatorOverflow(f"inner product {acc} exceeds the {acc_width}-bit accumulator")
+
+
+def _window_reads(
+    plan: PartitionPlan, input_width: int, tables: Sequence[Sequence[int]]
+) -> Callable[..., tuple[list, list[int]]]:
+    """Bind one window's table reads: each group's addresses in cycle order, and its entries.
+
+    Every cycle's addresses come from interleaved group words
+    (:func:`_spreader`), whose address fields are one byte wide (M <= 8)
+    or two (M <= 16): spread words of group members, shifted by their
+    member index j < M, never overlap, and OR-ing them gives a word whose
+    field n is the group's table address at cycle n. So a group word's
+    bytes list its addresses in cycle order and ``tables`` are read in one
+    pass (see :func:`_read_tables`; callers check outside tables).
+    """
+    length = input_width
+    if plan.group_size <= 8:
+        fields = lambda word: word.to_bytes(length, "little")
+    else:
+        order = sys.byteorder
+        fields = lambda word: memoryview(word.to_bytes(2 * length, order)).cast("H")
+    members = tuple(
+        tuple((j, idx) for j, idx in enumerate(g) if idx is not None) for g in plan.groups
+    )
+    spread = _spreader(input_width, _address_field(plan.group_size))
+    tables = tuple(tables)  # every call reads every table, so they are formed now
+
+    def read(
+        dl: Sequence[int], spread_line: Sequence[int] | None = None
+    ) -> tuple[list, list[int]]:
+        """Addresses and entries of ``dl``, newest sample first, spread as ``spread_line``.
+
+        The entries are group-major: group g's at cycles 0 to L - 1 are
+        entries[g*L : (g+1)*L].
+        """
+        if spread_line is None:
+            spread_line = spread(dl)
+        addresses = []
+        for mem in members:
+            w = 0
+            for j, i in mem:
+                w |= spread_line[i] << j
+            addresses.append(fields(w))
+        return addresses, [tab[a] for tab, column in zip(tables, addresses) for a in column]
+
+    return read
 
 
 def _schedule(
@@ -453,29 +501,16 @@ def _schedule(
 ) -> Callable[..., int]:
     """Bind the one L-cycle bit-serial loop to a plan and its tables.
 
-    Each cycle reads one partial product per group from ``tables`` (see
-    :func:`_read_tables`; callers check outside tables), sums them, then
-    shifts and accumulates, subtracting on the sign cycle. Every cycle's
-    addresses come from interleaved group words (:func:`_spreader`), whose
-    address fields are one byte wide (M <= 8) or two (M <= 16), so a group
-    word's bytes list its addresses in cycle order and the tables are read
-    in one pass. Given a ``records`` list, the bound loop appends each
-    cycle's :class:`CycleRecord` to it.
+    Each cycle reads one partial product per group from ``tables``
+    (:func:`_window_reads`), sums them, then shifts and accumulates,
+    subtracting on the sign cycle. Given a ``records`` list, the bound
+    loop appends each cycle's :class:`CycleRecord` to it.
     """
     length = input_width
     last = length - 1
     acc_width = required_accumulator_width(len(coeffs), coeffs.format.width, length)
     bound = 1 << (acc_width - 1)
-    size = plan.group_size
-    if size <= 8:
-        fields = lambda word: word.to_bytes(length, "little")
-    else:
-        order = sys.byteorder
-        fields = lambda word: memoryview(word.to_bytes(2 * length, order)).cast("H")
-    members = tuple(
-        tuple((j, idx) for j, idx in enumerate(g) if idx is not None) for g in plan.groups
-    )
-    spread = _spreader(input_width, size)
+    read = _window_reads(plan, input_width, tables)
 
     def run(
         dl: Sequence[int],
@@ -483,16 +518,7 @@ def _schedule(
         records: list[CycleRecord] | None = None,
     ) -> int:
         """Inner product of ``dl``, newest sample first, whose spread words are ``spread_line``."""
-        if spread_line is None:
-            spread_line = spread(dl)
-        addresses = []  # each group's addresses, in cycle order
-        for mem in members:
-            w = 0
-            for j, i in mem:
-                w |= spread_line[i] << j
-            addresses.append(fields(w))
-        # Group-major table reads; cycle n's partials are reads[n::length].
-        reads = [tab[a] for tab, column in zip(tables, addresses) for a in column]
+        addresses, reads = read(dl, spread_line)
         acc = 0
         for n in range(length):
             partials = reads[n::length]
@@ -519,18 +545,18 @@ def _bound_schedule(
     input_width: int,
     luts: tuple[tuple[int, ...], ...] | None,
     tree: AdderKind | None,
-) -> tuple[Callable[..., int], tuple | None]:
-    """The schedule and, for a ``tree``, its lanes, bound once per distinct set of arguments.
+) -> tuple[Callable[..., int], Callable[[Sequence[int]], int] | None]:
+    """The schedule and, for a ``tree``, its gate-level datapath, bound once per set of arguments.
 
-    The lanes are :func:`_lane_datapath`'s (function, field size) on the
-    same tables, for single-window callers that want the gate-level
-    value; None when ``tree`` is. ``luts`` are checked ones (tuples of
-    exact ints, so equal tables behave alike) or None; every argument is
-    immutable, so a binding cannot go stale.
+    The datapath is :func:`_window_datapath` on the same tables, for
+    single-window callers that want the gate-level value; None when
+    ``tree`` is. ``luts`` are checked ones (tuples of exact ints, so equal
+    tables behave alike) or None; every argument is immutable, so a
+    binding cannot go stale.
     """
     tables = _read_tables(coeffs, plan, ppg_mode, luts)
-    lanes = None if tree is None else _lane_datapath(coeffs, plan, tables, input_width, tree)
-    return _schedule(coeffs, plan, input_width, tables), lanes
+    gates = None if tree is None else _window_datapath(coeffs, plan, tables, input_width, tree)
+    return _schedule(coeffs, plan, input_width, tables), gates
 
 
 def da_inner_product(
@@ -550,10 +576,10 @@ def da_inner_product(
     Returns the accumulator value, which equals sum_k A_k * x_k exactly,
     and the schedule's per-cycle trace (or None when ``collect_trace`` is
     off). With ``bit_level=True`` the value is the gate-level datapath's
-    instead: the window runs as a one-lane chunk of the bit-sliced lanes
-    ``verify_windows`` checks with, through the adder tree of the
-    configured kind and a gate-level accumulator; the result must not
-    change.
+    instead (:func:`_window_datapath`): the window's table entries, as
+    bit-planes, go through the adder tree of the configured kind and the
+    gate-level shift-accumulator ``verify_windows`` checks with; the
+    result must not change.
 
     ``luts`` overrides the derived tables in stored mode, which lets a
     verifier exercise exactly the entries a design file carries; mux
@@ -562,17 +588,13 @@ def da_inner_product(
     dl = _check_inputs(delay_line, coeffs, plan, input_width)
     if luts is not None:
         luts = _read_tables(coeffs, plan, ppg_mode, luts)  # checked, hashable: the binding's key
-    run, lanes = _bound_schedule(
+    run, gates = _bound_schedule(
         coeffs, plan, ppg_mode, input_width, luts, tree if bit_level else None
     )
     records: list[CycleRecord] | None = [] if collect_trace else None
     value = run(dl, records=records)
-    if lanes:
-        datapath, field = lanes
-        size = _item_size(input_width)
-        columns = [x.to_bytes(size, "little", signed=True) for x in dl]
-        expected = value.to_bytes(field, "little", signed=True)
-        value = next((v for _, v in datapath(columns, expected)), value)
+    if gates:
+        value = gates(dl)
     return value, None if records is None else tuple(records)
 
 
@@ -608,7 +630,7 @@ class DaFilter:
         self.input_format = FixedFormat(input_width)
         # Given tables are checked now, not at a first sample; only stored mode takes them.
         self._tables = _read_tables(coeffs, plan, ppg_mode, luts)
-        self._spreader = _spreader(input_width, plan.group_size)
+        self._spreader = _spreader(input_width, _address_field(plan.group_size))
         self._acc_width = required_accumulator_width(len(coeffs), coeffs.format.width, input_width)
         self.reset()
 
@@ -788,8 +810,13 @@ def _byte_planes(table: Sequence[int], width: int) -> list[bytes]:
     byte a of plane b, so :func:`_read_biased` reads every lane's entry
     with one ``bytes.translate`` of 8-bit addresses per plane.
     """
-    # Biased entries are nonnegative, so they pack as signed items of one bit more.
-    data, size = _pack(map(add, table, repeat(1 << (width - 1))), width + 1)
+    biased = map(add, table, repeat(1 << (width - 1)))
+    if width <= 64:  # the unsigned 4- and 8-byte codes convert ints fastest
+        size = 4 if width <= 32 else 8
+        data = _little_endian(array(_UNSIGNED_CODES[size], biased)).tobytes()
+    else:
+        size = -(-width // 8)
+        data = b"".join(map(int.to_bytes, biased, repeat(size), repeat("little")))
     return [data[b::size].ljust(256, b"\0") for b in range(-(-width // 8))]
 
 
@@ -940,13 +967,13 @@ def _lane_datapath(
     cycles are formed with whole-chunk integer operations on the columns,
     one table read per lane and cycle, then the partial products become
     bit-planes, go through the gate-level tree of the configured kind (all
-    cycles at once; the tree is combinational) and a gate-level
-    shift-accumulator that subtracts on the sign cycle by adding the
-    inverted operand with every carry-in set. The accumulator has
-    tree width + L bits, so no entry ``check_tables`` accepts can wrap it,
-    and its planes are XOR-compared with the oracle's values, given as
-    two's-complement little-endian fields. Returns the function and the
-    bytes per field it expects of them.
+    cycles at once; the tree is combinational) and the gate-level
+    shift-accumulator (:func:`_accumulate`, which one-window callers
+    share). The accumulator has tree width + L bits, so no entry
+    ``check_tables`` accepts can wrap it, and its planes are XOR-compared
+    with the oracle's values, given as two's-complement little-endian
+    fields. Returns the function and the bytes per field it expects of
+    them.
 
     With M <= 8 a group's reads are the blocks' byte-plane reads of its
     entries biased by 2^(width - 1), which differ from the entries' two's
@@ -1004,23 +1031,7 @@ def _lane_datapath(
                 parts = _lane_planes(itemgetter(*addresses)(tables[g]), partial_width)
             operands.append(parts + parts[-1:] * (tree_width - partial_width))
         # Cycle n is lanes [n*count, (n+1)*count) of the tree's planes.
-        sums = _tree_planes(operands, tree, every, block)
-        lanes = (1 << count) - 1
-        # Cycle n's addend is zero below plane n (all ones on the sign cycle,
-        # whose carry-in then carries one into plane n and leaves the planes
-        # below as they are), and the sum after cycle n fits tree width +
-        # n + 1 signed bits. So cycle n's adder spans planes n to tree
-        # width + n, a shift-accumulator's (tree width + 1)-bit adder, and
-        # the planes above it are copies of its top one.
-        acc: list[int] = []  # planes 0 to tree width + n of the sum after cycle n
-        for n in range(length):
-            t = [(p >> (n * count)) & lanes for p in sums]
-            high = acc[n:] + acc[-1:] if acc else [0] * (tree_width + 1)
-            if n == length - 1:
-                addend = [p ^ lanes for p in t + t[-1:]]
-                acc = acc[:n] + _cpa_planes(tree, high, addend, lanes, lanes, block)
-            else:
-                acc = acc[:n] + _cpa_planes(tree, high, t + t[-1:], 0, lanes, block)
+        acc = _accumulate(_tree_planes(operands, tree, every, block), tree, count, length)
         diff = 0
         for got, want in zip(acc, _packed_planes(expected, field, acc_width)):
             diff |= got ^ want
@@ -1032,6 +1043,80 @@ def _lane_datapath(
             diff ^= low
 
     return run, field
+
+
+def _accumulate(sums: list[int], tree: AdderKind, count: int, length: int) -> list[int]:
+    """The gate-level shift-accumulator: planes of sum_n ±2^n · (cycle n's tree sum).
+
+    Bit ``n*count + i`` of tree plane b is bit b of lane i's tree sum at
+    cycle n; the result's planes, tree width + L of them, hold each lane's
+    sum in two's complement, the sign cycle's subtracted by adding the
+    inverted operand with every carry-in set. Its adders are the
+    carry-propagate adders of the ``tree`` kind.
+
+    Cycle n's addend is zero below plane n (all ones on the sign cycle,
+    whose carry-in then carries one into plane n and leaves the planes
+    below as they are), and the sum after cycle n fits tree width + n + 1
+    signed bits. So cycle n's adder spans planes n to tree width + n, a
+    shift-accumulator's (tree width + 1)-bit adder, and the planes above
+    it are copies of its top one.
+    """
+    block = DEFAULT_COST_MODEL.cla_block_size
+    lanes = (1 << count) - 1
+    acc: list[int] = []  # planes 0 to tree width + n of the sum after cycle n
+    for n in range(length):
+        t = [(p >> (n * count)) & lanes for p in sums]
+        high = acc[n:] + acc[-1:] if acc else [0] * (len(sums) + 1)
+        if n == length - 1:
+            addend = [p ^ lanes for p in t + t[-1:]]
+            acc = acc[:n] + _cpa_planes(tree, high, addend, lanes, lanes, block)
+        else:
+            acc = acc[:n] + _cpa_planes(tree, high, t + t[-1:], 0, lanes, block)
+    return acc
+
+
+def _window_datapath(
+    coeffs: CoefficientSet,
+    plan: PartitionPlan,
+    tables: _CheckedTables,
+    input_width: int,
+    tree: AdderKind,
+) -> Callable[[Sequence[int]], int]:
+    """Bind the gate-level datapath of one window: its value through the tree and accumulator.
+
+    The window's entries are read as the schedule reads them
+    (:func:`_window_reads`), then each entry's two's-complement bits, at
+    tree width, are spread so bit b lands at b·L (:func:`_spreader`).
+    OR-ing a group's L spread entries, cycle n's shifted up by n, gives a
+    word whose bits b·L to b·L + L - 1 are operand plane b: bit n of it
+    is bit b of the group's entry at cycle n. The operands go through the
+    gate-level tree of the configured kind, its L cycles as L lanes at
+    once, and the gate-level shift-accumulator (:func:`_accumulate`),
+    one lane wide; every plane of the result is one bit of the value.
+    """
+    length = input_width
+    partial_width = partial_product_width(coeffs.format.width, plan.group_size)
+    tree_width = tree_output_width(partial_width, plan.num_groups)
+    acc_width = tree_width + length
+    block = DEFAULT_COST_MODEL.cla_block_size
+    every = (1 << length) - 1  # every cycle
+    read = _window_reads(plan, input_width, tables)
+    spread = _spreader(tree_width, length)
+    cycles = range(length)
+    offsets = range(0, tree_width * length, length)  # of each operand plane in a word
+
+    def run(dl: Sequence[int]) -> int:
+        """The gate-level value of ``dl``, newest sample first."""
+        words = spread(read(dl)[1])
+        operands = []
+        for g in range(0, len(words), length):
+            word = sum(map(lshift, words[g : g + length], cycles))
+            operands.append([(word >> b) & every for b in offsets])
+        acc = _accumulate(_tree_planes(operands, tree, every, block), tree, 1, length)
+        value = sum(map(lshift, acc, range(acc_width)))
+        return value - ((value >> (acc_width - 1)) << acc_width)
+
+    return run
 
 
 def _repeated(value: int, nbytes: int, count: int) -> int:

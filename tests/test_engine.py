@@ -278,9 +278,10 @@ class TestInnerProduct:
         rng = random.Random(23)
         coeffs = coeff_set([rng.randint(-512, 511) for _ in range(4)], 10)
         cases = [(coeffs, partition_taps(4, 2), None, 6, rng)]
-        # M > 8 one-lane chunks at L = MIN_WIDTH read derived halves, a table
-        # given as its halves, and a list table that does not split, which is
-        # gathered whole at count * L = 2 addresses.
+        # M > 8 at L = MIN_WIDTH: derived halves, a table given as its halves,
+        # and a list table that does not split. verify's lanes read them as
+        # blocks do; one window gathers the unsplit one at count * L = 2
+        # addresses.
         wide_rng = random.Random(29)
         wide = coeff_set([wide_rng.randint(-128, 127) for _ in range(9)])
         wide_plan = partition_taps(9, 9)
@@ -310,6 +311,11 @@ class TestInnerProduct:
                         bit_level=True,
                     )
                     assert fast == traced == gated
+                direct = sum(a * x for a, x in zip(coeffs.values, window))
+                wrong = [engine.Mismatch(tuple(window), fast, direct)] if fast != direct else []
+                assert verify_windows(
+                    coeffs, plan, PpgMode.STORED, input_width=width, windows=[window], luts=luts
+                ) == (1, wrong)
             if luts is not None:
                 direct = sum(a * x for a, x in zip(coeffs.values, windows[-1]))
                 assert fast == direct + (luts[0] is edited)
@@ -334,6 +340,37 @@ class TestInnerProduct:
                 )
                 assert value != direct
                 assert records[-1].acc_after == direct  # the records are the schedule's
+
+    def test_faults_in_the_gate_level_accumulator_reach_bit_level_values(self):
+        # One window and verify's lanes run one accumulator: a fault in its
+        # adders reaches both, as the same wrong value.
+        real = engine._cpa_planes
+
+        def flipped(kind, a, b, carry, mask, block):
+            planes = real(kind, a, b, carry, mask, block)
+            return [planes[0] ^ mask, *planes[1:]]  # the lowest bit each cycle's adder spans
+
+        rng = random.Random(43)
+        coeffs = coeff_set([rng.randint(-128, 127) for _ in range(4)])
+        plan = partition_taps(4, 2)
+        windows = [tuple(rng.randint(-8, 7) for _ in range(4)) for _ in range(10)]
+        with mock.patch.object(engine, "_cpa_planes", flipped):
+            for tree in AdderKind:
+                values = []
+                for window in windows:
+                    direct = sum(a * x for a, x in zip(coeffs.values, window))
+                    value, records = da_inner_product(
+                        window, coeffs, plan, tree=tree, input_width=4, bit_level=True
+                    )
+                    assert value != direct
+                    assert records[-1].acc_after == direct  # the records are the schedule's
+                    values.append(value)
+                checked, mismatches = verify_windows(
+                    coeffs, plan, PpgMode.STORED, tree, input_width=4, windows=windows
+                )
+                direct = sum(a * x for a, x in zip(coeffs.values, windows[0]))
+                first = engine.Mismatch(windows[0], values[0], direct)
+                assert (checked, mismatches) == (1, [first])
 
     def test_partition_invariance(self):
         # Same value for every legal group size, all equal to the dot product.

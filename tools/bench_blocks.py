@@ -66,9 +66,15 @@ a time). Every call must report all windows checked with no mismatch.
 Probe rows time ``da_inner_product(..., bit_level=True)`` per window, one
 row per adder tree, at the ``verify`` workload's gate-level probe: mux
 M = 1 at the verify shape, over ``PROBE_WINDOWS`` seeded random windows,
-untraced. Each window runs the scalar schedule, then a one-lane chunk of
-the gate-level lanes ``verify_windows`` checks with; every value must
-equal the plain multiply-accumulate. The trees run in turn each round.
+untraced. Each window runs the scalar schedule, then its gate-level
+datapath: the window's entries as bit-planes through the tree and the
+shift-accumulator ``verify_windows`` checks with; every value must equal
+the plain multiply-accumulate. The trees run in turn each round.
+``gate_us`` is the part of a window's time spent inside the gates: in
+``engine._tree_planes`` and the accumulator's adds (``engine._cpa_planes``),
+timed around each call in separate runs of the same windows (best of
+``REPEATS``, raw, timer calls included), so ``bit_level_us - gate_us`` is
+what a window costs outside them.
 
 The halves verify row times, in ms per call, ``verify_windows`` over
 ``HALVES_WINDOWS`` seeded random windows (what ``dafir verify --random
@@ -105,11 +111,13 @@ import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "benchmarks"))
 
+from dafir import engine  # noqa: E402
 from dafir.adders import AdderKind  # noqa: E402
 from dafir.cli import _parse_coefficients, _write_traced  # noqa: E402
 from dafir.design import ArchConfig, DesignFile, rederive_luts  # noqa: E402
@@ -390,14 +398,42 @@ def measure_probe() -> list[dict]:
     times = best_us_per_unit(
         {name: probe(tree) for name, tree in names.items()}, windows, len(windows)
     )
+    gates = {name: [] for name in names}
+    for _ in range(REPEATS):
+        for name, tree in names.items():
+            gates[name].append(gate_seconds(probe(tree), windows))
     return [
         {
             "tree": name, "taps": VERIFY_TAPS, "group_size": group_size, "mode": mode.value,
             "windows": PROBE_WINDOWS,
             **{f"bit_level{unit}": times[name + unit] for unit in ("_us", "_ref_us", "_ref_iqr")},
+            "gate_us": round(min(gates[name]) / len(windows) * 1e6, 3),
         }
         for name in names
     ]
+
+
+def gate_seconds(run, arg) -> float:
+    """Seconds ``run(arg)`` spends in the gate-level tree and the accumulator's adds."""
+    spent = 0.0
+
+    def timed(real):
+        def call(*args):
+            nonlocal spent
+            start = time.perf_counter()
+            try:
+                return real(*args)
+            finally:
+                spent += time.perf_counter() - start
+
+        return call
+
+    with (
+        mock.patch.object(engine, "_tree_planes", timed(engine._tree_planes)),
+        mock.patch.object(engine, "_cpa_planes", timed(engine._cpa_planes)),
+    ):
+        run(arg)
+    return spent
 
 
 def measure_halves_verify(taps: int, group_size: int, scratch: Path) -> dict:
@@ -457,7 +493,8 @@ def main() -> int:
         "DaFilter.traced_blocks, push_traced = per-sample push_traced with json.dumps per record; "
         "all_windows / list = verify_windows over all_windows(4, 4) / the same windows in a list; "
         "probe_rows: us per window of da_inner_product(bit_level=True) per tree at mux M = 1, "
-        "the verify workload's gate-level probe; "
+        "the verify workload's gate-level probe, with gate_us its time inside "
+        "engine._tree_planes and engine._cpa_planes (raw, best of REPEATS); "
         "intake: ms per call (_ms, _ref_ms) of quantize = cli._parse_coefficients of the "
         "K coefficients as 9-decimal text, create = DesignFile.create from the "
         "coefficients, save = DesignFile.save of the design (tables as halves), "
@@ -523,7 +560,8 @@ def main() -> int:
     for row in probe_rows:
         print(
             f"K={row['taps']:>2} M={row['group_size']:>2} {row['mode']:<6} "
-            f"probe {row['tree']:<8} bit_level {row['bit_level_ref_us']:>6} reference us/window"
+            f"probe {row['tree']:<8} bit_level {row['bit_level_ref_us']:>6} reference us/window, "
+            f"raw {row['bit_level_us']:>6} of which gates {row['gate_us']:>6}"
         )
     print(
         f"K={halves_verify['taps']:>2} M={halves_verify['group_size']:>2} stored halves verify "
