@@ -22,7 +22,9 @@ from typing import Iterable, Sequence
 
 from .adders import DEFAULT_COST_MODEL, AdderKind, CostModel
 from .design import ArchConfig, DesignError, DesignFile
-from .engine import DaFilter, PpgMode, _pack_table, _packs, all_windows, verify_windows
+from .engine import (
+    DaFilter, PpgMode, _pack_table, _packs, all_windows, memory_locations, verify_windows,
+)
 from .numerics import AccumulatorOverflow, CoefficientSet, FixedFormat, quantize_coefficient
 from .report import (
     ArchitectureMismatch,
@@ -209,7 +211,8 @@ def cmd_design(args: argparse.Namespace) -> int:
         design.save(args.out)
     except OSError as exc:
         raise CliError(f"cannot write {args.out}: {exc.strerror}")
-    print(f"memory locations: {estimate_resources(design).memory_locations}")
+    stored = arch.ppg_mode is PpgMode.STORED
+    print(f"memory locations: {memory_locations(design.plan) if stored else 0}")
     return EXIT_OK
 
 

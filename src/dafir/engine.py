@@ -22,7 +22,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from itertools import chain, islice, product, repeat, takewhile
-from operator import add, and_, itemgetter, lshift, mul
+from operator import add, and_, itemgetter, lshift
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .adders import (
@@ -498,19 +498,24 @@ def _schedule(
     plan: PartitionPlan,
     input_width: int,
     tables: Sequence[Sequence[int]],
+    tree: AdderKind | None = None,
 ) -> Callable[..., int]:
     """Bind the one L-cycle bit-serial loop to a plan and its tables.
 
     Each cycle reads one partial product per group from ``tables``
     (:func:`_window_reads`), sums them, then shifts and accumulates,
     subtracting on the sign cycle. Given a ``records`` list, the bound
-    loop appends each cycle's :class:`CycleRecord` to it.
+    loop appends each cycle's :class:`CycleRecord` to it. Given a
+    ``tree``, the bound loop returns, once its value is in range, the
+    gate-level datapath's value of the same entries
+    (:func:`_window_datapath`) instead of its own.
     """
     length = input_width
     last = length - 1
     acc_width = required_accumulator_width(len(coeffs), coeffs.format.width, length)
     bound = 1 << (acc_width - 1)
     read = _window_reads(plan, input_width, tables)
+    gates = None if tree is None else _window_datapath(coeffs, plan, input_width, tree)
 
     def run(
         dl: Sequence[int],
@@ -532,7 +537,7 @@ def _schedule(
                 records.append(CycleRecord(n, at_n, tuple(partials), t, n, n == last, acc))
         if acc >= bound or acc < -bound:
             raise _overflow(acc, acc_width)
-        return acc
+        return acc if gates is None else gates(reads)
 
     return run
 
@@ -545,18 +550,15 @@ def _bound_schedule(
     input_width: int,
     luts: tuple[tuple[int, ...], ...] | None,
     tree: AdderKind | None,
-) -> tuple[Callable[..., int], Callable[[Sequence[int]], int] | None]:
-    """The schedule and, for a ``tree``, its gate-level datapath, bound once per set of arguments.
+) -> Callable[..., int]:
+    """The schedule, with ``tree``'s gate-level datapath unless None, bound once per arguments.
 
-    The datapath is :func:`_window_datapath` on the same tables, for
-    single-window callers that want the gate-level value; None when
-    ``tree`` is. ``luts`` are checked ones (tuples of exact ints, so equal
-    tables behave alike) or None; every argument is immutable, so a
-    binding cannot go stale.
+    ``luts`` are checked ones (tuples of exact ints, so equal tables
+    behave alike) or None; every argument is immutable, so a binding
+    cannot go stale.
     """
     tables = _read_tables(coeffs, plan, ppg_mode, luts)
-    gates = None if tree is None else _window_datapath(coeffs, plan, tables, input_width, tree)
-    return _schedule(coeffs, plan, input_width, tables), gates
+    return _schedule(coeffs, plan, input_width, tables, tree)
 
 
 def da_inner_product(
@@ -576,7 +578,7 @@ def da_inner_product(
     Returns the accumulator value, which equals sum_k A_k * x_k exactly,
     and the schedule's per-cycle trace (or None when ``collect_trace`` is
     off). With ``bit_level=True`` the value is the gate-level datapath's
-    instead (:func:`_window_datapath`): the window's table entries, as
+    instead (:func:`_window_datapath`): the entries the schedule read, as
     bit-planes, go through the adder tree of the configured kind and the
     gate-level shift-accumulator ``verify_windows`` checks with; the
     result must not change.
@@ -588,13 +590,9 @@ def da_inner_product(
     dl = _check_inputs(delay_line, coeffs, plan, input_width)
     if luts is not None:
         luts = _read_tables(coeffs, plan, ppg_mode, luts)  # checked, hashable: the binding's key
-    run, gates = _bound_schedule(
-        coeffs, plan, ppg_mode, input_width, luts, tree if bit_level else None
-    )
+    run = _bound_schedule(coeffs, plan, ppg_mode, input_width, luts, tree if bit_level else None)
     records: list[CycleRecord] | None = [] if collect_trace else None
     value = run(dl, records=records)
-    if gates:
-        value = gates(dl)
     return value, None if records is None else tuple(records)
 
 
@@ -1078,21 +1076,21 @@ def _accumulate(sums: list[int], tree: AdderKind, count: int, length: int) -> li
 def _window_datapath(
     coeffs: CoefficientSet,
     plan: PartitionPlan,
-    tables: _CheckedTables,
     input_width: int,
     tree: AdderKind,
 ) -> Callable[[Sequence[int]], int]:
     """Bind the gate-level datapath of one window: its value through the tree and accumulator.
 
-    The window's entries are read as the schedule reads them
-    (:func:`_window_reads`), then each entry's two's-complement bits, at
-    tree width, are spread so bit b lands at b·L (:func:`_spreader`).
-    OR-ing a group's L spread entries, cycle n's shifted up by n, gives a
-    word whose bits b·L to b·L + L - 1 are operand plane b: bit n of it
-    is bit b of the group's entry at cycle n. The operands go through the
-    gate-level tree of the configured kind, its L cycles as L lanes at
-    once, and the gate-level shift-accumulator (:func:`_accumulate`),
-    one lane wide; every plane of the result is one bit of the value.
+    The bound function takes the window's entries as the schedule read
+    them (:func:`_window_reads`), group-major, then each entry's
+    two's-complement bits, at tree width, are spread so bit b lands at
+    b·L (:func:`_spreader`). OR-ing a group's L spread entries, cycle n's
+    shifted up by n, gives a word whose bits b·L to b·L + L - 1 are
+    operand plane b: bit n of it is bit b of the group's entry at cycle
+    n. The operands go through the gate-level tree of the configured
+    kind, its L cycles as L lanes at once, and the gate-level
+    shift-accumulator (:func:`_accumulate`), one lane wide; every plane
+    of the result is one bit of the value.
     """
     length = input_width
     partial_width = partial_product_width(coeffs.format.width, plan.group_size)
@@ -1100,14 +1098,13 @@ def _window_datapath(
     acc_width = tree_width + length
     block = DEFAULT_COST_MODEL.cla_block_size
     every = (1 << length) - 1  # every cycle
-    read = _window_reads(plan, input_width, tables)
     spread = _spreader(tree_width, length)
     cycles = range(length)
     offsets = range(0, tree_width * length, length)  # of each operand plane in a word
 
-    def run(dl: Sequence[int]) -> int:
-        """The gate-level value of ``dl``, newest sample first."""
-        words = spread(read(dl)[1])
+    def run(entries: Sequence[int]) -> int:
+        """The gate-level value of a window whose group-major entries are ``entries``."""
+        words = spread(entries)
         operands = []
         for g in range(0, len(words), length):
             word = sum(map(lshift, words[g : g + length], cycles))
@@ -1339,28 +1336,32 @@ def _item(data: bytes, i: int, size: int) -> int:
 
 
 def _tuple_chunks(
-    windows: Iterable[Sequence[int]], num_taps: int, fmt: FixedFormat, size: int
-) -> Iterator[tuple[list, list[bytes] | None]]:
-    """Chunks of up to ``LANES`` windows, each with its tap columns of ``size``-byte items.
+    windows: Iterable[Sequence[int]], coeffs: CoefficientSet, plan: PartitionPlan, input_width: int
+) -> Iterator[tuple[list, list[bytes]]]:
+    """Chunks of up to ``LANES`` windows, with their tap columns of ``_item_size(L)``-byte items.
 
-    A chunk holding a window of another length, or a sample that is not
-    an in-range ``int``, comes with None for its columns.
+    A chunk is cut just before its first window that is not K in-range
+    ``int`` samples, as blocks cut theirs at a bad sample. Once the
+    windows before it have been taken, that window raises what
+    ``da_inner_product`` raises for it (:func:`_check_inputs`).
     """
-    code = _SIGNED_CODES[size]
+    num_taps = len(coeffs)
+    fmt = _format(input_width)
+    code = _SIGNED_CODES[_item_size(input_width)]
+    valid = lambda window: len(window) == num_taps and _all_in(window, fmt)
     windows = iter(windows)
     while chunk := list(islice(windows, LANES)):
         flat = list(chain.from_iterable(chunk))
-        columns = None
-        if (
-            set(map(len, chunk)) == {num_taps}
-            and set(map(type, flat)) == {int}
-            and fmt.min_value <= min(flat)
-            and max(flat) <= fmt.max_value
-        ):
-            columns = [
+        good = chunk
+        if set(map(len, chunk)) != {num_taps} or not _all_in(flat, fmt):
+            good = list(takewhile(valid, chunk))
+            flat = flat[: num_taps * len(good)]
+        if good:
+            yield good, [
                 _little_endian(array(code, flat[k::num_taps])).tobytes() for k in range(num_taps)
             ]
-        yield chunk, columns
+        if len(good) < len(chunk):
+            _check_inputs(chunk[len(good)], coeffs, plan, input_width)  # raises for it
 
 
 def verify_windows(
@@ -1376,12 +1377,15 @@ def verify_windows(
 ) -> tuple[int, list[Mismatch]]:
     """Compare the gate-level DA datapath against the direct dot product on many windows.
 
-    A window is one delay-line snapshot (newest sample first) of
-    ``input_width``-bit integer samples; a sample of another type raises
-    TypeError and one outside that range ValueError, since the DA path
-    reads only its low bits. Returns the number of windows checked and up
-    to ``limit`` mismatches; an empty list means full agreement. The oracle
-    side is an independent plain multiply-accumulate, never a table.
+    A window is one delay-line snapshot (newest sample first) of K
+    ``input_width``-bit integer samples; a window of another length
+    raises ValueError ("delay line has N entries, expected K"), a sample
+    of another type TypeError and one outside that range ValueError,
+    since the DA path reads only its low bits, each when the windows
+    before it have been checked. Returns the number of windows checked
+    and up to ``limit`` mismatches; an empty list means full agreement.
+    The oracle side is an independent plain multiply-accumulate, never a
+    table.
 
     Windows run ``LANES`` at a time as tap columns through a bit-sliced
     datapath: the design's tables (mux mode: the same subset sums), read
@@ -1389,50 +1393,34 @@ def verify_windows(
     gate-level accumulator, checked against a word-parallel
     multiply-accumulate of the same columns. A fresh :func:`all_windows`
     of this filter's K and L gives its columns directly; other windows
-    are packed into columns a chunk at a time.
-    Only a window the datapath flags is run again through the scalar
-    schedule, which yields each Mismatch or raises AccumulatorOverflow
-    just as a window-by-window loop would; a chunk holding a sample that
-    is not an in-range ``int`` is checked window by window, so the first
-    event in window order wins.
+    are packed into columns a chunk at a time (:func:`_tuple_chunks`).
+    Each window the datapath flags is a Mismatch with the datapath's
+    value; it is run again through the scalar schedule only to raise
+    AccumulatorOverflow, in window order, where its value leaves the
+    accumulator.
     """
     taps = coeffs.values
-    fmt = FixedFormat(input_width)
     tables = _read_tables(coeffs, plan, ppg_mode, luts)
     datapath, field = _lane_datapath(coeffs, plan, tables, input_width, tree)
     size = _item_size(input_width)
     if type(windows) is _AllWindows and windows.fresh and windows.shape == (len(taps), input_width):
         chunks = ((None, columns) for columns in windows.columns(size))
     else:
-        chunks = _tuple_chunks(windows, len(taps), fmt, size)
+        chunks = _tuple_chunks(windows, coeffs, plan, input_width)
     evaluate = None  # the scalar schedule, bound when a window first needs it
     checked = 0
     mismatches: list[Mismatch] = []
     for chunk, columns in chunks:
-        if columns is None:
-            suspects = ((i, None) for i in range(len(chunk)))
-        else:
-            expected = _mac_fields(taps, columns, size, field)
-            suspects = datapath(columns, expected)
-        for i, lane_value in suspects:
-            if columns is None:
-                window = chunk[i]
-                for x in window:
-                    fmt.check(x, "sample")
-                want = sum(map(mul, taps, window))
-            else:
-                window = chunk[i] if chunk else tuple(_item(c, i, size) for c in columns)
-                want = _item(expected, i, field)
+        expected = _mac_fields(taps, columns, size, field)
+        for i, value in datapath(columns, expected):
+            window = chunk[i] if chunk else tuple(_item(c, i, size) for c in columns)
             if evaluate is None:
                 evaluate = _schedule(coeffs, plan, input_width, tables)
-            got = evaluate(window)
-            if got == want and lane_value is not None:
-                got = lane_value  # the gate-level datapath alone disagrees
-            if got != want:
-                mismatches.append(Mismatch(tuple(window), got, want))
-                if len(mismatches) >= limit:
-                    return checked + i + 1, mismatches
-        checked += len(chunk) if chunk else len(columns[0]) // size
+            evaluate(window)  # raises AccumulatorOverflow where its value leaves the range
+            mismatches.append(Mismatch(tuple(window), value, _item(expected, i, field)))
+            if len(mismatches) >= limit:
+                return checked + i + 1, mismatches
+        checked += len(columns[0]) // size
     return checked, mismatches
 
 

@@ -718,6 +718,10 @@ class TestCmdDesign:
         run_design(workspace)
         assert "memory locations: 8" in capsys.readouterr().out
 
+    def test_mux_reports_no_memory_locations(self, workspace, capsys):
+        run_design(workspace, "design.json", "--ppg", "mux")
+        assert capsys.readouterr().out == "memory locations: 0\n"
+
     def test_design_file_round_trips(self, workspace):
         out = run_design(workspace)
         design = DesignFile.load(str(out))

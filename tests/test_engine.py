@@ -716,29 +716,32 @@ class TestVerifyWindows:
                     )
 
     def test_first_event_in_window_order_wins(self):
-        # (1, 1) reads the corrupted entry 3; a bad sample after it is never
-        # reached, one before it is refused, in the first chunk or a later one.
+        # (1, 1) reads the corrupted entry 3; a bad sample or a window of the
+        # wrong length after it is never reached, one before it is refused,
+        # in the first chunk or a later one.
         coeffs = coeff_set([3, 5])
         plan = partition_taps(2, 2)
         luts = [[0, 3, 5, 9]]
+        refused = [
+            ((True, 0), TypeError, "sample must be an int"),
+            ((100, 0), ValueError, "sample 100"),
+            ((1, 2, 3), ValueError, "delay line has 3 entries, expected 2"),
+            ((1,), ValueError, "delay line has 1 entries, expected 2"),
+        ]
         for lead in (1, engine.LANES + 3):
             clean = [(1, 0)] * lead
-            checked, mismatches = verify_windows(
-                coeffs, plan, PpgMode.STORED, input_width=4,
-                windows=clean + [(1, 1), (True, 0)], luts=luts,
-            )
-            assert checked == lead + 1
-            assert mismatches == [engine.Mismatch((1, 1), 9, 8)]
-            with pytest.raises(TypeError):
-                verify_windows(
+            for bad, error, message in refused:
+                checked, mismatches = verify_windows(
                     coeffs, plan, PpgMode.STORED, input_width=4,
-                    windows=clean + [(True, 0), (1, 1)], luts=luts,
+                    windows=clean + [(1, 1), bad], luts=luts,
                 )
-            with pytest.raises(ValueError, match="sample 100"):
-                verify_windows(
-                    coeffs, plan, PpgMode.STORED, input_width=4,
-                    windows=clean + [(100, 0), (1, 1)], luts=luts,
-                )
+                assert checked == lead + 1
+                assert mismatches == [engine.Mismatch((1, 1), 9, 8)]
+                with pytest.raises(error, match=message):
+                    verify_windows(
+                        coeffs, plan, PpgMode.STORED, input_width=4,
+                        windows=clean + [bad, (1, 1)], luts=luts,
+                    )
 
     def test_overflow_and_mismatch_in_window_order(self):
         # One tap in a padded group of four, entry 1 edited to 511: the
@@ -788,11 +791,13 @@ class TestVerifyWindows:
             return planes
 
         monkeypatch.setattr(engine, "_tree_planes", flipped)
-        checked, mismatches = verify_windows(
-            coeff_set([3, 5]), partition_taps(2, 2), PpgMode.MUX, input_width=4,
-            windows=[(0, 0), (1, 1)],
-        )
-        assert (checked, mismatches) == (1, [engine.Mismatch((0, 0), 1, 0)])
+        # A refused window cuts the chunk; the windows before it still run on the lanes.
+        for windows in ([(0, 0), (1, 1)], [(0, 0), (1, 1), (True, 0)]):
+            checked, mismatches = verify_windows(
+                coeff_set([3, 5]), partition_taps(2, 2), PpgMode.MUX, input_width=4,
+                windows=windows,
+            )
+            assert (checked, mismatches) == (1, [engine.Mismatch((0, 0), 1, 0)])
 
     @settings(deadline=None, max_examples=60)
     @given(lane_cases())
@@ -886,8 +891,7 @@ class TestVerifyWindows:
         tables = engine._subset_tables(coeffs, plan)
         _, field = engine._lane_datapath(coeffs, plan, tables, input_width, AdderKind.CLA)
         size = engine._item_size(input_width)
-        fmt = FixedFormat(input_width)
-        [(chunk, columns)] = engine._tuple_chunks(windows, len(coeffs), fmt, size)
+        [(chunk, columns)] = engine._tuple_chunks(windows, coeffs, plan, input_width)
         fields = engine._mac_fields(coeffs.values, columns, size, field)
         assert len(fields) == field * len(windows)
         got = [engine._item(fields, i, field) for i in range(len(windows))]
@@ -926,7 +930,7 @@ class TestVerifyWindows:
 
     def test_all_windows_of_another_shape_takes_the_tuple_route(self):
         # K or L unlike the filter's: the same outcome as the same windows
-        # in a list, whatever it is.
+        # in a list. Windows of another K are refused by their length.
         coeffs = coeff_set([3, -5])
         plan = partition_taps(2, 2)
 
@@ -936,7 +940,13 @@ class TestVerifyWindows:
             except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
                 return repr(exc)
 
-        for num_taps, width in ((2, 3), (2, 5), (3, 4), (1, 4)):
+        wants = {
+            (2, 3): (64, []),
+            (2, 5): repr(ValueError("sample 8 outside signed 4-bit range [-8, 7]")),
+            (3, 4): repr(ValueError("delay line has 3 entries, expected 2")),
+            (1, 4): repr(ValueError("delay line has 1 entries, expected 2")),
+        }
+        for (num_taps, width), want in wants.items():
             with mock.patch.object(engine, "_tuple_chunks", wraps=engine._tuple_chunks) as tuples:
                 got = outcome(
                     lambda: verify_windows(
@@ -945,13 +955,13 @@ class TestVerifyWindows:
                     )
                 )
                 assert tuples.call_count == 1
-            want = outcome(
+            listed = outcome(
                 lambda: verify_windows(
                     coeffs, plan, PpgMode.STORED, input_width=4,
                     windows=list(all_windows(num_taps, width)),
                 )
             )
-            assert got == want, (num_taps, width)
+            assert got == listed == want, (num_taps, width)
 
     def test_column_route_takes_the_windows(self):
         windows = all_windows(2, 4)
@@ -1160,12 +1170,15 @@ class TestSchedule:
                 engine, "_schedule", wraps=engine._schedule
             ) as schedule, mock.patch.object(
                 engine, "_subset_sums", wraps=engine._subset_sums
-            ) as subset_sums:
+            ) as subset_sums, mock.patch.object(
+                engine, "_window_reads", wraps=engine._window_reads
+            ) as reads:
                 got = [
                     da_inner_product(w, coeffs, plan, mode, input_width=4, luts=tables)
                     for w in windows * 3
                 ]
             assert schedule.call_count == 1
+            assert reads.call_count == 1
             # subset sums, stored or mux, are built on the first call only, one per group
             assert subset_sums.call_count == (plan.num_groups if tables is None else 0)
             want = [direct_fir(w[::-1], coeffs)[-1] for w in windows * 3]
@@ -1183,7 +1196,9 @@ class TestSchedule:
             engine, "_schedule", wraps=engine._schedule
         ) as schedule, mock.patch.object(
             engine, "_subset_sums", wraps=engine._subset_sums
-        ) as subset_sums:
+        ) as subset_sums, mock.patch.object(
+            engine, "_window_reads", wraps=engine._window_reads
+        ) as reads:
             for tree in AdderKind:
                 for _ in range(2):
                     kinds.clear()
@@ -1194,6 +1209,8 @@ class TestSchedule:
                     assert value == want[0] and set(kinds) == {tree}
         assert schedule.call_count == len(AdderKind)
         assert subset_sums.call_count == len(AdderKind) * plan.num_groups
+        # the schedule and the gates share one read of each window's tables
+        assert reads.call_count == len(AdderKind)
 
     def test_checked_tables_pass_again_only_for_their_shape(self):
         plan = partition_taps(2, 2)

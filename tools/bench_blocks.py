@@ -62,14 +62,18 @@ shape (K = 4, W = 8, L = 4) and configurations over all 65,536 windows,
 given as ``all_windows`` (the tap columns ``dafir verify --exhaustive``
 checks) and as the same windows in a list (packed into columns a chunk at
 a time). Every call must report all windows checked with no mismatch.
+``refused`` times, per checked window, a list of the first
+``LANES - 1`` of those windows followed by one whose samples are one
+above the range, which must raise ValueError once the windows before it
+are checked.
 
 Probe rows time ``da_inner_product(..., bit_level=True)`` per window, one
 row per adder tree, at the ``verify`` workload's gate-level probe: mux
 M = 1 at the verify shape, over ``PROBE_WINDOWS`` seeded random windows,
 untraced. Each window runs the scalar schedule, then its gate-level
-datapath: the window's entries as bit-planes through the tree and the
-shift-accumulator ``verify_windows`` checks with; every value must equal
-the plain multiply-accumulate. The trees run in turn each round.
+datapath: the entries the schedule read, as bit-planes, through the tree
+and the shift-accumulator ``verify_windows`` checks with; every value
+must equal the plain multiply-accumulate. The trees run in turn each round.
 ``gate_us`` is the part of a window's time spent inside the gates: in
 ``engine._tree_planes`` and the accumulator's adds (``engine._cpa_planes``),
 timed around each call in separate runs of the same windows (best of
@@ -356,6 +360,16 @@ def measure_verify(mode: PpgMode, group_size: int) -> dict:
         if result != (len(windows), []):
             raise SystemExit(f"verify {mode.value} M={group_size}: {result[0]}, {result[1]}")
 
+    # The last window's samples are one above the range.
+    cut = windows[: LANES - 1] + [(1 << (VERIFY_INPUT_WIDTH - 1),) * VERIFY_TAPS]
+
+    def refused(_):
+        try:
+            verify_windows(coeffs, plan, mode, input_width=VERIFY_INPUT_WIDTH, windows=cut)
+        except ValueError:
+            return
+        raise SystemExit(f"verify {mode.value} M={group_size}: the refused window passed")
+
     times = best_us_per_unit(
         {
             "all_windows": lambda _: checked(all_windows(VERIFY_TAPS, VERIFY_INPUT_WIDTH)),
@@ -364,6 +378,7 @@ def measure_verify(mode: PpgMode, group_size: int) -> dict:
         windows,
         len(windows),
     )
+    times.update(best_us_per_unit({"refused": refused}, None, LANES - 1))
     return {"taps": VERIFY_TAPS, "group_size": group_size, "mode": mode.value, **times}
 
 
@@ -492,6 +507,8 @@ def main() -> int:
         "direct_fir = the oracle; traced_block = the CLI's trace writer over "
         "DaFilter.traced_blocks, push_traced = per-sample push_traced with json.dumps per record; "
         "all_windows / list = verify_windows over all_windows(4, 4) / the same windows in a list; "
+        "refused = verify_windows over LANES - 1 of those windows and one refused window, "
+        "per checked window; "
         "probe_rows: us per window of da_inner_product(bit_level=True) per tree at mux M = 1, "
         "the verify workload's gate-level probe, with gate_us its time inside "
         "engine._tree_planes and engine._cpa_planes (raw, best of REPEATS); "
@@ -555,7 +572,7 @@ def main() -> int:
         print(
             f"K={row['taps']:>2} M={row['group_size']:>2} {row['mode']:<6} "
             f"verify all_windows {row['all_windows_ref_us']:>6} list {row['list_ref_us']:>6} "
-            f"reference us/window"
+            f"refused {row['refused_ref_us']:>6} reference us/window"
         )
     for row in probe_rows:
         print(
