@@ -3,7 +3,11 @@
 Exit codes: 0 on success, 1 when a verification or cross-architecture
 check found a mismatch or a table drove the accumulator out of its range
 (tables consistent with the coefficients never can), 2 for usage and
-parse errors. Every file error is reported as a single line that names
+parse errors. Every failure reaches :func:`main` as the exception that
+was raised, and ``main`` picks the code from its type alone: 1 for
+:class:`AccumulatorOverflow` and :class:`ArchitectureMismatch`, 2 for any
+other ``ValueError`` (:class:`CliError`, ``DesignError`` and parameter
+validation). Every file error is reported as a single line that names
 the file, and the offending line number where there is one.
 """
 
@@ -21,7 +25,7 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .adders import DEFAULT_COST_MODEL, AdderKind, CostModel
-from .design import ArchConfig, DesignError, DesignFile
+from .design import ArchConfig, DesignFile
 from .engine import (
     DaFilter, PpgMode, _pack_table, _packs, all_windows, memory_locations, verify_windows,
 )
@@ -41,10 +45,8 @@ EXHAUSTIVE_BITS_CAP = 24  # exhaustive verify limited to 2^24 windows
 _ASCII_SPACE = " \t\n\r\x0b\x0c"
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_USAGE) -> None:
-        super().__init__(message)
-        self.code = code
+class CliError(ValueError):
+    """A usage or input-file error found by the command line itself; it exits 2."""
 
 
 def _read_payloads(path: str) -> list[str]:
@@ -93,13 +95,12 @@ def _parse_coefficients(path: str, fmt: FixedFormat):
                 code, saturated = quantize_coefficient(_plain(text), fmt)
             else:
                 code, saturated = int(_plain(text)), False
-                if not fmt.contains(code):
-                    raise CliError(
-                        f"{path}:{lineno}: integer coefficient {code} outside signed "
-                        f"{fmt.width}-bit range"
-                    )
         except ValueError:
             raise CliError(f"{path}:{lineno}: cannot parse coefficient {text!r}")
+        if not fmt.contains(code):  # a quantized code always is within it
+            raise CliError(
+                f"{path}:{lineno}: integer coefficient {code} outside signed {fmt.width}-bit range"
+            )
         if saturated:
             warnings.append(f"{path}:{lineno}: {text} saturated to {code}")
         values.append(code)
@@ -141,8 +142,6 @@ def _load_design(path: str) -> DesignFile:
         return DesignFile.load(path)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror}")
-    except DesignError as exc:
-        raise CliError(str(exc))  # its message starts with the path
 
 
 def _open_out(path: str, mode: str = "w"):
@@ -392,20 +391,14 @@ def cmd_report(args: argparse.Namespace) -> int:
     samples = None
     if args.samples is not None:
         samples = _parse_samples(args.samples, FixedFormat(design.arch.input_width))
-    try:
-        comparison = compare_architectures(
-            design,
-            other,
-            samples=samples,
-            model=model,
-            baseline_external=external,
-            candidate_external=external_b,
-        )
-    except ArchitectureMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
-    except ValueError as exc:
-        raise CliError(str(exc))
+    comparison = compare_architectures(
+        design,
+        other,
+        samples=samples,
+        model=model,
+        baseline_external=external,
+        candidate_external=external_b,
+    )
     print(json.dumps(comparison.to_dict(), indent=2))
     return EXIT_OK
 
@@ -464,16 +457,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     command = globals()[f"cmd_{args.command}"]
     try:
         return command(args)
-    except CliError as exc:
+    except (AccumulatorOverflow, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except AccumulatorOverflow as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
-    except ValueError as exc:
-        # bad widths, group sizes and other parameter validation
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        # A failed check exits 1; any other ValueError (CliError, DesignError,
+        # bad widths, group sizes and other parameter validation) exits 2.
+        failed = isinstance(exc, (AccumulatorOverflow, ArchitectureMismatch))
+        return EXIT_MISMATCH if failed else EXIT_USAGE
 
 
 if __name__ == "__main__":

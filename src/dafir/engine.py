@@ -22,7 +22,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from itertools import chain, islice, product, repeat, takewhile
-from operator import add, and_, itemgetter, lshift
+from operator import add, itemgetter, lshift
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .adders import (
@@ -762,18 +762,21 @@ def _little_endian(items: array) -> array:
     return items
 
 
-def _pack(values: Iterable[int], width: int) -> tuple[bytes, int]:
-    """Signed ``width``-bit values as little-endian items; the bytes and the item size."""
-    size = _field_size(width)
-    if size <= 8:
-        return _little_endian(array(_SIGNED_CODES[size], values)).tobytes(), size
-    codes = map(and_, values, repeat((1 << (8 * size)) - 1))
-    return b"".join(map(int.to_bytes, codes, repeat(size), repeat("little"))), size
+def _pack(values: Iterable[int], size: int) -> bytes:
+    """Nonnegative values as little-endian items of ``size`` bytes."""
+    if size in _UNSIGNED_CODES:
+        return _little_endian(array(_UNSIGNED_CODES[size], values)).tobytes()
+    return b"".join(map(int.to_bytes, values, repeat(size), repeat("little")))
 
 
 def _lane_planes(values: Iterable[int], width: int) -> list[int]:
     """Bit-planes of signed ``width``-bit values: bit i of plane b is bit b of value i."""
-    return _packed_planes(*_pack(values, width), width)
+    size = _field_size(width)
+    data = _pack(map(add, values, repeat(1 << (width - 1))), size)
+    planes = _packed_planes(data, size, width)
+    # A biased value differs from its two's complement in the top bit alone.
+    planes[-1] ^= (1 << (len(data) // size)) - 1
+    return planes
 
 
 def _packed_planes(data: bytes, size: int, width: int) -> list[int]:
@@ -808,13 +811,9 @@ def _byte_planes(table: Sequence[int], width: int) -> list[bytes]:
     byte a of plane b, so :func:`_read_biased` reads every lane's entry
     with one ``bytes.translate`` of 8-bit addresses per plane.
     """
-    biased = map(add, table, repeat(1 << (width - 1)))
-    if width <= 64:  # the unsigned 4- and 8-byte codes convert ints fastest
-        size = 4 if width <= 32 else 8
-        data = _little_endian(array(_UNSIGNED_CODES[size], biased)).tobytes()
-    else:
-        size = -(-width // 8)
-        data = b"".join(map(int.to_bytes, biased, repeat(size), repeat("little")))
+    # The unsigned 4- and 8-byte codes convert ints fastest.
+    size = 4 if width <= 32 else 8 if width <= 64 else -(-width // 8)
+    data = _pack(map(add, table, repeat(1 << (width - 1))), size)
     return [data[b::size].ljust(256, b"\0") for b in range(-(-width // 8))]
 
 
@@ -1191,10 +1190,9 @@ def _block_datapath(
     keys or addresses is kept as byte-planes of its entries biased by half
     its range, and read with one ``bytes.translate`` per entry byte into a
     strided buffer; a gathered group's entries are taken straight from its
-    table, packed signed, and their signs fixed and bias added by
-    whole-block operations. The sums of each position and cycle's reads
-    are widened to accumulator fields; the lanes are shifted and
-    accumulated with the sign cycle subtracted, and unpacked once.
+    table and packed with the same bias. The sums of each position and
+    cycle's reads are widened to accumulator fields; the lanes are shifted
+    and accumulated with the sign cycle subtracted, and unpacked once.
 
     With ``traced`` it returns a :class:`TracedBlock` instead, from the
     same reads: the outputs with the keys of every read (for M > 8, every
@@ -1242,19 +1240,11 @@ def _block_datapath(
                 addresses = address(bits)[::width]  # the low byte of wider items
             kept_keys.append(addresses)
             total += int.from_bytes(_read_biased(table, addresses, narrow), "little")
-        if gathers:
-            signs = _repeated(1 << (8 * narrow - 1), narrow, positions)
-            negatives = 0
-            for table, group in gathers:
-                # positions >= 2 addresses, so itemgetter returns a tuple
-                data, _ = _pack(itemgetter(*form(group))(table), 8 * narrow)
-                packed = int.from_bytes(data, "little")
-                total += packed
-                negatives += packed & signs
-            # Each field read as unsigned is off by twice its sign bit; the
-            # bias then makes every sum nonnegative, as in the byte-planes.
-            gathered_bias = len(gathers) << (partial_width - 1)
-            total += _repeated(gathered_bias, narrow, positions) - (negatives << 1)
+        half = 1 << (partial_width - 1)  # each gathered entry's bias
+        for table, group in gathers:
+            # positions >= 2 addresses, so itemgetter returns a tuple
+            entries = itemgetter(*form(group))(table)
+            total += int.from_bytes(_pack(map(add, entries, repeat(half)), narrow), "little")
         # Every sum is nonnegative, so widening its field is a zero fill.
         sums = total.to_bytes(narrow * positions, "little")
         wide = bytearray(field * positions)
@@ -1340,17 +1330,24 @@ def _tuple_chunks(
 ) -> Iterator[tuple[list, list[bytes]]]:
     """Chunks of up to ``LANES`` windows, with their tap columns of ``_item_size(L)``-byte items.
 
-    A chunk is cut just before its first window that is not K in-range
-    ``int`` samples, as blocks cut theirs at a bad sample. Once the
-    windows before it have been taken, that window raises what
+    Each window is read as ``da_inner_product`` reads it, with ``tuple``.
+    A chunk is cut just before its first window that cannot be read or is
+    not K in-range ``int`` samples, as blocks cut theirs at a bad sample.
+    Once the windows before it have been taken, that window raises what
     ``da_inner_product`` raises for it (:func:`_check_inputs`).
     """
     num_taps = len(coeffs)
     fmt = _format(input_width)
     code = _SIGNED_CODES[_item_size(input_width)]
     valid = lambda window: len(window) == num_taps and _all_in(window, fmt)
-    windows = iter(windows)
-    while chunk := list(islice(windows, LANES)):
+    windows = map(tuple, windows)
+    while True:
+        chunk: list[tuple[int, ...]] = []
+        unread = None
+        try:
+            chunk += islice(windows, LANES)  # keeps the windows read before one that raises
+        except Exception as exc:
+            unread = exc
         flat = list(chain.from_iterable(chunk))
         good = chunk
         if set(map(len, chunk)) != {num_taps} or not _all_in(flat, fmt):
@@ -1362,6 +1359,10 @@ def _tuple_chunks(
             ]
         if len(good) < len(chunk):
             _check_inputs(chunk[len(good)], coeffs, plan, input_width)  # raises for it
+        if unread is not None:
+            raise unread
+        if len(chunk) < LANES:
+            return
 
 
 def verify_windows(

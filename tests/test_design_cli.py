@@ -1542,3 +1542,57 @@ class TestUsage:
             with pytest.raises(SystemExit):
                 cli.build_parser().parse_args(argv)
             assert capsys.readouterr() == first
+
+
+class TestExitCodes:
+    """``main`` picks the exit code from the type of what a command raised."""
+
+    @pytest.mark.parametrize(
+        "error, code",
+        [
+            (AccumulatorOverflow, 1),
+            (ArchitectureMismatch, 1),
+            (DesignError, 2),
+            (cli.CliError, 2),
+            (ValueError, 2),
+        ],
+    )
+    def test_code_follows_the_type(self, monkeypatch, capsys, error, code):
+        def command(args):
+            raise error(f"{error.__name__} from {args.design}")
+
+        monkeypatch.setattr(cli, "cmd_report", command)
+        assert main(["report", "--design", "d.json"]) == code
+        assert capsys.readouterr() == ("", f"error: {error.__name__} from d.json\n")
+
+    def test_design_error_keeps_the_table_fault_as_its_cause(self, workspace, capsys):
+        design = run_design(workspace)
+        data = json.loads(design.read_text())
+        data["luts"][0][1] = 1_000_000
+        design.write_text(json.dumps(data))
+        with pytest.raises(DesignError) as exc:
+            cli._load_design(str(design))
+        causes = []
+        cause = exc.value.__cause__
+        while cause is not None:
+            causes.append(cause)
+            cause = cause.__cause__
+        assert any(
+            type(c) is ValueError and str(c).startswith("table 0 entry 1000000 cannot be")
+            for c in causes
+        )
+        capsys.readouterr()
+        assert main(["verify", "--design", str(design), "--random", "4"]) == 2
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
+
+    def test_coefficient_range_and_parse_errors(self, tmp_path, capsys):
+        path = tmp_path / "c.txt"
+        argv = ["design", str(path), "--coeff-width", "8", "--out", str(tmp_path / "d.json")]
+        for text, message in (
+            ("200", "integer coefficient 200 outside signed 8-bit range"),
+            ("2x", "cannot parse coefficient '2x'"),
+        ):
+            path.write_text(f"1\n{text}\n")
+            assert main(argv) == 2
+            assert capsys.readouterr() == ("", f"error: {path}:2: {message}\n")
+        assert not (tmp_path / "d.json").exists()

@@ -716,9 +716,9 @@ class TestVerifyWindows:
                     )
 
     def test_first_event_in_window_order_wins(self):
-        # (1, 1) reads the corrupted entry 3; a bad sample or a window of the
-        # wrong length after it is never reached, one before it is refused,
-        # in the first chunk or a later one.
+        # (1, 1) reads the corrupted entry 3; a bad sample, a window of the
+        # wrong length or one that cannot be read after it is never reached,
+        # one before it is refused, in the first chunk or a later one.
         coeffs = coeff_set([3, 5])
         plan = partition_taps(2, 2)
         luts = [[0, 3, 5, 9]]
@@ -727,9 +727,15 @@ class TestVerifyWindows:
             ((100, 0), ValueError, "sample 100"),
             ((1, 2, 3), ValueError, "delay line has 3 entries, expected 2"),
             ((1,), ValueError, "delay line has 1 entries, expected 2"),
+            (5, TypeError, "'int' object is not iterable"),
         ]
         for lead in (1, engine.LANES + 3):
             clean = [(1, 0)] * lead
+            # A window is read as da_inner_product reads it: an iterator is a window.
+            assert verify_windows(
+                coeffs, plan, PpgMode.STORED, input_width=4,
+                windows=clean + [(1, 1), iter((0, 0))], luts=luts,
+            ) == (lead + 1, [engine.Mismatch((1, 1), 9, 8)])
             for bad, error, message in refused:
                 checked, mismatches = verify_windows(
                     coeffs, plan, PpgMode.STORED, input_width=4,
