@@ -82,15 +82,21 @@ class CostModel:
     mux2_gates: int = 4         # 2:1 multiplexer, per bit
     mux2_depth: int = 2
 
+    def __post_init__(self) -> None:
+        bad = [k for k, v in self.to_dict().items() if type(v) is not int or v < 0]
+        if bad:
+            raise ValueError(f"cost-model values must be non-negative integers: {bad}")
+        if self.cla_block_size < 2:  # a lookahead tree of 1-bit blocks never narrows
+            raise ValueError(f"cla_block_size must be at least 2, not {self.cla_block_size}")
+
     @classmethod
     def from_dict(cls, data: dict) -> "CostModel":
+        if not isinstance(data, dict):
+            raise ValueError(f"a cost model must be a JSON object, not {type(data).__name__}")
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown cost-model keys: {sorted(unknown)}")
-        bad = [k for k, v in data.items() if not isinstance(v, int) or v < 0]
-        if bad:
-            raise ValueError(f"cost-model values must be non-negative integers: {bad}")
         return cls(**data)
 
     def to_dict(self) -> dict:

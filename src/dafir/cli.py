@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import random
 import sys
@@ -174,9 +175,12 @@ def _decimal_flag(value: str | None, flag: str) -> Decimal | None:
     if value is None:
         return None
     try:
-        return Decimal(value)
+        number = Decimal(value)
     except InvalidOperation:
         raise CliError(f"{flag} must be a decimal number, got {value!r}")
+    if not (number.is_finite() and math.isfinite(number)):  # NaN, infinite or past a double
+        raise CliError(f"{flag} must be a finite decimal number in double range, got {value!r}")
+    return number
 
 
 def _external_figures(cells, time_ns, power_mw, prefix: str) -> ExternalFigures | None:
@@ -381,7 +385,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     if args.compare is None:
         report = estimate_resources(design, model, external)
-        print(json.dumps(report.to_dict(), indent=2))
+        print(json.dumps(report.to_dict(), indent=2, allow_nan=False))
         return EXIT_OK
 
     other = _load_design(args.compare)
@@ -399,7 +403,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         baseline_external=external,
         candidate_external=external_b,
     )
-    print(json.dumps(comparison.to_dict(), indent=2))
+    print(json.dumps(comparison.to_dict(), indent=2, allow_nan=False))
     return EXIT_OK
 
 

@@ -369,7 +369,8 @@ class TracedBlock(NamedTuple):
     tree sum over groups and the accumulator after the cycle. For M <= 8 a
     read is a pack of :func:`_packs`, whose 8-bit key holds its r-th
     group's address in bits M·r to M·r + M - 1; for M > 8 it is a group,
-    keyed by its address. With ``DaFilter.tables()``' entries at those
+    keyed by its address, which joins the two one-byte keys the group is
+    read at (:func:`_joined`). With ``DaFilter.tables()``' entries at those
     addresses as partials, they hold the fields of the CycleRecords
     ``DaFilter.push_traced`` gives for the same samples.
     """
@@ -872,49 +873,65 @@ def _split(table: Sequence[int]) -> tuple[Sequence[int], Sequence[int]] | None:
 _BITS = tuple(bytes((b >> i) & 1 for b in range(256)) for i in range(8))  # bit i of a byte
 
 
-def _bit_planes(samples: bytes, stride: int, length: int, width: int) -> bytes:
+def _bit_planes(samples: bytes, stride: int, length: int) -> bytes:
     """All ``length`` bit-planes of little-endian samples that start every ``stride`` bytes.
 
-    Segment n of the result, one item of ``width`` bytes per sample, holds
-    bit n of sample i at bit 0 of item i: the samples' bits, cycle-major.
-    Each plane is one ``bytes.translate`` of the samples' byte n // 8.
+    Segment n of the result, one byte per sample, holds bit n of sample i
+    at bit 0 of byte i: the samples' bits, cycle-major. Each plane is one
+    ``bytes.translate`` of the samples' byte n // 8.
     """
     pieces = [samples[b::stride] for b in range(-(-length // 8))]
-    planes = b"".join(pieces[n >> 3].translate(_BITS[n & 7]) for n in range(length))
-    if width == 1:
-        return planes
-    items = bytearray(width * len(planes))
-    items[::width] = planes
-    return bytes(items)
+    return b"".join(pieces[n >> 3].translate(_BITS[n & 7]) for n in range(length))
 
 
 def _address_former(
-    planes: Sequence[int], lags: Sequence[int], fields: int, width: int, length: int
+    planes: Sequence[int], lags: Sequence[int], fields: int, length: int
 ) -> Callable[[Sequence[tuple[int, int]]], bytes]:
-    """Bind table address formation for a chunk of lanes: any group, all cycles at once.
+    """Bind one-byte key formation for a chunk of lanes: any key, all cycles at once.
 
     ``planes[k]`` holds bit-planes as :func:`_bit_planes` lays them out,
-    segments of ``fields`` items, in which lane i's bits of tap k's sample
-    are item ``i + lags[k]``. The bound function takes a group's (address
-    bit j, tap k) pairs and returns every lane's address at every cycle,
-    cycle-major, in items of ``width`` bytes, segments of ``fields`` items.
+    segments of ``fields`` bytes, in which lane i's bit of tap k's sample
+    is byte ``i + lags[k]``. The bound function takes a key's (key bit
+    j < 8, tap k) pairs (:func:`_keys`) and returns every lane's key at
+    every cycle, cycle-major, one byte each, segments of ``fields`` bytes.
 
-    A member's part of every address at once is its planes moved up by j
-    and down by its lag, whole: at most two shifts per member (a shift by
-    zero would still copy the whole chunk, so none is made). Items a lag
+    A member's part of every key at once is its planes moved up by j and
+    down by its lag, whole: at most two shifts per member (a shift by
+    zero would still copy the whole chunk, so none is made). Bytes a lag
     pulls in from the next segment lie at or beyond the lanes whose
     samples the segment holds, and are not theirs.
     """
-    downs = [8 * width * lag for lag in lags]
+    downs = [8 * lag for lag in lags]
 
-    def addresses(group: Sequence[tuple[int, int]]) -> bytes:
+    def keys(members: Sequence[tuple[int, int]]) -> bytes:
         word = 0
-        for j, k in group:
+        for j, k in members:
             part = planes[k] << j if j else planes[k]
             word += part >> downs[k] if downs[k] else part
-        return word.to_bytes(width * fields * length, "little")
+        return word.to_bytes(fields * length, "little")
 
-    return addresses
+    return keys
+
+
+def _keys(group: Sequence[tuple[int, int]], group_size: int) -> list[Sequence[tuple[int, int]]]:
+    """A group's one-byte keys, as (key bit, tap) members: its address, or its address's two bytes.
+
+    For M <= 8 the key is the group's address; above that the address is
+    read as its low byte and its high byte, which :func:`_joined` joins
+    where a reader needs the address itself.
+    """
+    if group_size <= 8:
+        return [group]
+    return [[(j, k) for j, k in group if j < 8], [(j - 8, k) for j, k in group if j >= 8]]
+
+
+def _joined(low: bytes, high: bytes) -> array:
+    """An M > 8 group's addresses, 256·high + low, as long as the shorter of its key columns."""
+    count = min(len(low), len(high))
+    items = bytearray(2 * count)
+    items[::2] = low[:count]
+    items[1::2] = high[:count]
+    return _little_endian(array(_UNSIGNED_CODES[2], items))
 
 
 def _sliding(bits: Sequence[tuple[int, int]], num_taps: int) -> tuple[int, int] | None:
@@ -929,14 +946,14 @@ def _sliding(bits: Sequence[tuple[int, int]], num_taps: int) -> tuple[int, int] 
     return len(bits), num_taps - len(bits) - first
 
 
-def _sliding_keys(planes: int, item: int, widths: Iterable[int], nbytes: int) -> dict[int, bytes]:
-    """The sliding keys V_w for each w in ``widths``, ``nbytes`` 8-bit keys each.
+def _sliding_keys(planes: int, widths: Iterable[int], nbytes: int) -> dict[int, bytes]:
+    """The sliding keys V_w for each w in ``widths``, ``nbytes`` one-byte keys each.
 
-    ``planes`` holds bit n of stream sample s at bit 0 of item s of
-    segment n, in items of ``item`` bytes (:func:`_bit_planes`); key s of
-    segment n of V_w is Σ_b bit_n(x[s + w - 1 - b])·2^b over b < w, which
-    every read of w consecutive taps reads at its own offset. V_(a+b) is
-    V_a moved up b bits plus V_b taken a items on: V_8 takes three steps.
+    ``planes`` holds bit n of stream sample s at bit 0 of byte s of
+    segment n (:func:`_bit_planes`); key s of segment n of V_w is
+    Σ_b bit_n(x[s + w - 1 - b])·2^b over b < w, which every read of w
+    consecutive taps reads at its own offset. V_(a+b) is V_a moved up b
+    bits plus V_b taken a bytes on: V_8 takes three steps.
     """
     need = set(widths)
     for w in range(8, 1, -1):  # a width needs its halves, which are narrower
@@ -945,8 +962,8 @@ def _sliding_keys(planes: int, item: int, widths: Iterable[int], nbytes: int) ->
     keys = {0: 0, 1: planes}
     for w in sorted(need - {0, 1}):
         h = w // 2
-        keys[w] = (keys[w - h] << h) + (keys[h] >> 8 * item * (w - h))
-    return {w: keys[w].to_bytes(item * nbytes, "little")[::item] for w in widths}
+        keys[w] = (keys[w - h] << h) + (keys[h] >> 8 * (w - h))
+    return {w: keys[w].to_bytes(nbytes, "little") for w in widths}
 
 
 def _lane_datapath(
@@ -960,38 +977,39 @@ def _lane_datapath(
 
     Lane i carries window i. The bound function takes the chunk's K tap
     columns, each lane's sample as a little-endian item of
-    ``_item_size(L)`` bytes. Each group's per-lane addresses for all L
-    cycles are formed with whole-chunk integer operations on the columns,
-    one table read per lane and cycle, then the partial products become
-    bit-planes, go through the gate-level tree of the configured kind (all
-    cycles at once; the tree is combinational) and the gate-level
-    shift-accumulator (:func:`_accumulate`, which one-window callers
-    share). The accumulator has tree width + L bits, so no entry
-    ``check_tables`` accepts can wrap it, and its planes are XOR-compared
-    with the oracle's values, given as two's-complement little-endian
-    fields. Returns the function and the bytes per field it expects of
-    them.
+    ``_item_size(L)`` bytes. Each group's per-lane one-byte keys for all L
+    cycles (:func:`_keys`) are formed with whole-chunk integer operations
+    on the columns, one table read per lane, cycle and key, then the
+    partial products become bit-planes, go through the gate-level tree of
+    the configured kind (all cycles at once; the tree is combinational)
+    and the gate-level shift-accumulator (:func:`_accumulate`, which
+    one-window callers share). The accumulator has tree width + L bits,
+    so no entry ``check_tables`` accepts can wrap it, and its planes are
+    XOR-compared with the oracle's values, given as two's-complement
+    little-endian fields. Returns the function and the bytes per field it
+    expects of them.
 
     With M <= 8 a group's reads are the blocks' byte-plane reads of its
     entries biased by 2^(width - 1), which differ from the entries' two's
     complement in the top bit alone: the read buffer's planes, the top one
     inverted, are the entries' planes. Above that a table with halves is
-    read as blocks read it, each half at one byte of the 2-byte addresses,
+    read as blocks read it, each half at one of the group's two keys,
     T[a] = low[a & 255] + high[a >> 8]: the two biases add 2^width, which
     the entries' low ``width`` planes drop. Only a table without halves is
-    gathered whole, so no table kept as its halves is formed.
+    gathered whole, at its keys joined into addresses, so no table kept as
+    its halves is formed.
     """
     length = input_width
     num_taps = len(coeffs)
     members = [[(j, k) for j, k in enumerate(g) if k is not None] for g in plan.groups]
+    keys = [_keys(group, plan.group_size) for group in members]
     partial_width = partial_product_width(coeffs.format.width, plan.group_size)
     tree_width = tree_output_width(partial_width, plan.num_groups)
     acc_width = tree_width + length
     field = _field_size(acc_width)
     block = DEFAULT_COST_MODEL.cla_block_size
     size = _item_size(length)  # bytes per sample item
-    width = _item_size(plan.group_size)  # bytes per address item
-    bytewise = width == 1
+    bytewise = plan.group_size <= 8
     if bytewise:
         entry_size = -(-partial_width // 8)  # bytes per byte-plane read
         reads = [_byte_planes(t, partial_width) for t in tables]
@@ -1003,29 +1021,27 @@ def _lane_datapath(
         """(lane, datapath value) of each window, in order, whose value is not ``expected``'s."""
         count = len(columns[0]) // size
         every = (1 << (count * length)) - 1  # every lane of every cycle
-        planes = [
-            int.from_bytes(_bit_planes(column, size, length, width), "little") for column in columns
-        ]
-        address = _address_former(planes, [0] * num_taps, count, width, length)
+        planes = [int.from_bytes(_bit_planes(column, size, length), "little") for column in columns]
+        address = _address_former(planes, [0] * num_taps, count, length)
         operands = []
-        for g, (read, group) in enumerate(zip(reads, members)):
-            items = address(group)  # item n*count + i is lane i's address at cycle n
+        for g, (read, group) in enumerate(zip(reads, keys)):
+            # byte n*count + i of a key column is lane i's key at cycle n
+            key_columns = list(map(address, group))
             if bytewise:
                 parts = _packed_planes(
-                    _read_biased(read, items, entry_size), entry_size, partial_width
+                    _read_biased(read, key_columns[0], entry_size), entry_size, partial_width
                 )
                 parts[-1] ^= every
-            elif read:  # the halves, at each address's low byte and at its high byte
+            elif read:  # the halves, at the low key and at the high key
                 low, high = (
-                    int.from_bytes(_read_biased(half, items[b::2], entry_size), "little")
-                    for b, half in enumerate(read)
+                    int.from_bytes(_read_biased(half, column, entry_size), "little")
+                    for half, column in zip(read, key_columns)
                 )
                 total = (low + high).to_bytes(entry_size * count * length, "little")
                 parts = _packed_planes(total, entry_size, partial_width)
             else:
-                addresses = _little_endian(array(_UNSIGNED_CODES[width], items))
                 # count * length >= 2 addresses, so itemgetter returns a tuple
-                parts = _lane_planes(itemgetter(*addresses)(tables[g]), partial_width)
+                parts = _lane_planes(itemgetter(*_joined(*key_columns))(tables[g]), partial_width)
             operands.append(parts + parts[-1:] * (tree_width - partial_width))
         # Cycle n is lanes [n*count, (n+1)*count) of the tree's planes.
         acc = _accumulate(_tree_planes(operands, tree, every, block), tree, count, length)
@@ -1132,27 +1148,33 @@ def _signed_items(data: bytes, size: int) -> Sequence[int]:
 
 def _block_reads(
     tables: _CheckedTables, plan: PartitionPlan, partial_width: int
-) -> tuple[list, list, int, int, set[int]]:
-    """The table reads of a block: what is read where, and how wide their sum is.
+) -> tuple[list, list, list, int, int]:
+    """The table reads of a block: the keys they take, what is read there, how wide their sum is.
 
-    Returns the reads made by ``bytes.translate`` of 8-bit addresses, as
-    (byte planes, (address bit, tap) members, :func:`_sliding` key, bias),
-    the (table, members) of the groups gathered instead, the sum of every
-    read's bias, the signed bits any sum of one lane and cycle's reads
-    takes, and the sliding keys' widths. Each of :func:`_packs` is one
-    read (M <= 8), a table with halves is two, at its low and high
-    address bytes (M > 8), and any other table is gathered, so no table
-    kept as its halves is formed; a read of consecutive taps, as every
-    read of a consecutive plan is, slides.
+    Returns the one-byte keys, as ((key bit, tap) members, :func:`_sliding`
+    key); the reads made by ``bytes.translate`` of a key, as (byte planes,
+    key index, bias); the tables gathered instead, as (table, low key
+    index, high key index); the sum of every read's bias; and the signed
+    bits any sum of one lane and cycle's reads takes. Each of
+    :func:`_packs` is one key and one read (M <= 8). Above that each group
+    is two keys, its address's low and high bytes (:func:`_keys`), in
+    group order: a table with halves is read at them, and any other table
+    is gathered at the addresses they join into, so no table kept as its
+    halves is formed. A key of consecutive taps, as every key of a
+    consecutive plan is, slides.
     """
     members = [tuple((j, k) for j, k in enumerate(g) if k is not None) for g in plan.groups]
+    keys = []
     reads = []
     gathers = []
     widths = []
 
-    def read(table: Sequence[int], bits: list, width: int) -> None:
-        slide = _sliding(bits, plan.num_taps)
-        reads.append((_byte_planes(table, width), bits, slide, 1 << (width - 1)))
+    def key(bits: Sequence[tuple[int, int]]) -> int:
+        keys.append((bits, _sliding(bits, plan.num_taps)))
+        return len(keys) - 1
+
+    def read(table: Sequence[int], bits: Sequence[tuple[int, int]], width: int) -> None:
+        reads.append((_byte_planes(table, width), key(bits), 1 << (width - 1)))
         widths.append(width)
 
     if plan.group_size <= 8:
@@ -1162,15 +1184,15 @@ def _block_reads(
             read(_pack_table([t for _, (t, _) in pack]), bits, width)
     else:
         for g, (group, pair) in enumerate(zip(members, tables.halves)):
+            low, high = _keys(group, plan.group_size)
             if pair is None:
-                gathers.append((tables[g], group))
+                gathers.append((tables[g], key(low), key(high)))
                 widths.append(partial_width)
-                continue
-            read(pair[0], [(j, k) for j, k in group if j < 8], partial_width)
-            read(pair[1], [(j - 8, k) for j, k in group if j >= 8], partial_width)
+            else:
+                read(pair[0], low, partial_width)
+                read(pair[1], high, partial_width)
     offset = sum(bias for *_, bias in reads) + len(gathers) * (1 << (partial_width - 1))
-    keys = {slide[0] for _, _, slide, _ in reads if slide}
-    return reads, gathers, offset, tree_output_width(max(widths), len(widths)), keys
+    return keys, reads, gathers, offset, tree_output_width(max(widths), len(widths))
 
 
 def _block_datapath(
@@ -1186,18 +1208,19 @@ def _block_datapath(
     accumulator range. Output i's tap k is stream item i + K - 1 - k.
     Table entries are read as packed fields, one per stream position and
     cycle, of which each cycle's first N are the outputs' lanes (see
-    :func:`_block_reads`, bound once here): a table read at 8-bit sliding
-    keys or addresses is kept as byte-planes of its entries biased by half
-    its range, and read with one ``bytes.translate`` per entry byte into a
-    strided buffer; a gathered group's entries are taken straight from its
-    table and packed with the same bias. The sums of each position and
-    cycle's reads are widened to accumulator fields; the lanes are shifted
-    and accumulated with the sign cycle subtracted, and unpacked once.
+    :func:`_block_reads`, bound once here). Every key is one byte, sliding
+    or formed: a table read at keys is kept as byte-planes of its entries
+    biased by half its range, and read with one ``bytes.translate`` per
+    entry byte into a strided buffer; a gathered group's entries are taken
+    straight from its table, at its two keys joined into addresses, and
+    packed with the same bias. The sums of each position and cycle's
+    reads are widened to accumulator fields; the lanes are shifted and
+    accumulated with the sign cycle subtracted, and unpacked once.
 
     With ``traced`` it returns a :class:`TracedBlock` instead, from the
-    same reads: the outputs with the keys of every read (for M > 8, every
-    group's address) and each cycle's sums and accumulator, unbiased by
-    whole-block operations.
+    same reads: the outputs with every key column (for M > 8 each group's
+    two joined into its addresses) and each cycle's sums and accumulator,
+    unbiased by whole-block operations.
 
     Fields hold the reads' sum width + L bits, more than any value entries
     that ``check_tables`` accepts can reach, so no table can wrap one.
@@ -1205,9 +1228,9 @@ def _block_datapath(
     length = input_width
     num_taps = len(coeffs)
     partial_width = partial_product_width(coeffs.format.width, plan.group_size)
-    size = _item_size(max(length, plan.group_size))
-    reads, gathers, bias, sum_width, key_widths = _block_reads(tables, plan, partial_width)
-    groups = [tuple((j, k) for j, k in enumerate(g) if k is not None) for g in plan.groups]
+    size = _item_size(length)
+    keys, reads, gathers, bias, sum_width = _block_reads(tables, plan, partial_width)
+    key_widths = {slide[0] for _, slide in keys if slide}
 
     def run(stream: list[int], traced: bool = False) -> list[int] | TracedBlock:
         count = len(stream) - num_taps + 1
@@ -1219,31 +1242,20 @@ def _block_datapath(
         narrow = _field_size(sum_width) if traced or gathers else -(-sum_width // 8)
         # Bytes per lane of the accumulator: an array item size up to 64 bits.
         field = _field_size(sum_width + length)
-        # Bytes per address: one, unless gathered or traced groups take wider ones.
-        width = _item_size(plan.group_size) if gathers or traced else 1
         samples = _little_endian(array(_SIGNED_CODES[size], stream)).tobytes()
-        planes = int.from_bytes(_bit_planes(samples, size, length, width), "little")
-        keys = _sliding_keys(planes, width, key_widths, positions)
-        address = _address_former(
-            [planes] * num_taps, range(num_taps - 1, -1, -1), stride, width, length
-        )
-        # A group's addresses, formed once a block: to gather it, or as a traced M > 8 key column.
-        form = functools.cache(lambda g: _little_endian(array(_UNSIGNED_CODES[width], address(g))))
-        kept_keys = []  # each read's keys, for a TracedBlock
+        planes = int.from_bytes(_bit_planes(samples, size, length), "little")
+        sliding = _sliding_keys(planes, key_widths, positions)
+        address = _address_former([planes] * num_taps, range(num_taps - 1, -1, -1), stride, length)
+        # Every key at every position, position i of a sliding key at V_w's i + offset.
+        columns = [sliding[s[0]][s[1] :] if s else address(bits) for bits, s in keys]
         # Biased reads of every position and group, position-by-cycle, summed.
         total = 0
-        for table, bits, slide, _ in reads:
-            if slide:
-                w, offset = slide
-                addresses = keys[w][offset:]  # position i reads V_w at i + offset
-            else:
-                addresses = address(bits)[::width]  # the low byte of wider items
-            kept_keys.append(addresses)
-            total += int.from_bytes(_read_biased(table, addresses, narrow), "little")
+        for table, i, _ in reads:
+            total += int.from_bytes(_read_biased(table, columns[i], narrow), "little")
         half = 1 << (partial_width - 1)  # each gathered entry's bias
-        for table, group in gathers:
+        for table, low, high in gathers:
             # positions >= 2 addresses, so itemgetter returns a tuple
-            entries = itemgetter(*form(group))(table)
+            entries = itemgetter(*_joined(columns[low], columns[high]))(table)
             total += int.from_bytes(_pack(map(add, entries, repeat(half)), narrow), "little")
         # Every sum is nonnegative, so widening its field is a zero fill.
         sums = total.to_bytes(narrow * positions, "little")
@@ -1280,11 +1292,11 @@ def _block_datapath(
         half = 1 << (8 * narrow - 1)
         tree_sums = (total + (half - bias) * ones) ^ (half * ones)
         if plan.group_size > 8:
-            kept_keys = list(map(form, groups))
+            columns = list(map(_joined, columns[::2], columns[1::2]))
         return TracedBlock(
             outputs,
             stride,
-            tuple(kept_keys),
+            tuple(columns),
             _signed_items(tree_sums.to_bytes(narrow * positions, "little"), narrow),
             _signed_items(b"".join(snapshots), field),
         )

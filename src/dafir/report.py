@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from decimal import Decimal, ROUND_HALF_EVEN
+from decimal import MAX_PREC, ROUND_HALF_EVEN, Context, Decimal
 from typing import Sequence, Union
 
 from .adders import (
@@ -43,6 +43,7 @@ DecimalLike = Union[int, str, float, Decimal]
 
 _CENT = Decimal("0.01")
 _TENTH = Decimal("0.1")
+_EXACT = Context(prec=MAX_PREC)  # products and quantized results keep every digit
 
 
 def _to_decimal(value: DecimalLike) -> Decimal:
@@ -61,14 +62,16 @@ def adp(cells: DecimalLike, time: DecimalLike) -> Decimal:
     """
     c = _to_decimal(cells)
     t = _to_decimal(time)
+    if not (c.is_finite() and t.is_finite()):
+        raise ValueError("cells and time must be finite")
     if c < 0 or t < 0:
         raise ValueError("cells and time must be non-negative")
-    return c * t
+    return _EXACT.multiply(c, t)
 
 
 def format_adp(value: Decimal) -> Decimal:
     """Render an ADP to two decimals (ties to even)."""
-    return value.quantize(_CENT, rounding=ROUND_HALF_EVEN)
+    return value.quantize(_CENT, ROUND_HALF_EVEN, _EXACT)
 
 
 @dataclass(frozen=True)
@@ -212,7 +215,7 @@ def _pct_delta(a: DecimalLike | None, b: DecimalLike | None) -> float | None:
     if da_ == 0:
         return None
     pct = (da_ - db) / da_ * 100
-    return float(pct.quantize(_TENTH, rounding=ROUND_HALF_EVEN))
+    return float(pct.quantize(_TENTH, ROUND_HALF_EVEN, _EXACT))
 
 
 class ArchitectureMismatch(ValueError):

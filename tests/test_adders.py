@@ -290,6 +290,32 @@ class TestCostModel:
         with pytest.raises(ValueError):
             CostModel.from_dict({"fa_gates": -1})
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"cla_block_size": 1}, "cla_block_size must be at least 2, not 1"),
+            ({"cla_block_size": 0}, "cla_block_size must be at least 2, not 0"),
+            ({"fa_gates": True}, "cost-model values must be non-negative integers: ['fa_gates']"),
+            ({"fa_depth": 1.0}, "cost-model values must be non-negative integers: ['fa_depth']"),
+            ({"mux2_gates": -1}, "cost-model values must be non-negative integers: ['mux2_gates']"),
+            ([], "a cost model must be a JSON object, not list"),
+        ],
+    )
+    def test_refuses_what_no_cost_can_be_built_from(self, data, message):
+        with pytest.raises(ValueError) as raised:
+            CostModel.from_dict(data)
+        assert str(raised.value) == message
+
+    def test_lookahead_blocks_have_two_bits_or_more(self):
+        # Lookahead blocks of one bit never narrow the tree, so no cost or sum would end.
+        with pytest.raises(ValueError, match="cla_block_size must be at least 2, not 1"):
+            CostModel(cla_block_size=1)
+        pairs = CostModel(cla_block_size=2)
+        total, carry, cost = cla_add(BitVector(8, 100), BitVector(8, -3), model=pairs)
+        assert (total.value, carry) == (97, 1)
+        assert cost == cla_cost(8, pairs)
+        assert cost.depth > cla_cost(8).depth  # a deeper tree of narrower blocks
+
     def test_round_trips_through_dict(self):
         model = CostModel(mux2_gates=6)
         assert CostModel.from_dict(model.to_dict()) == model

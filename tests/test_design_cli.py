@@ -1322,6 +1322,57 @@ class TestCmdReport:
         assert code == 2
         assert "unknown cost-model keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "model, message",
+        [
+            ('{"cla_block_size": 1}', "cla_block_size must be at least 2, not 1"),
+            ('{"cla_block_size": 0}', "cla_block_size must be at least 2, not 0"),
+            ("[]", "a cost model must be a JSON object, not list"),
+            ('{"fa_gates": true}', "cost-model values must be non-negative integers: ['fa_gates']"),
+        ],
+    )
+    @pytest.mark.parametrize("extra", [(), ("--tree", "csa"), ("--ppg", "mux")])
+    def test_unusable_cost_model_is_one_error_line(self, workspace, capsys, model, message, extra):
+        design = run_design(workspace, "design.json", *extra)
+        cm = workspace / "cm.json"
+        cm.write_text(model)
+        capsys.readouterr()
+        code = main(["report", "--design", str(design), "--cost-model", str(cm)])
+        assert (code, *capsys.readouterr()) == (2, "", f"error: {cm}: {message}\n")
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--time-ns", "NaN"),
+            ("--time-ns", "Infinity"),
+            ("--time-ns", "-Infinity"),
+            ("--time-ns", "1e999999"),
+            ("--power-mw", "NaN"),
+            ("--compare-time-ns", "sNaN"),
+            ("--compare-power-mw", "2e308"),
+        ],
+    )
+    def test_non_finite_figures_are_refused(self, workspace, capsys, flag, value):
+        design = str(run_design(workspace))
+        capsys.readouterr()
+        args = ["report", "--design", design, "--cells", "10", "--time-ns", "2.5"]
+        args += ["--compare", design, "--compare-cells", "10", "--compare-time-ns", "2.5"]
+        code = main([*args, f"{flag}={value}"])  # the flag's last value is the one taken
+        want = f"error: {flag} must be a finite decimal number in double range, got {value!r}\n"
+        assert (code, *capsys.readouterr()) == (2, "", want)
+
+    def test_figures_print_as_json_numbers_or_not_at_all(self, workspace, capsys):
+        design = str(run_design(workspace))
+        capsys.readouterr()
+        # Past the default decimal context's 28 digits, the ADP is still rounded to cents.
+        assert main(["report", "--design", design, "--cells", "10", "--time-ns", "1e30"]) == 0
+        assert json.loads(capsys.readouterr().out)["external"]["adp"] == 1e31
+        # An ADP beyond a double would print as Infinity, which is not JSON.
+        assert main(["report", "--design", design, "--cells", "1000", "--time-ns", "1e306"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: Out of range float values are not JSON compliant")
+
     def test_incomplete_external_pair_rejected(self, workspace, capsys):
         design = run_design(workspace)
         code = main(["report", "--design", str(design), "--cells", "606"])

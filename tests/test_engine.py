@@ -1671,7 +1671,7 @@ class TestBlocks:
 
         def reads_spy(*args):
             route = block_reads(*args)
-            routes.append((len(route[0]), len(route[1])))
+            routes.append((len(route[1]), len(route[2])))
             return route
 
         monkeypatch.setattr(engine, "_split", split_spy)
@@ -1751,19 +1751,29 @@ class TestBlocks:
         # A shuffled plan's pack is formed on each block.
         shuffled = PartitionPlan(2, ((1, 0), (2, 3)), 0)
         assert formed_by(coeff_set([3, -5, 7, -11]), shuffled) == 2
-        # A gathered table is formed on each block; the separable one slides.
+        # A gathered table slides as the separable one does, at its two keys.
         plan = partition_taps(20, 16)
         luts = edited_luts(coeffs, plan, [(0, 257, 1)])
-        assert formed_by(coeffs, plan, luts=luts) == 2
+        assert formed_by(coeffs, plan, luts=luts) == 0
         # Traced blocks read what untraced ones read: consecutive packs slide,
         assert formed_by(coeffs, partition_taps(20, 4), traced=True) == 0
         # a shuffled plan's packs are formed on each block, one key a pack,
         reversed_groups = tuple(tuple(range(g + 3, g - 1, -1)) for g in range(0, 20, 4))
         assert formed_by(coeffs, PartitionPlan(4, reversed_groups, 0), traced=True) == 2 * 3
-        # and M > 8 groups are read as untraced ones are, with one address a
-        # group formed for its key column: a gathered group's once, for both.
-        assert formed_by(coeffs, partition_taps(20, 16), traced=True) == 2 * 2
-        assert formed_by(coeffs, plan, luts=luts, traced=True) == 2 * 2
+        # and M > 8 groups are read as untraced ones are, their key columns
+        # joined from the sliding keys, gathered or not.
+        assert formed_by(coeffs, partition_taps(20, 16), traced=True) == 0
+        assert formed_by(coeffs, plan, luts=luts, traced=True) == 0
+        # verify's lanes form only one-byte keys: an M = 16 group's low and high bytes.
+        formed.clear()
+        windows = [[(-1) ** (i + k) * (37 * (i + k) % 128) for k in range(20)] for i in range(50)]
+        for tables in (None, luts):  # split, then one table gathered
+            checked, _ = verify_windows(
+                coeffs, plan, PpgMode.STORED, input_width=8, windows=windows, luts=tables
+            )
+            assert checked == 50
+        assert len(formed) == 2 * 2 * 2
+        assert all(0 <= j < 8 for key in formed for j, _ in key)
 
     @pytest.mark.parametrize("group_size", [9, 16])
     def test_table_range_is_checked_with_or_without_a_split(self, group_size):

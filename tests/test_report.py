@@ -57,6 +57,18 @@ class TestAdp:
         with pytest.raises(ValueError):
             adp(-1, "2.0")
 
+    @pytest.mark.parametrize("cells, time", [(10, "NaN"), (10, "Infinity"), ("sNaN", 1)])
+    def test_rejects_non_finite(self, cells, time):
+        with pytest.raises(ValueError, match="cells and time must be finite"):
+            adp(cells, time)
+
+    def test_large_figures_are_exact(self):
+        # Beyond the default context's 28 digits, the product and its cents are kept whole.
+        assert format_adp(adp(10, "1e30")) == Decimal("1e31")
+        assert format_adp(adp(3, "0.123456789012345678901234567891")) == Decimal("0.37")
+        assert adp(7, "1234567890123456789012345678.9") == Decimal("8641975230864197523086419752.3")
+        assert _pct_delta("1e-300", "1e300") == float("-inf")
+
 
 class TestEstimateResources:
     def test_partitioned_memory(self):

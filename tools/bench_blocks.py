@@ -24,16 +24,20 @@ table off by one at an address with both bytes nonzero, which makes it
 inseparable; its outputs must equal ``push``'s instead of the oracle's.
 
 Traced rows time what ``dafir run --trace`` does per output at the
-``TRACED_SHAPES``: the command line's trace writer, which runs
+``TRACED_SHAPES``, and at ``EDITED`` (stored, route ``gather``): the
+command line's trace writer, which runs
 ``DaFilter.traced_blocks`` and renders each record (addresses and partials
 looked up at each read's key: in bytes tables built per call for M <= 8,
 in the tables, formatted one by one, above that) and writes them as bytes,
-against a loop of ``DaFilter.push_traced`` with one
+against ``DaFilter.traced_blocks`` alone (``traced_blocks``: the traced
+datapath, whose columns the writer's rendering would otherwise hide) and
+a loop of ``DaFilter.push_traced`` with one
 ``json.dumps`` per cycle record (the path traced runs took before blocks).
 Both write outputs and records to in-memory files (the writer's records to
 a binary one, as ``dafir run`` opens ``--trace``), and the two traces must
 be byte-identical, so every record of the writer is checked against
-``push_traced``; the outputs must equal ``direct_fir``.
+``push_traced``; the outputs must equal ``push_traced``'s, and but for
+``EDITED`` ``direct_fir``'s.
 
 The intake row times, in ms per call, what ``dafir design`` and untraced
 ``dafir run`` do with the stored design at ``INTAKE``: parse and quantize
@@ -210,6 +214,11 @@ def seeded(taps: int, group_size: int, mode: PpgMode, count: int, edited: bool =
     return filt, values, samples
 
 
+def route(group_size: int, edited: bool) -> str:
+    """How blocks of the shape read tables: ``pack``, ``split`` or ``gather``."""
+    return "gather" if edited else "split" if group_size > 8 else "pack"
+
+
 def measure(taps: int, group_size: int, mode: PpgMode, edited: bool = False) -> dict:
     filt, values, samples = seeded(taps, group_size, mode, SAMPLES, edited)
     filt.process(samples[:1])  # warm-up: the first block binds its reads
@@ -230,12 +239,12 @@ def measure(taps: int, group_size: int, mode: PpgMode, edited: bool = False) -> 
         samples,
         len(samples),
     )
-    route = "gather" if edited else "split" if group_size > 8 else "pack"
-    return {"taps": taps, "group_size": group_size, "mode": mode.value, "route": route, **times}
+    shape = {"taps": taps, "group_size": group_size, "mode": mode.value}
+    return {**shape, "route": route(group_size, edited), **times}
 
 
-def measure_traced(taps: int, group_size: int, mode: PpgMode) -> dict:
-    filt, values, samples = seeded(taps, group_size, mode, TRACED_SAMPLES)
+def measure_traced(taps: int, group_size: int, mode: PpgMode, edited: bool = False) -> dict:
+    filt, values, samples = seeded(taps, group_size, mode, TRACED_SAMPLES, edited)
     filt.process(samples[:1])  # warm-up: the first block binds its reads
     files = {}
 
@@ -243,6 +252,11 @@ def measure_traced(taps: int, group_size: int, mode: PpgMode) -> dict:
         filt.reset()
         out, trace = files["traced_block"] = io.StringIO(), io.BytesIO()
         _write_traced(out, trace, filt, xs)
+
+    def datapath(xs):
+        filt.reset()
+        for _ in filt.traced_blocks(xs):
+            pass
 
     def push_traced(xs):
         # The per-sample loop traced runs took before blocks, record by record.
@@ -268,16 +282,24 @@ def measure_traced(taps: int, group_size: int, mode: PpgMode) -> dict:
                 )
 
     times = best_us_per_unit(
-        {"traced_block": traced_blocks, "push_traced": push_traced}, samples, len(samples)
+        {"traced_block": traced_blocks, "traced_blocks": datapath, "push_traced": push_traced},
+        samples,
+        len(samples),
     )
     block_out, block_trace = files["traced_block"]
     push_out, push_trace = files["push_traced"]
-    want = "".join(f"{y}\n" for y in direct_fir(samples, values))
-    if block_out.getvalue() != want or push_out.getvalue() != want:
-        raise SystemExit(f"K={taps} M={group_size} {mode.value}: outputs differ from direct_fir")
+    if not edited:
+        want = "".join(f"{y}\n" for y in direct_fir(samples, values))
+        if push_out.getvalue() != want:
+            raise SystemExit(
+                f"K={taps} M={group_size} {mode.value}: outputs differ from direct_fir"
+            )
+    if block_out.getvalue() != push_out.getvalue():
+        raise SystemExit(f"K={taps} M={group_size} {mode.value}: outputs differ from push_traced")
     if block_trace.getvalue() != push_trace.getvalue().encode():
         raise SystemExit(f"K={taps} M={group_size} {mode.value}: traces differ from push_traced")
-    return {"taps": taps, "group_size": group_size, "mode": mode.value, **times}
+    shape = {"taps": taps, "group_size": group_size, "mode": mode.value}
+    return {**shape, "route": route(group_size, edited), **times}
 
 
 def measure_intake(taps: int, group_size: int, scratch: Path) -> dict:
@@ -492,6 +514,7 @@ def main() -> int:
     for row in rows:
         row["push_over_block"] = round(row["push_ref_us"] / row["block_ref_us"], 2)
     traced_rows = [measure_traced(k, m, mode) for k, m in TRACED_SHAPES for mode in PpgMode]
+    traced_rows.append(measure_traced(*EDITED, PpgMode.STORED, edited=True))
     for row in traced_rows:
         row["push_traced_over_block"] = round(
             row["push_traced_ref_us"] / row["traced_block_ref_us"], 2
@@ -505,7 +528,8 @@ def main() -> int:
         "block = DaFilter.process (route: how its blocks read tables), "
         "push = per-sample DaFilter.push, "
         "direct_fir = the oracle; traced_block = the CLI's trace writer over "
-        "DaFilter.traced_blocks, push_traced = per-sample push_traced with json.dumps per record; "
+        "DaFilter.traced_blocks, traced_blocks = DaFilter.traced_blocks alone, "
+        "push_traced = per-sample push_traced with json.dumps per record; "
         "all_windows / list = verify_windows over all_windows(4, 4) / the same windows in a list; "
         "refused = verify_windows over LANES - 1 of those windows and one refused window, "
         "per checked window; "
@@ -564,8 +588,9 @@ def main() -> int:
     )
     for row in traced_rows:
         print(
-            f"K={row['taps']:>2} M={row['group_size']:>2} {row['mode']:<6} "
+            f"K={row['taps']:>2} M={row['group_size']:>2} {row['mode']:<6} {row['route']:<6} "
             f"traced block {row['traced_block_ref_us']:>7} "
+            f"traced_blocks {row['traced_blocks_ref_us']:>7} "
             f"push_traced {row['push_traced_ref_us']:>7} reference us/output"
         )
     for row in verify_rows:

@@ -17,9 +17,11 @@ two trees is
     python3 tools/cli_digests.py NEW/src > new.json
     cmp old.json new.json
 
-The corpus holds 18 designs: group sizes M = 2, 4 and 9, each in stored
-and mux mode with the ripple, carry-save and carry-lookahead trees, all
-designs of one M sharing their coefficients. Each goes through
+The corpus holds 24 designs: group sizes M = 2, 4, 9 and 16, each in
+stored and mux mode with the ripple, carry-save and carry-lookahead
+trees, all designs of one M sharing their coefficients. At M = 16 the
+taps fill one group and a third of another, so its high address byte
+reads eight taps in one group and none in the other. Each goes through
 ``design``, ``run``, ``run --trace``, ``verify --random``, ``verify
 --exhaustive`` where K·L <= 24, ``report`` and ``report --compare
 --samples`` against the next design of its M. Then come the error cases:
@@ -28,10 +30,11 @@ accumulator overflow table (exit 1), an out-of-range table entry, a bad
 ``tree``, broken JSON, a missing file, ``--seed`` with ``--exhaustive``,
 ``--samples`` without ``--compare``, a sample written ``1_0``, an
 out-of-range and an unparsable coefficient, and designs of different
-shapes compared (each exit 2), and a stored M = 9 design with one table
-that does not split, which blocks and lanes gather entry by entry.
+shapes compared (each exit 2), and stored M = 9 and M = 16 designs with
+one table that does not split, which blocks and lanes gather entry by
+entry, through ``run``, ``run --trace`` and ``verify --random``.
 
-Only the standard library is used; it takes about 25 s on two cores.
+Only the standard library is used; it takes about 30 s on two cores.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ import tempfile
 from pathlib import Path
 
 # (group size, taps K, coefficient width W, input width L); K·L <= 24 for M = 2 and 4.
-FAMILIES = [(2, 4, 8, 4), (4, 6, 10, 3), (9, 11, 12, 8)]
+FAMILIES = [(2, 4, 8, 4), (4, 6, 10, 3), (9, 11, 12, 8), (16, 20, 12, 8)]
 MODES = ["stored", "mux"]
 TREES = ["ripple", "csa", "cla"]
 SAMPLES = 1500  # two blocks of outputs
@@ -86,9 +89,9 @@ def edited(root: Path, source: str, target: str, edit) -> None:
 
 
 def unsplit(data: dict) -> None:
-    """Table 0 of an M = 9 design as its 512 entries, one of them off by one: it cannot split."""
-    halves = data["luts"][0]
-    table = [halves["high"][a >> 8] + halves["low"][a & 255] for a in range(512)]
+    """Table 0 of an M > 8 design as its 2^M entries, one of them off by one: it cannot split."""
+    low, high = data["luts"][0]["low"], data["luts"][0]["high"]
+    table = [high[a >> 8] + low[a & 255] for a in range(256 * len(high))]
     table[257] += 1  # both address bytes nonzero
     data["luts"][0] = table
 
@@ -142,6 +145,7 @@ def corpus(root: Path):
     edited(root, good, "out_of_range.json", out_of_range)
     edited(root, good, "bad_tree.json", bad_tree)
     edited(root, "m9-stored-cla.json", "unsplit.json", unsplit)
+    edited(root, "m16-stored-cla.json", "unsplit16.json", unsplit)
     (root / "broken.json").write_text((root / good).read_text()[:40])
     yield "corrupt/run", ["run", "--design", "corrupt.json", "--samples", "s2.txt",
                           "--out", "corrupt.out"]
@@ -178,10 +182,13 @@ def corpus(root: Path):
     yield "overflow/run", ["run", "--design", "overflow.json", "--samples", "s_overflow.txt",
                            "--out", "overflow.out"]
     yield "overflow/verify-exhaustive", ["verify", "--design", "overflow.json", "--exhaustive"]
-    unsplit_run = ["run", "--design", "unsplit.json", "--samples", "s9.txt"]
-    yield "unsplit/run", [*unsplit_run, "--out", "unsplit.out"]
-    yield "unsplit/run-trace", [*unsplit_run, "--out", "unsplit.tout", "--trace", "unsplit.jsonl"]
-    yield "unsplit/verify-random", ["verify", "--design", "unsplit.json", "--random", "2000"]
+    for name, m in (("unsplit", 9), ("unsplit16", 16)):
+        unsplit_run = ["run", "--design", f"{name}.json", "--samples", f"s{m}.txt"]
+        yield f"{name}/run", [*unsplit_run, "--out", f"{name}.out"]
+        yield f"{name}/run-trace", [
+            *unsplit_run, "--out", f"{name}.tout", "--trace", f"{name}.jsonl",
+        ]
+        yield f"{name}/verify-random", ["verify", "--design", f"{name}.json", "--random", "2000"]
 
 
 def main(argv: list[str]) -> int:
