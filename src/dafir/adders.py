@@ -184,50 +184,47 @@ def _ripple_planes(a: Planes, b: Planes, carry: int) -> tuple[Planes, int]:
     return out, carry
 
 
-def _prefix_terms(gs: Sequence[int], ps: Sequence[int], mask: int) -> list[tuple[int, int]]:
-    """Flat lookahead terms of one block, O(m^2) through shared suffix products.
-
-    Entry j is (G, P) with G = OR_{i<j} (g_i AND p_{i+1..j-1}) and
-    P = p_0..p_{j-1}, so the carry into position j is G OR (P AND cin): an
-    expansion over the block's inputs that never reads carry j-1. Entry m
-    is the block's own generate and propagate.
-    """
-    terms = [(0, mask)]
-    for top in range(len(gs)):  # entry top + 1
-        generate = 0
-        suffix = mask  # p_{i+1..top} as i falls from top
-        for g, p in zip(gs[top::-1], ps[top::-1]):
-            generate |= g & suffix
-            suffix &= p
-        terms.append((generate, suffix))
-    return terms
-
-
-def _lookahead_carries(
-    gs: Sequence[int], ps: Sequence[int], cin: int, block: int, mask: int
-) -> tuple[list[int], int]:
-    # Hierarchical lookahead: blocks of `block` positions, recursing over
-    # block (G, P) pairs until one block covers everything.
-    if len(gs) <= block:
-        carries = [g | (p & cin) for g, p in _prefix_terms(gs, ps, mask)]
-        return carries[:-1], carries[-1]
-    blocks = [
-        _prefix_terms(gs[i : i + block], ps[i : i + block], mask)
-        for i in range(0, len(gs), block)
-    ]
-    block_cins, carry_out = _lookahead_carries(
-        [t[-1][0] for t in blocks], [t[-1][1] for t in blocks], cin, block, mask
-    )
-    carries = [g | (p & c) for t, c in zip(blocks, block_cins) for g, p in t[:-1]]
-    return carries, carry_out
-
-
 def _cla_planes(a: Planes, b: Planes, carry: int, mask: int, block: int) -> tuple[Planes, int]:
-    """Block carry-lookahead addition; the sum planes and the carry-out plane."""
-    gs = [x & y for x, y in zip(a, b)]
-    ps = [x ^ y for x, y in zip(a, b)]
-    carries, carry_out = _lookahead_carries(gs, ps, carry, block, mask)
-    return [p ^ c for p, c in zip(ps, carries)], carry_out
+    """Block carry-lookahead addition; the sum planes and the carry-out plane.
+
+    Positions form blocks of ``block``, and each block's own (G, P) is a
+    position of the level above, until one pair covers everything. Going
+    up, position j of a block gets the (G, P) of the block's bits 0..j:
+    G = OR_{i<=j} (g_i AND p_{i+1..j}) and P = p_0..p_j, a flat expansion
+    over the block's own g/p through shared suffix products that never
+    reads a carry. Going down, the carry into position j + 1 is G OR
+    (P AND the block's carry-in). Each level's terms are two flat lists.
+    """
+    g = [x & y for x, y in zip(a, b)]
+    p = ps = [x ^ y for x, y in zip(a, b)]
+    levels = []
+    while len(g) > 1:  # up
+        terms_g, terms_p, up_g, up_p = [], [], [], []
+        n = len(g)
+        for start in range(0, n, block):
+            for top in range(start, min(start + block, n)):
+                generate, suffix = g[top], p[top]
+                i = top
+                while i > start:
+                    i -= 1
+                    generate |= g[i] & suffix
+                    suffix &= p[i]
+                terms_g.append(generate)
+                terms_p.append(suffix)
+            up_g.append(generate)
+            up_p.append(suffix)
+        levels.append((terms_g, terms_p))
+        g, p = up_g, up_p
+    carry_out = g[0] | (p[0] & carry)
+    carries = [carry & mask]  # P of no bits is the empty AND: every lane
+    for g, p in reversed(levels):  # down
+        cins, carries = carries, []
+        n = len(g)
+        for start, cin in zip(range(0, n, block), cins):
+            carries.append(cin)
+            for j in range(start, min(start + block, n) - 1):
+                carries.append(g[j] | (p[j] & cin))
+    return [x ^ c for x, c in zip(ps, carries)], carry_out
 
 
 def _csa_planes(operands: list[Planes]) -> list[Planes]:

@@ -418,12 +418,17 @@ def _spreader(width: int, field: int) -> Callable[[Sequence[int]], list[int]]:
 
     A value's pattern is its low ``width`` bits, its two's complement for
     a negative value. One 256-entry byte table per (width, field) does the
-    spreading, so memory stays flat at any width.
+    spreading (with a shifted copy for the high byte of 9- to 16-bit
+    values), so memory stays flat at any width.
     """
     table = tuple(sum(((b >> i) & 1) << (i * field) for i in range(8)) for b in range(256))
     pattern = (1 << width) - 1
     if width <= 8:
         return lambda values: [table[x & pattern] for x in values]
+    if width <= 16:
+        high = tuple(word << (8 * field) for word in table)
+        top = pattern >> 8
+        return lambda values: [table[x & 255] | high[(x >> 8) & top] for x in values]
     steps = tuple((k, k * field) for k in range(8, width, 8))
 
     def spread(values: Sequence[int]) -> list[int]:
@@ -1076,16 +1081,17 @@ def _accumulate(sums: list[int], tree: AdderKind, count: int, length: int) -> li
     """
     block = DEFAULT_COST_MODEL.cla_block_size
     lanes = (1 << count) - 1
-    acc: list[int] = []  # planes 0 to tree width + n of the sum after cycle n
-    for n in range(length):
-        t = [(p >> (n * count)) & lanes for p in sums]
-        high = acc[n:] + acc[-1:] if acc else [0] * (len(sums) + 1)
-        if n == length - 1:
-            addend = [p ^ lanes for p in t + t[-1:]]
-            acc = acc[:n] + _cpa_planes(tree, high, addend, lanes, lanes, block)
-        else:
-            acc = acc[:n] + _cpa_planes(tree, high, t + t[-1:], 0, lanes, block)
-    return acc
+    settled: list[int] = []  # planes 0 to n - 1, below cycle n's adder
+    acc = [0] * (len(sums) + 1)  # planes n to tree width + n
+    for n in range(length - 1):
+        addend = [(p >> (n * count)) & lanes for p in sums]
+        addend.append(addend[-1])
+        acc = _cpa_planes(tree, acc, addend, 0, lanes, block)
+        settled.append(acc.pop(0))
+        acc.append(acc[-1])
+    addend = [((p >> ((length - 1) * count)) & lanes) ^ lanes for p in sums]
+    addend.append(addend[-1])
+    return settled + _cpa_planes(tree, acc, addend, lanes, lanes, block)
 
 
 def _window_datapath(
@@ -1114,16 +1120,14 @@ def _window_datapath(
     block = DEFAULT_COST_MODEL.cla_block_size
     every = (1 << length) - 1  # every cycle
     spread = _spreader(tree_width, length)
-    cycles = range(length)
+    cycles = tuple(range(length)) * plan.num_groups  # the cycle of each group-major entry
     offsets = range(0, tree_width * length, length)  # of each operand plane in a word
 
     def run(entries: Sequence[int]) -> int:
         """The gate-level value of a window whose group-major entries are ``entries``."""
-        words = spread(entries)
-        operands = []
-        for g in range(0, len(words), length):
-            word = sum(map(lshift, words[g : g + length], cycles))
-            operands.append([(word >> b) & every for b in offsets])
+        shifted = map(lshift, spread(entries), cycles)
+        words = map(sum, zip(*[shifted] * length))  # L at a time: a group's entries, OR'd
+        operands = [[(word >> b) & every for b in offsets] for word in words]
         acc = _accumulate(_tree_planes(operands, tree, every, block), tree, 1, length)
         value = sum(map(lshift, acc, range(acc_width)))
         return value - ((value >> (acc_width - 1)) << acc_width)

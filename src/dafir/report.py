@@ -11,6 +11,7 @@ ADP is cells times nanoseconds, computed in exact decimal arithmetic.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from decimal import MAX_PREC, ROUND_HALF_EVEN, Context, Decimal
 from typing import Sequence, Union
@@ -44,6 +45,7 @@ DecimalLike = Union[int, str, float, Decimal]
 _CENT = Decimal("0.01")
 _TENTH = Decimal("0.1")
 _EXACT = Context(prec=MAX_PREC)  # products and quantized results keep every digit
+_DOUBLE_MAX = Decimal(sys.float_info.max)  # figures are reported as JSON numbers
 
 
 def _to_decimal(value: DecimalLike) -> Decimal:
@@ -66,6 +68,8 @@ def adp(cells: DecimalLike, time: DecimalLike) -> Decimal:
         raise ValueError("cells and time must be finite")
     if c < 0 or t < 0:
         raise ValueError("cells and time must be non-negative")
+    if c > _DOUBLE_MAX or t > _DOUBLE_MAX:
+        raise ValueError("cells and time must be within double range")
     return _EXACT.multiply(c, t)
 
 
@@ -81,6 +85,15 @@ class ExternalFigures:
     cells: int
     time_ns: Decimal
     power_mw: Decimal | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("time_ns", "power_mw"):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            number = _to_decimal(value)
+            if not (number.is_finite() and abs(number) <= _DOUBLE_MAX):
+                raise ValueError(f"{name} must be finite and within double range, got {value}")
 
     @property
     def adp(self) -> Decimal:

@@ -1,7 +1,7 @@
 """Gate-level adder models: exact values and the declared cost model."""
 
 import random
-from itertools import chain, repeat
+from itertools import chain, cycle, product, repeat
 from operator import and_
 
 import pytest
@@ -170,6 +170,12 @@ def counting_planes(bits):
     return planes
 
 
+def unsigned_planes(values, width):
+    """Planes of unsigned values: bit i of plane b is bit b of value i."""
+    values = list(values)
+    return [sum(((v >> b) & 1) << i for i, v in enumerate(values)) for b in range(width)]
+
+
 class TestLanes:
     """The gate-level core on many lanes at once, each lane one test vector."""
 
@@ -185,6 +191,21 @@ class TestLanes:
         assert want[11] == 0
         for planes, carry in (_ripple_planes(a, b, cin), _cla_planes(a, b, cin, mask, 4)):
             assert planes + [carry] == want[:11]
+
+    def test_cla_planes_equal_ripple_planes_and_integer_addition(self):
+        # Blocks of 2 to 5 over widths 1 to 70 take 1 to 7 lookahead levels;
+        # every lane adds its own words and carry-in, and keeps its carry-out.
+        rng = random.Random(70)
+        lane_counts = cycle(range(1, 65))
+        for width, block in product(range(1, 71), range(2, 6)):
+            lanes = next(lane_counts)
+            a, b = ([rng.getrandbits(width) for _ in range(lanes)] for _ in range(2))
+            cin = [rng.getrandbits(1) for _ in range(lanes)]
+            args = unsigned_planes(a, width), unsigned_planes(b, width), unsigned_planes(cin, 1)[0]
+            planes, carry = _cla_planes(*args, (1 << lanes) - 1, block)
+            want = unsigned_planes(map(sum, zip(a, b, cin)), width + 1)
+            assert planes + [carry] == want, (width, block, lanes)
+            assert _ripple_planes(*args) == (planes, carry)
 
     def test_csa_keeps_every_sum_of_three_seven_bit_words(self):
         # Lane t = x + 2^7 y + 2^14 z; the two outputs add up to x + y + z mod 2^7.

@@ -208,6 +208,16 @@ class TestAddressing:
             assert address_for_cycle([-1], plan, n) == (1,)
         assert traced_addresses([-1], plan, 4) == [(1,)] * 4
 
+    def test_spread_words_move_bit_b_to_b_times_field(self):
+        # One byte, two bytes (one lookup each) and wider values take three routes.
+        rng = random.Random(16)
+        values = [rng.randrange(-(1 << 40), 1 << 40) for _ in range(40)] + [0, -1]
+        for width, field in product(range(1, 33), (1, 4, 8, 16)):
+            want = [
+                sum(((x >> b) & 1) << (b * field) for b in range(width)) for x in values
+            ]
+            assert engine._spreader(width, field)(values) == want, (width, field)
+
 
 class TestInnerProduct:
     def test_delay_line_of_another_length_is_refused(self):

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+import sys
 from decimal import Decimal
 
 import pytest
@@ -68,6 +69,33 @@ class TestAdp:
         assert format_adp(adp(3, "0.123456789012345678901234567891")) == Decimal("0.37")
         assert adp(7, "1234567890123456789012345678.9") == Decimal("8641975230864197523086419752.3")
         assert _pct_delta("1e-300", "1e300") == float("-inf")
+
+    @pytest.mark.parametrize(
+        "cells, time", [(10, "1e999999"), (10, "1e309"), (10**309, 1), ("2e308", "0")]
+    )
+    def test_rejects_figures_past_a_double(self, cells, time):
+        # 1e999999 once overflowed the exact context and raised decimal.Overflow instead.
+        with pytest.raises(ValueError, match="cells and time must be within double range"):
+            adp(cells, time)
+
+    def test_the_largest_double_is_a_figure(self):
+        largest = Decimal(sys.float_info.max)
+        assert adp(1, largest) == largest
+        assert ExternalFigures(1, largest).to_dict()["time_ns"] == sys.float_info.max
+
+    @pytest.mark.parametrize(
+        "time_ns, power_mw, name",
+        [
+            (Decimal("1e400"), None, "time_ns"),
+            (Decimal("NaN"), None, "time_ns"),
+            (Decimal("2.5"), Decimal("-1e400"), "power_mw"),
+            (Decimal("2.5"), Decimal("Infinity"), "power_mw"),
+        ],
+    )
+    def test_external_figures_past_a_double_are_refused(self, time_ns, power_mw, name):
+        # to_dict once reported 1e400 as the float inf.
+        with pytest.raises(ValueError, match=f"{name} must be finite and within double range"):
+            ExternalFigures(10, time_ns, power_mw)
 
 
 class TestEstimateResources:

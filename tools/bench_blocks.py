@@ -84,6 +84,14 @@ timed around each call in separate runs of the same windows (best of
 ``REPEATS``, raw, timer calls included), so ``bit_level_us - gate_us`` is
 what a window costs outside them.
 
+CLA rows time the gate-level carry-lookahead adder (``adders._cla_planes``)
+per call at the probe's adder widths: 10 bits (the tree's adders) and 11
+(the accumulator's, one bit wider), on one lane (a probe window) and on
+``4 * LANES`` lanes (the L = 4 cycles of a ``verify_windows`` chunk), each
+lane a seeded pair of words and a carry-in. Every result must equal the
+ripple adder's (``adders._ripple_planes``). The probe rows' ``gate_us``,
+beside them in the file, is the time a window spends in all of its adders.
+
 The halves verify row times, in ms per call, ``verify_windows`` over
 ``HALVES_WINDOWS`` seeded random windows (what ``dafir verify --random
 64`` checks) on the stored design at ``HALVES_VERIFY``, saved as
@@ -126,7 +134,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "benchmarks"))
 
 from dafir import engine  # noqa: E402
-from dafir.adders import AdderKind  # noqa: E402
+from dafir.adders import DEFAULT_COST_MODEL, AdderKind, _cla_planes, _ripple_planes  # noqa: E402
 from dafir.cli import _parse_coefficients, _write_traced  # noqa: E402
 from dafir.design import ArchConfig, DesignFile, rederive_luts  # noqa: E402
 from dafir.engine import (  # noqa: E402
@@ -155,6 +163,9 @@ VERIFY_CONFIGS = ((PpgMode.STORED, 4), (PpgMode.STORED, 2), (PpgMode.MUX, 2), (P
 VERIFY_TAPS, VERIFY_COEFF_WIDTH, VERIFY_INPUT_WIDTH = 4, 8, 4
 PROBE_CONFIG = (PpgMode.MUX, 1)  # the verify workload's gate-level probe
 PROBE_WINDOWS = 1200
+CLA_WIDTHS = (10, 11)  # the probe's tree adders and accumulator adders
+CLA_LANES = (1, 4 * LANES)  # a probe window; a verify chunk's L = 4 cycles
+CLA_CALLS = {1: 2000, 4 * LANES: 500}
 HALVES_VERIFY = (64, 16)  # (K, M) of the stored halves design verify is timed on
 HALVES_WINDOWS = 64
 WIDTH = 16  # coefficient and sample bits
@@ -473,6 +484,26 @@ def gate_seconds(run, arg) -> float:
     return spent
 
 
+def measure_cla() -> list[dict]:
+    rng = random.Random(f"{SEED}:cla")
+    block = DEFAULT_COST_MODEL.cla_block_size
+    rows = []
+    for width in CLA_WIDTHS:
+        for lanes in CLA_LANES:
+            a, b = ([rng.getrandbits(lanes) for _ in range(width)] for _ in range(2))
+            cin, mask, calls = rng.getrandbits(lanes), (1 << lanes) - 1, CLA_CALLS[lanes]
+            if _cla_planes(a, b, cin, mask, block) != _ripple_planes(a, b, cin):
+                raise SystemExit(f"cla {width} bits, {lanes} lanes: differs from ripple")
+
+            def cla(_):
+                for _ in range(calls):
+                    _cla_planes(a, b, cin, mask, block)
+
+            times = best_us_per_unit({"cla": cla}, None, calls)
+            rows.append({"width": width, "lanes": lanes, "block": block, **times})
+    return rows
+
+
 def measure_halves_verify(taps: int, group_size: int, scratch: Path) -> dict:
     _, values, _ = seeded(taps, group_size, PpgMode.STORED, 0)
     coeffs = CoefficientSet.from_integers(values, FixedFormat(WIDTH))
@@ -521,6 +552,7 @@ def main() -> int:
         )
     verify_rows = [measure_verify(mode, m) for mode, m in VERIFY_CONFIGS]
     probe_rows = measure_probe()
+    cla_rows = measure_cla()
     record = {
         "what": "us per output (rows, traced_rows) or per window (verify_rows), raw (_us) and "
         "in reference us (_ref_us: scaled to the reference loop taking reference_seconds, "
@@ -536,6 +568,8 @@ def main() -> int:
         "probe_rows: us per window of da_inner_product(bit_level=True) per tree at mux M = 1, "
         "the verify workload's gate-level probe, with gate_us its time inside "
         "engine._tree_planes and engine._cpa_planes (raw, best of REPEATS); "
+        "cla_rows: us per adders._cla_planes call at the probe's adder widths, on one lane "
+        "and on the lanes of a verify chunk's cycles; "
         "intake: ms per call (_ms, _ref_ms) of quantize = cli._parse_coefficients of the "
         "K coefficients as 9-decimal text, create = DesignFile.create from the "
         "coefficients, save = DesignFile.save of the design (tables as halves), "
@@ -569,6 +603,7 @@ def main() -> int:
         "traced_rows": traced_rows,
         "verify_rows": verify_rows,
         "probe_rows": probe_rows,
+        "cla_rows": cla_rows,
         "halves_verify": halves_verify,
     }
     (ROOT / "BENCH_blocks.json").write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
@@ -604,6 +639,11 @@ def main() -> int:
             f"K={row['taps']:>2} M={row['group_size']:>2} {row['mode']:<6} "
             f"probe {row['tree']:<8} bit_level {row['bit_level_ref_us']:>6} reference us/window, "
             f"raw {row['bit_level_us']:>6} of which gates {row['gate_us']:>6}"
+        )
+    for row in cla_rows:
+        print(
+            f"cla {row['width']:>2} bits, {row['lanes']:>4} lanes: {row['cla_ref_us']:>7} "
+            f"reference us/call, raw {row['cla_us']:>7}"
         )
     print(
         f"K={halves_verify['taps']:>2} M={halves_verify['group_size']:>2} stored halves verify "
