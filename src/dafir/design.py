@@ -136,7 +136,7 @@ class DesignFile:
 
     @classmethod
     def create(cls, arch: ArchConfig, coefficients: CoefficientSet) -> "DesignFile":
-        """Derive plan and (stored mode) tables from scratch; M > 8 tables as their halves."""
+        """Derive plan and (stored mode) tables from scratch, kept as the parts their keys read."""
         if len(coefficients) != arch.num_taps:
             raise DesignError(
                 f"architecture declares {arch.num_taps} taps, got {len(coefficients)}"

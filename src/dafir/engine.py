@@ -36,6 +36,7 @@ from .numerics import (
     AccumulatorOverflow,
     CoefficientSet,
     FixedFormat,
+    _all_in,
     required_accumulator_width,
 )
 
@@ -178,7 +179,7 @@ def build_lut(coeffs: CoefficientSet, group: Sequence[TapIndex]) -> DaLut:
     return DaLut(members, tuple(_subset_sums(coeffs.values, members)))
 
 
-_Halves = tuple[tuple[int, ...], tuple[int, ...]]  # a table's T[:256] and T[::256]
+_Parts = tuple[tuple[int, ...], ...]  # the tables a group's one-byte keys read (:func:`_keys`)
 
 
 class _CheckedTables(Sequence):
@@ -186,19 +187,20 @@ class _CheckedTables(Sequence):
 
     Only ``check_tables`` and :func:`_subset_tables` make one. Its tables
     are tuples of ints, so the same tables checked for the same shape pass
-    again without a scan. ``halves`` holds each table's halves, None for
-    M <= 8 and for a table that does not split (:func:`_split`). A table
-    given as its halves is formed from them, T[256h + l] = high[h] +
-    low[l], when the scalar schedule (``push``, a window ``verify``
-    flags) or the trace writer first reads it: blocks, traced or not, and
-    ``verify``'s lanes read the halves alone.
+    again without a scan. ``parts`` holds each table as what its keys
+    read (:func:`_keys`): ``(T,)`` for M <= 8, its halves for a table that
+    splits (:func:`_split`), None for one that does not. A table given as
+    its halves is formed from them (:func:`_pack_table`) when the scalar
+    schedule (``push``, a window ``verify`` flags) or the trace writer
+    first reads it: blocks, traced or not, and ``verify``'s lanes read
+    the parts alone.
     """
 
     def __init__(
-        self, tables: list[tuple[int, ...] | None], halves: Sequence[_Halves | None], shape: tuple
+        self, tables: list[tuple[int, ...] | None], parts: Sequence[_Parts | None], shape: tuple
     ) -> None:
-        self._tables = tables  # None: not formed from its halves yet
-        self.halves = tuple(halves)
+        self._tables = tables  # None: not formed from its parts yet
+        self.parts = tuple(parts)
         self.shape = shape
 
     def __len__(self) -> int:
@@ -207,8 +209,7 @@ class _CheckedTables(Sequence):
     def __getitem__(self, g: int) -> tuple[int, ...]:
         table = self._tables[g]
         if table is None:
-            low, high = self.halves[g]
-            table = self._tables[g] = tuple([h + v for h in high for v in low])
+            table = self._tables[g] = tuple(_pack_table(self.parts[g]))
         return table
 
     def __eq__(self, other: object) -> bool:
@@ -223,7 +224,7 @@ class _CheckedTables(Sequence):
         return f"_CheckedTables({tuple(self)!r})"
 
 
-def _given_halves(table: dict, size: int, i: int) -> _Halves:
+def _given_halves(table: dict, size: int, i: int) -> _Parts:
     """Table i's ``{"low": T[:256], "high": T[::256]}`` as its halves, of a table of ``size``.
 
     Both halves hold ints, and start at 0, as the halves of every table
@@ -256,11 +257,11 @@ def check_tables(
     splits (T[256h + l] == T[256h] + T[l] for every h and l), the object
     ``{"low": T[:256], "high": T[::256]}``. An entry no sum of M
     coefficients could take is refused before it can reach an accumulator;
-    design files and injected tables share this check. A split table's
-    entries range from its halves' least sum to their greatest, so one
-    given as halves is checked, and kept, without forming its entries.
-    Tables this function returned pass again at once for the same group
-    size, group count and coefficient width (a loaded design's filter).
+    design files and injected tables share this check. A table's entries
+    range from its parts' least sum to their greatest, so one given as
+    halves is checked, and kept, without forming its entries. Tables this
+    function returned pass again at once for the same group size, group
+    count and coefficient width (a loaded design's filter).
     """
     shape = (plan.group_size, plan.num_groups, coeff_width)
     if type(luts) is _CheckedTables and luts.shape == shape:
@@ -270,10 +271,10 @@ def check_tables(
     want = 1 << plan.group_size
     bound = 1 << (partial_product_width(coeff_width, plan.group_size) - 1)
     tables = []
-    splits = []
+    table_parts = []
     for i, entries in enumerate(luts):
         if isinstance(entries, dict) and plan.group_size > 8:
-            table, halves = None, _given_halves(entries, want, i)
+            table, parts = None, _given_halves(entries, want, i)
         elif (
             not isinstance(entries, (list, tuple))
             or len(entries) != want
@@ -282,36 +283,33 @@ def check_tables(
             raise ValueError(f"table {i} must be a list of {want} integers")
         else:
             table = tuple(entries)
-            halves = _split(table) if plan.group_size > 8 else None
-        lo, hi = (sum(map(extreme, halves or (table,))) for extreme in (min, max))
+            parts = _split(table) if plan.group_size > 8 else (table,)
+        lo, hi = (sum(map(extreme, parts or (table,))) for extreme in (min, max))
         if lo < -bound or hi >= bound:
-            if table is None:
-                low, high = halves
-                table = (h + v for h in high for v in low)  # in address order
-            v = next(v for v in table if not -bound <= v < bound)
+            v = next(v for v in table or _pack_table(parts) if not -bound <= v < bound)
             raise ValueError(
                 f"table {i} entry {v} cannot be a sum of "
                 f"{plan.group_size} coefficients of {coeff_width} bits"
             )
         tables.append(table)
-        splits.append(halves)
-    return _CheckedTables(tables, splits, shape)
+        table_parts.append(parts)
+    return _CheckedTables(tables, table_parts, shape)
 
 
 def _subset_tables(coeffs: CoefficientSet, plan: PartitionPlan) -> _CheckedTables:
-    """Every group's subset sums as checked tables; above 8 members as the halves they split into.
+    """Every group's subset sums as checked tables, kept as the parts its keys read.
 
-    A group's low half is the subset sums of its first 8 members and its
-    high half those of the rest, so its whole table is formed only when
-    it is first read. Subset sums never leave the partial-product width.
+    Part r is the subset sums of members 8r to 8r + 7, so a table of more
+    than 8 members is formed only when it is first read. Subset sums
+    never leave the partial-product width.
     """
     values = coeffs.values
     shape = (plan.group_size, plan.num_groups, coeffs.format.width)
-    if plan.group_size <= 8:
-        tables = [tuple(_subset_sums(values, g)) for g in plan.groups]
-        return _CheckedTables(tables, [None] * len(tables), shape)
-    halves = [tuple(tuple(_subset_sums(values, h)) for h in (g[:8], g[8:])) for g in plan.groups]
-    return _CheckedTables([None] * len(halves), halves, shape)
+    parts = [
+        tuple(tuple(_subset_sums(values, g[i : i + 8])) for i in range(0, len(g), 8))
+        for g in plan.groups
+    ]
+    return _CheckedTables([p[0] if len(p) == 1 else None for p in parts], parts, shape)
 
 
 def _table_forms(luts: Sequence[Sequence[int]]) -> list:
@@ -319,15 +317,15 @@ def _table_forms(luts: Sequence[Sequence[int]]) -> list:
 
     A table of more than 256 entries splits as in :func:`_split`; any
     other table is given as itself, its entries. Checked tables give the
-    halves they keep, so no table is split again or formed from halves.
+    parts they keep, so no table is split again or formed from halves.
     """
     if type(luts) is _CheckedTables:
-        halves = luts.halves
+        parts = luts.parts
     else:
-        halves = [_split(table) if len(table) > 256 else None for table in luts]
+        parts = [_split(table) if len(table) > 256 else None for table in luts]
     return [
-        {"low": list(pair[0]), "high": list(pair[1])} if pair else luts[g]
-        for g, pair in enumerate(halves)
+        {"low": list(pair[0]), "high": list(pair[1])} if pair and len(pair) == 2 else luts[g]
+        for g, pair in enumerate(parts)
     ]
 
 
@@ -383,12 +381,6 @@ class TracedBlock(NamedTuple):
 
 
 _format = functools.lru_cache(maxsize=None)(FixedFormat)  # one per input width
-
-
-def _all_in(samples: Sequence[int], fmt: FixedFormat) -> bool:
-    """Whether every one of ``samples`` is an ``int`` within ``fmt``, checked at C level."""
-    lo, hi = fmt.min_value, fmt.max_value
-    return set(map(type, samples)) == {int} and lo <= min(samples) and max(samples) <= hi
 
 
 def _check_inputs(
@@ -654,9 +646,9 @@ class DaFilter:
         Stored mode's are its checked tables as given (edited entries
         included); otherwise they are the subset sums of its coefficients.
         Either is kept from construction on. Above 8 members, a table given
-        as its halves, or derived, is formed from them (``tables().halves``)
+        as its halves, or derived, is formed from them (``tables().parts``)
         when ``push`` or the trace writer first reads it; blocks, traced or
-        not, read the halves alone.
+        not, read the parts alone.
         """
         return self._tables
 
@@ -994,15 +986,13 @@ def _lane_datapath(
     little-endian fields. Returns the function and the bytes per field it
     expects of them.
 
-    With M <= 8 a group's reads are the blocks' byte-plane reads of its
-    entries biased by 2^(width - 1), which differ from the entries' two's
-    complement in the top bit alone: the read buffer's planes, the top one
-    inverted, are the entries' planes. Above that a table with halves is
-    read as blocks read it, each half at one of the group's two keys,
-    T[a] = low[a & 255] + high[a >> 8]: the two biases add 2^width, which
-    the entries' low ``width`` planes drop. Only a table without halves is
-    gathered whole, at its keys joined into addresses, so no table kept as
-    its halves is formed.
+    A group's reads are the blocks' byte-plane reads of its table's parts
+    (``parts`` of :class:`_CheckedTables`), each at its key, biased by
+    2^(width - 1) and summed: T[a], or low[a & 255] + high[a >> 8]. One
+    biased part differs from the entries' two's complement in the top
+    plane alone, which is inverted; two biases add 2^width, which the
+    low ``width`` planes drop. Only a table without parts is gathered
+    whole, at its keys joined into addresses.
     """
     length = input_width
     num_taps = len(coeffs)
@@ -1014,13 +1004,9 @@ def _lane_datapath(
     field = _field_size(acc_width)
     block = DEFAULT_COST_MODEL.cla_block_size
     size = _item_size(length)  # bytes per sample item
-    bytewise = plan.group_size <= 8
-    if bytewise:
-        entry_size = -(-partial_width // 8)  # bytes per byte-plane read
-        reads = [_byte_planes(t, partial_width) for t in tables]
-    else:  # each biased half is below 2^width, so their sum takes one byte more at most
-        entry_size = -(-(partial_width + 1) // 8)
-        reads = [pair and [_byte_planes(h, partial_width) for h in pair] for pair in tables.halves]
+    reads = [parts and [_byte_planes(p, partial_width) for p in parts] for parts in tables.parts]
+    # Bytes per entry of n biased parts' sum: each is below 2^width, so two take a bit more.
+    entry_sizes = (0, -(-partial_width // 8), -(-(partial_width + 1) // 8))
 
     def run(columns: Sequence[bytes], expected: bytes) -> Iterator[tuple[int, int]]:
         """(lane, datapath value) of each window, in order, whose value is not ``expected``'s."""
@@ -1032,22 +1018,20 @@ def _lane_datapath(
         for g, (read, group) in enumerate(zip(reads, keys)):
             # byte n*count + i of a key column is lane i's key at cycle n
             key_columns = list(map(address, group))
-            if bytewise:
-                parts = _packed_planes(
-                    _read_biased(read, key_columns[0], entry_size), entry_size, partial_width
-                )
-                parts[-1] ^= every
-            elif read:  # the halves, at the low key and at the high key
-                low, high = (
-                    int.from_bytes(_read_biased(half, column, entry_size), "little")
-                    for half, column in zip(read, key_columns)
-                )
-                total = (low + high).to_bytes(entry_size * count * length, "little")
-                parts = _packed_planes(total, entry_size, partial_width)
+            if read:
+                entry_size = entry_sizes[len(read)]
+                data = _read_biased(read[0], key_columns[0], entry_size)
+                if len(read) > 1:  # the high half, at the high key
+                    high = _read_biased(read[1], key_columns[1], entry_size)
+                    total = int.from_bytes(data, "little") + int.from_bytes(high, "little")
+                    data = total.to_bytes(len(data), "little")
+                bits = _packed_planes(data, entry_size, partial_width)
+                if len(read) == 1:
+                    bits[-1] ^= every
             else:
                 # count * length >= 2 addresses, so itemgetter returns a tuple
-                parts = _lane_planes(itemgetter(*_joined(*key_columns))(tables[g]), partial_width)
-            operands.append(parts + parts[-1:] * (tree_width - partial_width))
+                bits = _lane_planes(itemgetter(*_joined(*key_columns))(tables[g]), partial_width)
+            operands.append(bits + bits[-1:] * (tree_width - partial_width))
         # Cycle n is lanes [n*count, (n+1)*count) of the tree's planes.
         acc = _accumulate(_tree_planes(operands, tree, every, block), tree, count, length)
         diff = 0
@@ -1162,10 +1146,9 @@ def _block_reads(
     bits any sum of one lane and cycle's reads takes. Each of
     :func:`_packs` is one key and one read (M <= 8). Above that each group
     is two keys, its address's low and high bytes (:func:`_keys`), in
-    group order: a table with halves is read at them, and any other table
-    is gathered at the addresses they join into, so no table kept as its
-    halves is formed. A key of consecutive taps, as every key of a
-    consecutive plan is, slides.
+    group order: each of a table's halves is read at its key, and a table
+    without parts is gathered at the addresses they join into. A key of
+    consecutive taps, as every key of a consecutive plan is, slides.
     """
     members = [tuple((j, k) for j, k in enumerate(g) if k is not None) for g in plan.groups]
     keys = []
@@ -1187,14 +1170,14 @@ def _block_reads(
             bits = [(shift + j, k) for shift, (_, group) in pack for j, k in group]
             read(_pack_table([t for _, (t, _) in pack]), bits, width)
     else:
-        for g, (group, pair) in enumerate(zip(members, tables.halves)):
-            low, high = _keys(group, plan.group_size)
-            if pair is None:
-                gathers.append((tables[g], key(low), key(high)))
+        for g, (group, parts) in enumerate(zip(members, tables.parts)):
+            key_bits = _keys(group, plan.group_size)
+            if parts is None:
+                gathers.append((tables[g], *map(key, key_bits)))
                 widths.append(partial_width)
             else:
-                read(pair[0], low, partial_width)
-                read(pair[1], high, partial_width)
+                for part, bits in zip(parts, key_bits):
+                    read(part, bits, partial_width)
     offset = sum(bias for *_, bias in reads) + len(gathers) * (1 << (partial_width - 1))
     return keys, reads, gathers, offset, tree_output_width(max(widths), len(widths))
 
@@ -1406,7 +1389,7 @@ def verify_windows(
 
     Windows run ``LANES`` at a time as tap columns through a bit-sliced
     datapath: the design's tables (mux mode: the same subset sums), read
-    as their halves where they have them, the gate-level ``tree`` and a
+    as their parts where they have them, the gate-level ``tree`` and a
     gate-level accumulator, checked against a word-parallel
     multiply-accumulate of the same columns. A fresh :func:`all_windows`
     of this filter's K and L gives its columns directly; other windows

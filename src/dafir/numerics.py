@@ -83,6 +83,12 @@ class FixedFormat:
         return value
 
 
+def _all_in(values: Sequence[int], fmt: FixedFormat) -> bool:
+    """Whether every one of ``values`` is an ``int`` within ``fmt``, checked at C level."""
+    lo, hi = fmt.min_value, fmt.max_value
+    return set(map(type, values)) == {int} and lo <= min(values) and max(values) <= hi
+
+
 def _require_int(value: int, what: str) -> int:
     if type(value) is not int:
         raise TypeError(f"{what} must be an int, got {type(value).__name__} {value!r}")
@@ -99,8 +105,9 @@ class CoefficientSet:
     def __post_init__(self) -> None:
         if len(self.values) < 1:
             raise ValueError("a filter needs at least one tap")
-        for value in self.values:
-            self.format.check(value, "coefficient")
+        if not _all_in(self.values, self.format):
+            for value in self.values:  # raises what the first bad value raises
+                self.format.check(value, "coefficient")
 
     def __len__(self) -> int:
         return len(self.values)

@@ -94,6 +94,10 @@ class ExternalFigures:
             number = _to_decimal(value)
             if not (number.is_finite() and abs(number) <= _DOUBLE_MAX):
                 raise ValueError(f"{name} must be finite and within double range, got {value}")
+        if self.adp > _DOUBLE_MAX:  # reported as a JSON number, which a double must hold
+            raise ValueError(
+                f"the ADP of cells {self.cells} and time_ns {self.time_ns} is past double range"
+            )
 
     @property
     def adp(self) -> Decimal:

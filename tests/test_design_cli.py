@@ -490,7 +490,7 @@ class TestSave:
         for table in luts:
             table[257] += 1 if table[257] < 0 else -1
         design.luts = check_tables(luts, design.plan, 16)
-        assert design.luts.halves == (None,) * 4
+        assert design.luts.parts == (None,) * 4
         path = tmp_path / "d.json"
         tracemalloc.start()
         try:
@@ -684,7 +684,7 @@ class TestHalvesForm:
         # splits: it alone is gathered whole, and still checks clean.
         tables = [list(build_lut(coeffs, g).entries) for g in plan.groups]
         tables[1][1 << 15] += 1
-        assert engine.check_tables(tables, plan, 16).halves[1] is None
+        assert engine.check_tables(tables, plan, 16).parts[1] is None
         drawn = windows(20, 300)
         read = []
         getitem = engine._CheckedTables.__getitem__
@@ -1371,7 +1371,7 @@ class TestCmdReport:
         assert main(["report", "--design", design, "--cells", "1000", "--time-ns", "1e306"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1
-        assert err.startswith("error: Out of range float values are not JSON compliant")
+        assert err == "error: the ADP of cells 1000 and time_ns 1E+306 is past double range\n"
 
     def test_incomplete_external_pair_rejected(self, workspace, capsys):
         design = run_design(workspace)

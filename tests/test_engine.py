@@ -1710,7 +1710,7 @@ class TestBlocks:
             luts[0][address] += 1
             luts = check_tables(luts, plan, 16)
             assert splits == [False, True]
-            assert luts.halves == (None, (luts[1][:256], luts[1][::256]))
+            assert luts.parts == (None, (luts[1][:256], luts[1][::256]))
             filt = DaFilter(coeffs, plan, input_width=8, luts=luts)
             scalar = DaFilter(coeffs, plan, input_width=8, luts=luts)
             pushed_outputs = [scalar.push(x) for x in stream]
@@ -1811,7 +1811,7 @@ class TestBlocks:
         zeros = [0] * size
         # Separable: the extremes are the halves' sums, at the bounds and one past them.
         edge = separable([(1, -(top // 2)), (2, top - 1)], [(1, -(top // 2))])
-        assert check_tables([zeros, edge], plan, 8).halves[1] is not None
+        assert check_tables([zeros, edge], plan, 8).parts[1] is not None
         below = separable([(1, -(top // 2) - 1), (2, top - 1)], [(1, -(top // 2))])
         assert message([zeros, below]) == out_of_range(1, -top - 1)
         above = separable([(2, top - 10)], [(1, 20)])
@@ -1891,3 +1891,96 @@ class TestBlocks:
             for taken in (1, 2, 3):
                 next(blocks)
                 assert len(read) == taken * engine.LANES
+
+
+@st.composite
+def parts_cases(draw):
+    """Filters of every group size in every table form: derived, list, halves, unsplit list.
+
+    Coefficients are nonzero and, above 8 members, the first group has a
+    real member 8, so the unsplit form, T[257] set to T[1], differs from
+    T[256] + T[1] while staying an entry the table already holds (no
+    accumulator can overflow on it). Below 9 members the unsplit form is a
+    list with its last entry set to T[0].
+    """
+    group_size = draw(st.integers(1, 16))
+    num_taps = draw(st.integers(1 if group_size <= 8 else 9, 2 * group_size + 1))
+    coeff_width = draw(st.integers(2, 16))
+    input_width = draw(st.integers(2, 12))
+    bound = 1 << (coeff_width - 1)
+    nonzero = st.integers(-bound, bound - 1).filter(bool)
+    values = draw(st.lists(nonzero, min_size=num_taps, max_size=num_taps))
+    form = draw(st.sampled_from(["derived", "mux", "list", "halves", "unsplit"]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    count = draw(st.sampled_from([1, 40, 300]))
+    lo, hi = -(1 << (input_width - 1)), (1 << (input_width - 1)) - 1
+    samples = [rng.choice((lo, hi, -1, 0, rng.randint(lo, hi))) for _ in range(count)]
+    plan = partition_taps(num_taps, group_size)
+    return coeff_set(values, coeff_width), plan, form, input_width, samples
+
+
+class TestTableParts:
+    """Every checked table is held as the tables of at most 256 entries its one-byte keys read."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(parts_cases())
+    @example(  # W = 8, M = 1: partial width 8, one part read in one byte
+        (coeff_set([-128, 127, -1, 5, 100, -77, 3, 64]), partition_taps(8, 1), "list", 8,
+         [-128, 127, -1, 0, 85, -86] * 50)
+    )
+    @example(  # W = 8, M = 8: the widest one-part key, every byte value read
+        (coeff_set([-128, 127, -1, 5, 100, -77, 3, 64, 9]), partition_taps(9, 8), "unsplit", 8,
+         [-128, 127, -1, 0, 85, -86] * 50)
+    )
+    @example(  # W = 12, M = 9: two 16-bit parts whose biased sum takes 17 bits
+        (coeff_set([2047] * 9 + [-2048] * 9, 12), partition_taps(18, 9), "halves", 8,
+         [-128, 127, -1, 0] * 75)
+    )
+    def test_every_table_form_is_held_as_its_parts(self, case):
+        coeffs, plan, form, input_width, samples = case
+        large = plan.group_size > 8
+        want = [list(build_lut(coeffs, g).entries) for g in plan.groups]
+        if form == "unsplit":
+            if large:
+                want[0][257] = want[0][1]
+            else:
+                want[0][-1] = want[0][0]
+        luts = None
+        if form == "halves" and large:
+            luts = [{"low": t[:256], "high": t[::256]} for t in want]
+        elif form not in ("derived", "mux"):
+            luts = [list(t) for t in want]
+        mode = PpgMode.MUX if form == "mux" else PpgMode.STORED
+        filt = DaFilter(coeffs, plan, mode, input_width=input_width, luts=luts)
+        tables = filt.tables()
+        parts = tables.parts
+        unsplit = [form == "unsplit" and large and g == 0 for g in range(plan.num_groups)]
+        assert [p is None for p in parts] == unsplit
+        for g, table_parts in enumerate(parts):
+            if table_parts is not None:
+                assert len(table_parts) == (2 if large else 1)
+                assert all(len(part) <= 256 for part in table_parts)
+                assert engine._pack_table(table_parts) == want[g]
+            if not large:
+                assert table_parts[0] is tables[g]
+        assert [list(t) for t in tables] == want
+        # Blocks and verify's lanes read the parts; push reads the whole tables.
+        scalar = DaFilter(coeffs, plan, mode, input_width=input_width, luts=luts)
+        pushed_outputs = [scalar.push(x) for x in samples]
+        assert filt.process(samples) == pushed_outputs
+        if form != "unsplit":
+            assert pushed_outputs == direct_fir(samples, coeffs)
+        num_taps = len(coeffs)
+        windows = [
+            tuple(samples[i - k] if i >= k else 0 for k in range(num_taps))
+            for i in range(len(samples))
+        ]
+        direct = [sum(a * x for a, x in zip(coeffs.values, w)) for w in windows]
+        got = verify_windows(
+            coeffs, plan, mode, input_width=input_width, windows=windows, luts=luts,
+            limit=len(windows),
+        )
+        flagged = [
+            engine.Mismatch(w, y, d) for w, y, d in zip(windows, pushed_outputs, direct) if y != d
+        ]
+        assert got == (len(windows), flagged)

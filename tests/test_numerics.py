@@ -99,6 +99,27 @@ class TestFixedFormat:
         with pytest.raises(ValueError):
             CoefficientSet((), FMT8)
 
+    @pytest.mark.parametrize(
+        "values, error, message",
+        [
+            ([3, True, 2.5], TypeError, "coefficient must be an int, got bool True"),
+            ([3, 2.5, True], TypeError, "coefficient must be an int, got float 2.5"),
+            ([3, 128, -129], ValueError, "coefficient 128 outside signed 8-bit range [-128, 127]"),
+            ([-129, 3, 2.5], ValueError, "coefficient -129 outside signed 8-bit range [-128, 127]"),
+            ([-128, 127, False], TypeError, "coefficient must be an int, got bool False"),
+        ],
+    )
+    def test_coefficient_set_names_the_first_bad_value(self, values, error, message):
+        # The whole set is checked at once; the first bad value raises what FixedFormat.check does.
+        with pytest.raises(error) as raised:
+            CoefficientSet.from_integers(values, FMT8)
+        assert str(raised.value) == message
+        with pytest.raises(error) as direct:
+            for value in values:
+                FMT8.check(value, "coefficient")
+        assert str(direct.value) == message
+        assert CoefficientSet.from_integers([-128, 127, 0], FMT8).values == (-128, 127, 0)
+
 
 class TestQuantize:
     def test_zero(self):

@@ -97,6 +97,14 @@ class TestAdp:
         with pytest.raises(ValueError, match=f"{name} must be finite and within double range"):
             ExternalFigures(10, time_ns, power_mw)
 
+    def test_an_adp_past_a_double_is_refused(self):
+        # to_dict once reported the ADP of figures within range as the float inf.
+        with pytest.raises(ValueError) as raised:
+            ExternalFigures(1000, Decimal("1e306"))
+        assert str(raised.value) == "the ADP of cells 1000 and time_ns 1E+306 is past double range"
+        half = Decimal(sys.float_info.max / 2)  # exact: a double halved
+        assert ExternalFigures(2, half).to_dict()["adp"] == sys.float_info.max
+
 
 class TestEstimateResources:
     def test_partitioned_memory(self):

@@ -2,7 +2,7 @@
 
 Usage, from the root of a source checkout:
 
-    python3 tools/bench_blocks.py
+    python3 tools/bench_blocks.py [--parent DIR]
 
 For each filter shape (K taps, group size M) at W = L = 16 bits, in both
 partial-product modes, one seeded stream is filtered three ways in the
@@ -111,11 +111,24 @@ figure comes with the interquartile range of its rounds (``*_ref_iqr``, in
 the same unit), the spread of the same call on this host: a move between
 two files smaller than it is noise.
 
+With ``--parent DIR``, the verify and probe rows are also timed against
+another source checkout, in this process: ``DIR/src/dafir`` is imported
+as the package ``dafir_parent``, and before any other row, each row's
+call runs once on each tree untimed, then on both in turn, ``AB_PAIRS``
+times, the one that goes first alternating. Each pair gives the ratio of
+this tree's time to the parent's, and ``ab_rows`` holds each row's
+median ratio with its quartiles, so a host that changes speed between
+pairs moves both sides of a ratio alike. Separate runs of this tool on
+two trees cannot show a 10% move; these rows can.
+
 The result is written to ``BENCH_blocks.json`` beside ``src/``.
 """
 
 from __future__ import annotations
 
+import argparse
+import importlib
+import importlib.util
 import io
 import json
 import os
@@ -168,6 +181,7 @@ CLA_LANES = (1, 4 * LANES)  # a probe window; a verify chunk's L = 4 cycles
 CLA_CALLS = {1: 2000, 4 * LANES: 500}
 HALVES_VERIFY = (64, 16)  # (K, M) of the stored halves design verify is timed on
 HALVES_WINDOWS = 64
+AB_PAIRS = 15  # alternating parent/change pairs per row of ab_rows
 WIDTH = 16  # coefficient and sample bits
 SAMPLES = 4000
 TRACED_SAMPLES = 2000
@@ -378,10 +392,27 @@ def measure_intake(taps: int, group_size: int, scratch: Path) -> dict:
     return {"taps": taps, "group_size": group_size, "mode": "stored", **sizes, **times}
 
 
-def measure_verify(mode: PpgMode, group_size: int) -> dict:
+def verify_values(group_size: int) -> list[int]:
+    """The seeded coefficients the verify rows of group size ``group_size`` check."""
     rng = random.Random(f"{SEED}:verify:{group_size}")
     half = 1 << (VERIFY_COEFF_WIDTH - 1)
+    return [rng.randrange(-half, half) for _ in range(VERIFY_TAPS)]
+
+
+def probe_inputs() -> tuple[list[int], list[tuple[int, ...]]]:
+    """The probe's seeded coefficients and its ``PROBE_WINDOWS`` windows."""
+    rng = random.Random(f"{SEED}:probe")
+    half = 1 << (VERIFY_COEFF_WIDTH - 1)
     values = [rng.randrange(-half, half) for _ in range(VERIFY_TAPS)]
+    half = 1 << (VERIFY_INPUT_WIDTH - 1)
+    windows = [
+        tuple(rng.randrange(-half, half) for _ in range(VERIFY_TAPS)) for _ in range(PROBE_WINDOWS)
+    ]
+    return values, windows
+
+
+def measure_verify(mode: PpgMode, group_size: int) -> dict:
+    values = verify_values(group_size)
     coeffs = CoefficientSet.from_integers(values, FixedFormat(VERIFY_COEFF_WIDTH))
     plan = partition_taps(VERIFY_TAPS, group_size)
     windows = list(all_windows(VERIFY_TAPS, VERIFY_INPUT_WIDTH))
@@ -417,15 +448,9 @@ def measure_verify(mode: PpgMode, group_size: int) -> dict:
 
 def measure_probe() -> list[dict]:
     mode, group_size = PROBE_CONFIG
-    rng = random.Random(f"{SEED}:probe")
-    half = 1 << (VERIFY_COEFF_WIDTH - 1)
-    values = [rng.randrange(-half, half) for _ in range(VERIFY_TAPS)]
+    values, windows = probe_inputs()
     coeffs = CoefficientSet.from_integers(values, FixedFormat(VERIFY_COEFF_WIDTH))
     plan = partition_taps(VERIFY_TAPS, group_size)
-    half = 1 << (VERIFY_INPUT_WIDTH - 1)
-    windows = [
-        tuple(rng.randrange(-half, half) for _ in range(VERIFY_TAPS)) for _ in range(PROBE_WINDOWS)
-    ]
     want = [sum(a * x for a, x in zip(values, w)) for w in windows]
 
     def probe(tree: AdderKind):
@@ -536,7 +561,118 @@ def measure_halves_verify(taps: int, group_size: int, scratch: Path) -> dict:
     }
 
 
-def main() -> int:
+def load_tree(src: Path, name: str):
+    """The ``dafir`` package of the source tree ``src``, imported as the package ``name``."""
+    package = src / "dafir"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # its modules' relative imports resolve under ``name``
+    spec.loader.exec_module(module)
+    return module
+
+
+def ab_calls(package: str) -> dict[str, tuple]:
+    """(call, windows) of each verify and probe row, made with the tree imported as ``package``.
+
+    Each call checks its result as the rows' measurements do, and raises
+    SystemExit if it differs.
+    """
+    tree = importlib.import_module(f"{package}.engine")
+    adders = importlib.import_module(f"{package}.adders")
+    numerics = importlib.import_module(f"{package}.numerics")
+    fmt = numerics.FixedFormat(VERIFY_COEFF_WIDTH)
+    coefficients = numerics.CoefficientSet.from_integers
+    windows = list(all_windows(VERIFY_TAPS, VERIFY_INPUT_WIDTH))
+    calls = {}
+
+    def verify(mode, group_size, listed):
+        coeffs = coefficients(verify_values(group_size), fmt)
+        plan = tree.partition_taps(VERIFY_TAPS, group_size)
+
+        def call():
+            given = windows if listed else tree.all_windows(VERIFY_TAPS, VERIFY_INPUT_WIDTH)
+            result = tree.verify_windows(
+                coeffs, plan, mode, input_width=VERIFY_INPUT_WIDTH, windows=given
+            )
+            if result != (len(windows), []):
+                raise SystemExit(f"{package} verify M={group_size}: {result[0]}, {result[1]}")
+
+        return call, len(windows)
+
+    for mode, group_size in VERIFY_CONFIGS:
+        for listed in (False, True):
+            name = f"verify {mode.value} M={group_size} {'list' if listed else 'all_windows'}"
+            calls[name] = verify(tree.PpgMode(mode.value), group_size, listed)
+    values, probe_windows = probe_inputs()
+    mode, group_size = PROBE_CONFIG
+    mode = tree.PpgMode(mode.value)
+    coeffs = coefficients(values, fmt)
+    plan = tree.partition_taps(VERIFY_TAPS, group_size)
+    want = [sum(a * x for a, x in zip(values, w)) for w in probe_windows]
+
+    def probe(kind):
+        def call():
+            got = [
+                tree.da_inner_product(
+                    w, coeffs, plan, mode, kind,
+                    input_width=VERIFY_INPUT_WIDTH, collect_trace=False, bit_level=True,
+                )[0]
+                for w in probe_windows
+            ]
+            if got != want:
+                raise SystemExit(f"{package} probe {kind.name.lower()}: differs from the oracle")
+
+        return call, len(probe_windows)
+
+    for kind in adders.AdderKind:
+        calls[f"probe {kind.name.lower()}"] = probe(kind)
+    return calls
+
+
+def measure_ab(parent: Path) -> list[dict]:
+    """Each verify and probe row timed on this tree and the parent's, alternating in pairs."""
+    load_tree(parent / "src", "dafir_parent")
+    sides = {"parent": ab_calls("dafir_parent"), "change": ab_calls("dafir")}
+    rows = []
+    for name, (_, units) in sides["change"].items():
+        for calls in sides.values():
+            calls[name][0]()  # warm-up, and a check of both trees' results
+        seconds = {side: [] for side in sides}
+        for i in range(AB_PAIRS):
+            for side in ("parent", "change")[:: 1 if i % 2 == 0 else -1]:
+                call = sides[side][name][0]
+                start = time.perf_counter()
+                call()
+                seconds[side].append(time.perf_counter() - start)
+        ratios = [c / p for c, p in zip(seconds["change"], seconds["parent"])]
+        q1, median, q3 = statistics.quantiles(ratios, n=4)
+        rows.append(
+            {
+                "row": name,
+                "pairs": AB_PAIRS,
+                **{
+                    f"{side}_us": round(statistics.median(seconds[side]) / units * 1e6, 3)
+                    for side in sides
+                },
+                "ratio_median": round(median, 3),
+                "ratio_q1": round(q1, 3),
+                "ratio_q3": round(q3, 3),
+            }
+        )
+    return rows
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description="Time block evaluation, verify and its probe.")
+    parser.add_argument(
+        "--parent", type=Path, help="a source checkout to time the verify and probe rows against"
+    )
+    args = parser.parse_args(argv)
+    # First, while neither tree has run anything else: the tree that had run
+    # the other rows read up to 4% slower on identical code.
+    ab_rows = measure_ab(args.parent) if args.parent else None
     rows = [measure(k, m, mode) for k, m in SHAPES for mode in PpgMode]
     rows.append(measure(*EDITED, PpgMode.STORED, edited=True))
     with tempfile.TemporaryDirectory() as scratch:
@@ -582,7 +718,10 @@ def main() -> int:
         "its first one-sample block, steady_blocks = DaFilter.process of the samples; "
         "halves_verify: ms per call of verify_windows over random windows on the stored "
         "halves design, fresh = just loaded (the first call), warm = read by earlier calls; "
-        "raw figures best of REPEATS, in one process",
+        "raw figures best of REPEATS, in one process; "
+        "ab_rows (with --parent): each verify and probe row's call on this tree and the "
+        "parent's, alternating, AB_PAIRS pairs: median raw us per window of each side, and the "
+        "median and quartiles of the pairs' change/parent time ratios",
         "width": WIDTH,
         "samples": SAMPLES,
         "traced_samples": TRACED_SAMPLES,
@@ -606,6 +745,8 @@ def main() -> int:
         "cla_rows": cla_rows,
         "halves_verify": halves_verify,
     }
+    if ab_rows is not None:
+        record["ab_rows"] = ab_rows
     (ROOT / "BENCH_blocks.json").write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     for row in rows:
         print(
@@ -650,8 +791,14 @@ def main() -> int:
         f"of {HALVES_WINDOWS} windows: fresh {halves_verify['fresh_ref_ms']} "
         f"warm {halves_verify['warm_ref_ms']} reference ms"
     )
+    for row in ab_rows or ():
+        print(
+            f"{row['row']:<32} change/parent {row['ratio_median']:>6} "
+            f"(quartiles {row['ratio_q1']}-{row['ratio_q3']}), "
+            f"raw us/window {row['parent_us']} -> {row['change_us']}"
+        )
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -17,11 +17,14 @@ two trees is
     python3 tools/cli_digests.py NEW/src > new.json
     cmp old.json new.json
 
-The corpus holds 24 designs: group sizes M = 2, 4, 9 and 16, each in
-stored and mux mode with the ripple, carry-save and carry-lookahead
-trees, all designs of one M sharing their coefficients. At M = 16 the
-taps fill one group and a third of another, so its high address byte
-reads eight taps in one group and none in the other. Each goes through
+The corpus holds 36 designs: group sizes M = 1, 2, 4, 8, 9 and 16, each
+in stored and mux mode with the ripple, carry-save and carry-lookahead
+trees, all designs of one M sharing their coefficients. M = 1 and M = 8
+are the narrowest and the widest tables read whole at a one-byte key,
+with entries of 8 and 16 bits; an M = 9 table is read as two halves of
+16-bit entries whose sum takes 17 bits. At M = 16 the taps fill one
+group and a third of another, so its high address byte reads eight taps
+in one group and none in the other. Each goes through
 ``design``, ``run``, ``run --trace``, ``verify --random``, ``verify
 --exhaustive`` where K·L <= 24, ``report`` and ``report --compare
 --samples`` against the next design of its M. Then come the error cases:
@@ -34,7 +37,7 @@ shapes compared (each exit 2), and stored M = 9 and M = 16 designs with
 one table that does not split, which blocks and lanes gather entry by
 entry, through ``run``, ``run --trace`` and ``verify --random``.
 
-Only the standard library is used; it takes about 30 s on two cores.
+Only the standard library is used; it takes about a minute on two cores.
 """
 
 from __future__ import annotations
@@ -48,8 +51,11 @@ import sys
 import tempfile
 from pathlib import Path
 
-# (group size, taps K, coefficient width W, input width L); K·L <= 24 for M = 2 and 4.
-FAMILIES = [(2, 4, 8, 4), (4, 6, 10, 3), (9, 11, 12, 8), (16, 20, 12, 8)]
+# (group size, taps K, coefficient width W, input width L); K·L <= 24 for M = 1, 2 and 4.
+# M = 1 and 8 come last, so the earlier families' inputs are drawn as before they were added.
+FAMILIES = [
+    (2, 4, 8, 4), (4, 6, 10, 3), (9, 11, 12, 8), (16, 20, 12, 8), (1, 5, 8, 4), (8, 12, 13, 6),
+]
 MODES = ["stored", "mux"]
 TREES = ["ripple", "csa", "cla"]
 SAMPLES = 1500  # two blocks of outputs
