@@ -145,6 +145,12 @@ class BitVector:
         return BitVector(width, self.value)
 
 
+def _require_kind(kind: object) -> None:
+    """Refuse a tree kind that is not an :class:`AdderKind`, which would otherwise run as a cla."""
+    if not isinstance(kind, AdderKind):
+        raise TypeError(f"an adder tree kind must be an AdderKind, not {kind!r}")
+
+
 def _require_equal_widths(a: BitVector, b: BitVector) -> int:
     if a.width != b.width:
         raise ValueError(f"width mismatch: {a.width} vs {b.width}")
@@ -386,6 +392,7 @@ def adder_tree_cost(
     model: CostModel = DEFAULT_COST_MODEL,
 ) -> GateCost:
     """Cost of summing ``operand_count`` words, all extended to the no-wrap width."""
+    _require_kind(kind)
     if operand_count < 1:
         raise ValueError("need at least one operand")
     if operand_count == 1:
@@ -427,6 +434,7 @@ def adder_tree_sum(
     instead of native integer addition; both routes must agree and tests
     hold them to that.
     """
+    _require_kind(kind)
     if len(operands) == 0:
         raise ValueError("empty operand list")
     width = operands[0].width

@@ -29,6 +29,7 @@ from .adders import (
     DEFAULT_COST_MODEL,
     AdderKind,
     _cpa_planes,
+    _require_kind,
     _tree_planes,
     tree_output_width,
 )
@@ -191,9 +192,8 @@ class _CheckedTables(Sequence):
     read (:func:`_keys`): ``(T,)`` for M <= 8, its halves for a table that
     splits (:func:`_split`), None for one that does not. A table given as
     its halves is formed from them (:func:`_pack_table`) when the scalar
-    schedule (``push``, a window ``verify`` flags) or the trace writer
-    first reads it: blocks, traced or not, and ``verify``'s lanes read
-    the parts alone.
+    schedule (``push``) or the trace writer first reads it: blocks,
+    traced or not, and ``verify``'s lanes read the parts alone.
     """
 
     def __init__(
@@ -337,8 +337,13 @@ def _read_tables(
 ) -> _CheckedTables:
     """The tables a filter reads: stored mode's ``luts``, checked, when given; else subset sums.
 
+    Every evaluator binds its tables here first, so its plan and mode are checked here too.
     A mux filter reads no stored table, so ``luts`` given with it are refused.
     """
+    if plan.num_taps != len(coeffs):
+        raise ValueError(f"plan covers {plan.num_taps} taps but the filter has {len(coeffs)}")
+    if not isinstance(ppg_mode, PpgMode):
+        raise TypeError(f"ppg_mode must be a PpgMode, not {ppg_mode!r}")
     if luts is None:
         return _subset_tables(coeffs, plan)
     if ppg_mode is not PpgMode.STORED:
@@ -384,16 +389,9 @@ _format = functools.lru_cache(maxsize=None)(FixedFormat)  # one per input width
 
 
 def _check_inputs(
-    delay_line: Sequence[int],
-    coeffs: CoefficientSet,
-    plan: PartitionPlan,
-    input_width: int,
+    delay_line: Sequence[int], coeffs: CoefficientSet, input_width: int
 ) -> tuple[int, ...]:
     num_taps = len(coeffs)
-    if plan.num_taps != num_taps:
-        raise ValueError(
-            f"plan covers {plan.num_taps} taps but the filter has {num_taps}"
-        )
     dl = tuple(delay_line)
     if len(dl) != num_taps:
         raise ValueError(f"delay line has {len(dl)} entries, expected {num_taps}")
@@ -556,6 +554,7 @@ def _bound_schedule(
     cannot go stale.
     """
     tables = _read_tables(coeffs, plan, ppg_mode, luts)
+    _format(input_width)  # refuses a width no sample has before anything is bound at it
     return _schedule(coeffs, plan, input_width, tables, tree)
 
 
@@ -585,10 +584,11 @@ def da_inner_product(
     verifier exercise exactly the entries a design file carries; mux
     mode refuses them.
     """
-    dl = _check_inputs(delay_line, coeffs, plan, input_width)
+    _require_kind(tree)
     if luts is not None:
         luts = _read_tables(coeffs, plan, ppg_mode, luts)  # checked, hashable: the binding's key
     run = _bound_schedule(coeffs, plan, ppg_mode, input_width, luts, tree if bit_level else None)
+    dl = _check_inputs(delay_line, coeffs, input_width)
     records: list[CycleRecord] | None = [] if collect_trace else None
     value = run(dl, records=records)
     return value, None if records is None else tuple(records)
@@ -616,16 +616,12 @@ class DaFilter:
         input_width: int,
         luts: Sequence[Sequence[int]] | None = None,
     ) -> None:
-        if plan.num_taps != len(coeffs):
-            raise ValueError(
-                f"plan covers {plan.num_taps} taps but the filter has {len(coeffs)}"
-            )
+        # Given tables are checked now, not at a first sample; only stored mode takes them.
+        self._tables = _read_tables(coeffs, plan, ppg_mode, luts)
         self.coeffs = coeffs
         self.plan = plan
         self.ppg_mode = ppg_mode
         self.input_format = FixedFormat(input_width)
-        # Given tables are checked now, not at a first sample; only stored mode takes them.
-        self._tables = _read_tables(coeffs, plan, ppg_mode, luts)
         self._spreader = _spreader(input_width, _address_field(plan.group_size))
         self._acc_width = required_accumulator_width(len(coeffs), coeffs.format.width, input_width)
         self.reset()
@@ -1325,7 +1321,7 @@ def _item(data: bytes, i: int, size: int) -> int:
 
 
 def _tuple_chunks(
-    windows: Iterable[Sequence[int]], coeffs: CoefficientSet, plan: PartitionPlan, input_width: int
+    windows: Iterable[Sequence[int]], coeffs: CoefficientSet, input_width: int
 ) -> Iterator[tuple[list, list[bytes]]]:
     """Chunks of up to ``LANES`` windows, with their tap columns of ``_item_size(L)``-byte items.
 
@@ -1357,7 +1353,7 @@ def _tuple_chunks(
                 _little_endian(array(code, flat[k::num_taps])).tobytes() for k in range(num_taps)
             ]
         if len(good) < len(chunk):
-            _check_inputs(chunk[len(good)], coeffs, plan, input_width)  # raises for it
+            _check_inputs(chunk[len(good)], coeffs, input_width)  # raises for it
         if unread is not None:
             raise unread
         if len(chunk) < LANES:
@@ -1383,9 +1379,9 @@ def verify_windows(
     of another type TypeError and one outside that range ValueError,
     since the DA path reads only its low bits, each when the windows
     before it have been checked. Returns the number of windows checked
-    and up to ``limit`` mismatches; an empty list means full agreement.
-    The oracle side is an independent plain multiply-accumulate, never a
-    table.
+    and up to ``limit`` (at least 1) mismatches; an empty list means
+    full agreement. The oracle side is an independent plain
+    multiply-accumulate, never a table.
 
     Windows run ``LANES`` at a time as tap columns through a bit-sliced
     datapath: the design's tables (mux mode: the same subset sums), read
@@ -1395,28 +1391,31 @@ def verify_windows(
     of this filter's K and L gives its columns directly; other windows
     are packed into columns a chunk at a time (:func:`_tuple_chunks`).
     Each window the datapath flags is a Mismatch with the datapath's
-    value; it is run again through the scalar schedule only to raise
-    AccumulatorOverflow, in window order, where its value leaves the
-    accumulator.
+    value, exact in its wider accumulator, or, in window order, raises
+    AccumulatorOverflow where that value leaves the design's accumulator.
     """
+    if limit < 1:
+        raise ValueError(f"limit must be at least 1, not {limit}")
+    _require_kind(tree)
     taps = coeffs.values
     tables = _read_tables(coeffs, plan, ppg_mode, luts)
+    _format(input_width)  # a width no window can have is refused on either route
     datapath, field = _lane_datapath(coeffs, plan, tables, input_width, tree)
     size = _item_size(input_width)
+    acc_width = required_accumulator_width(len(taps), coeffs.format.width, input_width)
+    bound = 1 << (acc_width - 1)
     if type(windows) is _AllWindows and windows.fresh and windows.shape == (len(taps), input_width):
         chunks = ((None, columns) for columns in windows.columns(size))
     else:
-        chunks = _tuple_chunks(windows, coeffs, plan, input_width)
-    evaluate = None  # the scalar schedule, bound when a window first needs it
+        chunks = _tuple_chunks(windows, coeffs, input_width)
     checked = 0
     mismatches: list[Mismatch] = []
     for chunk, columns in chunks:
         expected = _mac_fields(taps, columns, size, field)
         for i, value in datapath(columns, expected):
+            if not -bound <= value < bound:
+                raise _overflow(value, acc_width)
             window = chunk[i] if chunk else tuple(_item(c, i, size) for c in columns)
-            if evaluate is None:
-                evaluate = _schedule(coeffs, plan, input_width, tables)
-            evaluate(window)  # raises AccumulatorOverflow where its value leaves the range
             mismatches.append(Mismatch(tuple(window), value, _item(expected, i, field)))
             if len(mismatches) >= limit:
                 return checked + i + 1, mismatches

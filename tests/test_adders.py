@@ -292,6 +292,19 @@ class TestCostModel:
                 assert current.depth >= prior.depth
                 prior = current
 
+    def test_a_kind_that_is_not_an_adder_kind_is_refused(self):
+        # "ripple" used to be costed, and summed with bit_level, as a cla.
+        ops = [BitVector(8, 100), BitVector(8, -3), BitVector(8, 7)]
+        for kind in ("ripple", None, "csa"):
+            for call in (
+                lambda: adder_tree_cost(3, 8, kind),
+                lambda: adder_tree_sum(ops, kind),
+                lambda: adder_tree_sum(ops, kind, bit_level=True),
+                lambda: adder_tree_sum([], kind),
+            ):
+                with pytest.raises(TypeError, match="must be an AdderKind, not " + repr(kind)):
+                    call()
+
     def test_tree_costs_monotone_in_operand_count(self):
         for kind in ALL_KINDS:
             prior = adder_tree_cost(1, 16, kind)

@@ -557,11 +557,16 @@ def outcome(call):
 
 
 def outcome_at_window(call):
-    """``outcome``, with the window the scalar schedule last ran when the accumulator overflows."""
-    seen = []
-    schedule = engine._schedule
+    """``outcome``, with the window last checked when the accumulator overflows.
 
-    def recording(*args, **kwargs):
+    That is the window the scalar schedule last ran, or the window of the
+    lane the bit-sliced datapath last flagged, decoded from its chunk's
+    tap columns.
+    """
+    seen = []
+    schedule, lanes = engine._schedule, engine._lane_datapath
+
+    def scheduled(*args, **kwargs):
         run = schedule(*args, **kwargs)
 
         def recorded(window, *rest):
@@ -570,7 +575,20 @@ def outcome_at_window(call):
 
         return recorded
 
-    with mock.patch.object(engine, "_schedule", recording):
+    def laned(coeffs, plan, tables, input_width, tree):
+        run, field = lanes(coeffs, plan, tables, input_width, tree)
+        size = engine._item_size(input_width)
+
+        def recorded(columns, expected):
+            for i, value in run(columns, expected):
+                seen.append(tuple(engine._item(column, i, size) for column in columns))
+                yield i, value
+
+        return recorded, field
+
+    with mock.patch.object(engine, "_schedule", scheduled), mock.patch.object(
+        engine, "_lane_datapath", laned
+    ):
         result = outcome(call)
     return (result, seen[-1]) if isinstance(result, str) else result
 
@@ -834,9 +852,8 @@ class TestVerifyWindows:
                 )
             )
         assert got == want
-        if want == (len(windows), []):
-            # Full agreement comes from the lanes alone.
-            assert scalar.call_count == 0
+        # Agreement, mismatches and overflows all come from the lanes alone.
+        assert scalar.call_count == 0
 
     def test_all_windows_order_matches_the_code_decoding(self):
         # Window c holds the K signed L-bit digits of c, tap 0 lowest.
@@ -907,7 +924,7 @@ class TestVerifyWindows:
         tables = engine._subset_tables(coeffs, plan)
         _, field = engine._lane_datapath(coeffs, plan, tables, input_width, AdderKind.CLA)
         size = engine._item_size(input_width)
-        [(chunk, columns)] = engine._tuple_chunks(windows, coeffs, plan, input_width)
+        [(chunk, columns)] = engine._tuple_chunks(windows, coeffs, input_width)
         fields = engine._mac_fields(coeffs.values, columns, size, field)
         assert len(fields) == field * len(windows)
         got = [engine._item(fields, i, field) for i in range(len(windows))]
@@ -1273,6 +1290,94 @@ class TestSchedule:
         with pytest.raises(ValueError, match="a mux filter cannot read them"):
             entry(coeffs, plan, PpgMode.MUX, luts)
         entry(coeffs, plan, PpgMode.MUX, None)
+
+
+def every_evaluator(coeffs, plan, mode, tree=AdderKind.CLA, luts=None, window=None):
+    """Calls of each evaluator on the same filter, which must each raise the same error."""
+    window = tuple(range(len(coeffs))) if window is None else window
+    return {
+        "DaFilter": lambda: DaFilter(coeffs, plan, mode, input_width=4, luts=luts).process([1]),
+        "da_inner_product": lambda: da_inner_product(
+            window, coeffs, plan, mode, tree, input_width=4, luts=luts, bit_level=True
+        ),
+        "verify_windows columns": lambda: verify_windows(
+            coeffs, plan, mode, tree, input_width=4, windows=all_windows(len(coeffs), 4),
+            luts=luts,
+        ),
+        "verify_windows tuples": lambda: verify_windows(
+            coeffs, plan, mode, tree, input_width=4, windows=[window], luts=luts
+        ),
+    }
+
+
+class TestArgumentChecks:
+    def test_a_plan_of_fewer_taps_is_refused_by_every_evaluator(self):
+        # verify_windows used to check three taps on a plan of two: a false
+        # Mismatch((0, 0, 1), 0, 7). The plan error comes before the window's.
+        coeffs = coeff_set([3, 5, 7])
+        for mode, window in product(PpgMode, [None, (1,)]):
+            for call in every_evaluator(coeffs, partition_taps(2, 2), mode, window=window).values():
+                with pytest.raises(ValueError, match="^plan covers 2 taps but the filter has 3$"):
+                    call()
+
+    def test_a_plan_of_more_taps_is_refused_by_every_evaluator(self):
+        # verify_windows used to raise a bare IndexError building its tables.
+        coeffs = coeff_set([3, 5, 7])
+        plan = partition_taps(4, 2)
+        luts = [list(build_lut(coeffs, g[: 3 - 2 * i]).entries) for i, g in enumerate(plan.groups)]
+        for mode, tables in ((PpgMode.STORED, None), (PpgMode.STORED, luts), (PpgMode.MUX, None)):
+            for call in every_evaluator(coeffs, plan, mode, luts=tables).values():
+                with pytest.raises(ValueError, match="^plan covers 4 taps but the filter has 3$"):
+                    call()
+
+    def test_a_tree_that_is_not_an_adder_kind_is_refused(self):
+        # "ripple" and None used to run, and be costed, as a cla; da_inner_product
+        # with bit_level skipped the gates for None.
+        coeffs = coeff_set([3, 5])
+        plan = partition_taps(2, 2)
+        for tree in ("ripple", None, "cla"):
+            for name, call in every_evaluator(coeffs, plan, PpgMode.MUX, tree).items():
+                if name == "DaFilter":
+                    continue  # reads no tree
+                with pytest.raises(TypeError, match="must be an AdderKind, not " + repr(tree)):
+                    call()
+        with pytest.raises(TypeError, match="must be an AdderKind, not 'cla'"):
+            da_inner_product((1, 2), coeffs, plan, tree="cla", input_width=4)
+
+    def test_a_mode_that_is_not_a_ppg_mode_is_refused(self):
+        # DaFilter(c, p, "mux") used to run, and "stored" with tables was
+        # refused as if it were mux mode.
+        coeffs = coeff_set([3, 5])
+        plan = partition_taps(2, 2)
+        luts = [list(build_lut(coeffs, plan.groups[0]).entries)]
+        for mode, tables in (("mux", None), ("stored", None), ("stored", luts), (None, None)):
+            for call in every_evaluator(coeffs, plan, mode, luts=tables).values():
+                with pytest.raises(TypeError, match="^ppg_mode must be a PpgMode, not "):
+                    call()
+
+    def test_a_verify_limit_below_one_is_refused(self):
+        # 0 and -1 used to act as 1.
+        coeffs = coeff_set([3, 5])
+        plan = partition_taps(2, 2)
+        for limit in (0, -1):
+            with pytest.raises(ValueError, match=f"^limit must be at least 1, not {limit}$"):
+                verify_windows(
+                    coeffs, plan, PpgMode.STORED, input_width=3, windows=all_windows(2, 3),
+                    luts=[[0, 3, 5, 9]], limit=limit,
+                )
+        assert verify_windows(
+            coeffs, plan, PpgMode.STORED, input_width=3, windows=all_windows(2, 3),
+            luts=[[0, 3, 5, 9]], limit=1,
+        )[1] == [engine.Mismatch((1, 1), 9, 8)]
+
+    def test_verify_refuses_a_width_no_sample_has_on_either_route(self):
+        # all_windows(2, 1) used to be read as columns at a 1-bit width.
+        coeffs = coeff_set([3, 5])
+        for windows in (all_windows(2, 1), [(0, 0)], []):
+            with pytest.raises(ValueError, match=r"^width must be in \[2, 64\], got 1$"):
+                verify_windows(
+                    coeffs, partition_taps(2, 2), PpgMode.STORED, input_width=1, windows=windows
+                )
 
 
 def stream_outcome(outputs):

@@ -35,7 +35,12 @@ accumulator overflow table (exit 1), an out-of-range table entry, a bad
 out-of-range and an unparsable coefficient, and designs of different
 shapes compared (each exit 2), and stored M = 9 and M = 16 designs with
 one table that does not split, which blocks and lanes gather entry by
-entry, through ``run``, ``run --trace`` and ``verify --random``.
+entry, through ``run``, ``run --trace`` and ``verify --random``. Last
+come accumulator overflows that ``verify --random`` raises from windows
+read as tuples: the overflow table's, and an edited M = 9, K = 10
+design's, whose tables are read as two halves and whose tree is one bit
+wider than its accumulator; ``verify --exhaustive`` of the latter finds
+a mismatch first.
 
 Only the standard library is used; it takes about a minute on two cores.
 """
@@ -85,6 +90,7 @@ def write_inputs(root: Path) -> None:
     (root / "c_one.txt").write_text("5\n")
     (root / "s_overflow.txt").write_text("1\n7\n")
     (root / "s_underscore.txt").write_text("1\n1_0\n")
+    (root / "c9k10.txt").write_text("".join((root / "c9.txt").read_text().splitlines(True)[:10]))
 
 
 def edited(root: Path, source: str, target: str, edit) -> None:
@@ -195,6 +201,30 @@ def corpus(root: Path):
             *unsplit_run, "--out", f"{name}.tout", "--trace", f"{name}.jsonl",
         ]
         yield f"{name}/verify-random", ["verify", "--design", f"{name}.json", "--random", "2000"]
+
+    def wide_overflow(data):
+        # Table 0's low half at 1900 where tap 0's bit is set and -1900 elsewhere, and tap
+        # 9's entry at -2048: a window with tap 0 at 1, tap 9 at -2 and a negative sample
+        # among taps 1 to 7 sums to about 9800, past the 14-bit accumulator (K = 10, W = 8,
+        # L = 2) and within the lanes' 15 bits.
+        data["luts"][0]["low"] = [0] + [1900 if a % 2 else -1900 for a in range(1, 256)]
+        data["luts"][1]["low"][1] = -2048
+
+    # With these seeds the first window either design flags leaves the accumulator.
+    yield "overflow/verify-random", [
+        "verify", "--design", "overflow.json", "--random", "50", "--seed", "2",
+    ]
+    yield "wide-overflow/design", [
+        "design", "c9k10.txt", "--coeff-width", "8", "--input-width", "2",
+        "--group-size", "9", "--out", "wide_overflow.json",
+    ]
+    edited(root, "wide_overflow.json", "wide_overflow.json", wide_overflow)
+    yield "wide-overflow/verify-random", [
+        "verify", "--design", "wide_overflow.json", "--random", "50", "--seed", "24",
+    ]
+    yield "wide-overflow/verify-exhaustive", [
+        "verify", "--design", "wide_overflow.json", "--exhaustive",
+    ]
 
 
 def main(argv: list[str]) -> int:
