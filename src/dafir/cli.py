@@ -54,20 +54,21 @@ def _read_payloads(path: str) -> list[str]:
     """Every line's payload, '' for a blank line; '#' starts a comment.
 
     Only ASCII whitespace is stripped, so any other character at a line's
-    edge stays in its payload for the parsers to refuse. A text with no
-    '#' and no whitespace but line breaks is split at them, not stripped
-    line by line.
+    edge stays in its payload for the parsers to refuse. Lines end at
+    '\\n' alone, into which reading turns '\\r\\n' and '\\r' (``splitlines``
+    would also end them at '\\x1c', '\\x85' and others). A text with no
+    '#' and no whitespace but line breaks is not stripped line by line.
     """
     try:
         with open(path, "r", encoding="utf-8") as f:
-            lines = f.readlines()
+            text = f.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror}")
     except UnicodeDecodeError as exc:
         raise CliError(f"{path}: not UTF-8 text ({exc})")
-    text = "".join(lines)
-    if not any(map(text.__contains__, "# \t\r\x0b\x0c")):
-        return text.split("\n")[: len(lines)]
+    lines = text.removesuffix("\n").split("\n") if text else []
+    if not any(map(text.__contains__, "# \t\x0b\x0c")):
+        return lines
     if "#" in text:
         lines = map(itemgetter(0), map(str.partition, lines, repeat("#")))
     return list(map(str.strip, lines, repeat(_ASCII_SPACE)))

@@ -14,10 +14,9 @@ catch a corrupted entry instead of silently repairing it.
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
-from itertools import islice
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from .adders import AdderKind
@@ -42,19 +41,7 @@ _TOP_KEYS = {"version", "arch", "coefficients", "plan", "luts"}
 _ARCH_KEYS = {"num_taps", "coeff_width", "input_width", "group_size", "ppg_mode", "tree"}
 _PLAN_KEYS = {"group_size", "groups", "padded_taps"}
 
-# A list or object whose entries are all of these types goes through the C encoder.
-_SCALARS = frozenset({int, float, str, bool, type(None)})
-_SLICE = 4096  # list entries encoded per write, so no string near the file's size is built
-# The C encoder separating entries as ``json.dumps(..., indent=2)`` does ``indent``
-# spaces in; with ``indent`` set, ``json.dumps`` runs the pure-Python encoder.
-_encoder = functools.cache(lambda indent: json.JSONEncoder(separators=(",\n" + " " * indent, ": ")))
-# The C encoder's first call makes small objects that it keeps for the life
-# of the process. Made here, at import, they do not land in the middle of a
-# save's short-lived strings and hold that memory: made by the first save,
-# they left the benchmark's `stream` and `verify` runs about 0.25 MiB higher
-# in peak RSS. A design's entries are at most 8 spaces in.
-for _indent in range(0, 10, 2):
-    _encoder(_indent).encode([0])
+_SLICE = 4096  # int list entries written per write, so no string near the file's size is built
 
 
 class DesignError(ValueError):
@@ -266,27 +253,36 @@ class DesignFile:
 def _write(f, value, indent: int) -> None:
     """Write ``value`` as ``json.dumps(value, indent=2)`` lays it out ``indent`` spaces in.
 
-    A list or object whose entries are all JSON scalars goes through the C
-    encoder, ``_SLICE`` entries per write; any other is written entry by
-    entry. Object keys must be strings, as a design's are.
+    A list whose entries are all ``int`` is written as their ``repr``s,
+    ``_SLICE`` entries per write; any other is written entry by entry, and
+    each scalar and object key as ``json.dumps`` writes it. Object keys
+    must be strings, as a design's are.
     """
     if not value or not isinstance(value, (dict, list, tuple)):  # a scalar, [] or {}
-        f.write(_encoder(0).encode(value))
+        f.write(_scalar(value))
         return
-    encoder = _encoder(indent + 2)
     is_dict = isinstance(value, dict)
-    lead = ("{" if is_dict else "[") + encoder.item_separator[1:]
-    if _SCALARS.issuperset(map(type, value.values() if is_dict else value)):
-        entries = iter(value.items() if is_dict else value)
-        while chunk := (dict if is_dict else list)(islice(entries, _SLICE)):
-            f.write(lead + encoder.encode(chunk)[1:-1])
-            lead = encoder.item_separator
+    separator = ",\n" + " " * (indent + 2)
+    lead = ("{" if is_dict else "[") + separator[1:]
+    if not is_dict and {int}.issuperset(map(type, value)):
+        for start in range(0, len(value), _SLICE):
+            f.write(lead + separator.join(map(repr, value[start : start + _SLICE])))
+            lead = separator
     else:
         for entry in value:
-            f.write(lead + (_encoder(0).encode(entry) + ": " if is_dict else ""))
+            f.write(lead + (_scalar(entry) + ": " if is_dict else ""))
             _write(f, value[entry] if is_dict else entry, indent + 2)
-            lead = encoder.item_separator
+            lead = separator
     f.write("\n" + " " * indent + ("}" if is_dict else "]"))
+
+
+def _scalar(value) -> str:
+    """``value`` as ``json.dumps`` writes it; an int, a string or None without an encoder."""
+    if type(value) is int:
+        return repr(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    return "null" if value is None else json.dumps(value)
 
 
 def rederive_luts(design: DesignFile) -> tuple[tuple[int, ...], ...]:

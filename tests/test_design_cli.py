@@ -6,6 +6,8 @@ import json
 import os
 import random
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -374,6 +376,33 @@ def assert_saved_as_json_dumps(design: DesignFile, path: Path) -> None:
 
 
 SLICE = dafir.design._SLICE
+ROOT = Path(__file__).resolve().parents[1]
+
+# Counts the calls of the standard library's JSON encoder into ``calls``:
+# ``json.dumps`` and every ``JSONEncoder`` go through ``encode`` or
+# ``iterencode``.
+COUNT_ENCODER_CALLS = """
+import json
+calls = []
+for name in ("encode", "iterencode"):
+    def counted(self, *args, _name=name, _real=getattr(json.JSONEncoder, name), **kwargs):
+        calls.append(_name)
+        return _real(self, *args, **kwargs)
+    setattr(json.JSONEncoder, name, counted)
+"""
+
+
+def encoder_calls(run) -> list[str]:
+    """The JSON encoder calls ``run()`` makes, by method name, in order."""
+    counter = {}
+    real = {name: getattr(json.JSONEncoder, name) for name in ("encode", "iterencode")}
+    try:
+        exec(COUNT_ENCODER_CALLS, counter)
+        run()
+    finally:
+        for name, method in real.items():
+            setattr(json.JSONEncoder, name, method)
+    return counter["calls"]
 
 
 class TestSave:
@@ -477,6 +506,36 @@ class TestSave:
         path = tmp_path / "d.json"
         design.save(str(path))
         assert_saved_as_json_dumps(design, path)
+
+    # The design shapes the benchmark's workloads save: stored M = 4, stored
+    # M = 16 (every table as its halves) and mux, and a plan padded with
+    # None slots.
+    @pytest.mark.parametrize(
+        "taps, group_size, mode",
+        [(64, 4, PpgMode.STORED), (64, 16, PpgMode.STORED), (64, 4, PpgMode.MUX),
+         (10, 4, PpgMode.STORED)],
+        ids=["stored_m4", "stored_m16_halves", "mux_m4", "padded"],
+    )
+    def test_workload_designs_are_saved_without_a_json_encoder(
+        self, tmp_path, taps, group_size, mode
+    ):
+        rng = random.Random(f"{taps}:{group_size}")
+        values = [rng.randrange(-(1 << 15), 1 << 15) for _ in range(taps)]
+        design = DesignFile.create(
+            ArchConfig(taps, 16, 16, group_size, ppg_mode=mode),
+            CoefficientSet.from_integers(values, FixedFormat(16)),
+        )
+        path = tmp_path / "d.json"
+        assert encoder_calls(lambda: design.save(str(path))) == []
+        assert_saved_as_json_dumps(design, path)
+
+    def test_importing_the_design_module_encodes_nothing(self):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        code = COUNT_ENCODER_CALLS + "import dafir.design\nprint(calls)"
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
 
     def test_never_builds_the_whole_file_as_one_string(self, tmp_path):
         # K = 64, M = 16, every table edited at address 257 (both bytes
@@ -1065,6 +1124,45 @@ def test_payloads_are_the_lines_cut_at_hash_and_stripped(tmp_path_factory, piece
     with open(path, encoding="utf-8") as f:
         want = [line.split("#", 1)[0].strip(" \t\n\r\x0b\x0c") for line in f.readlines()]
     assert cli._read_payloads(str(path)) == want
+
+
+def payloads_by_readlines(path) -> list[str]:
+    """The payloads as ``_read_payloads`` once read them: ``readlines``, then joined."""
+    with open(path, encoding="utf-8") as f:
+        lines = f.readlines()
+    text = "".join(lines)
+    if not any(map(text.__contains__, "# \t\r\x0b\x0c")):
+        return text.split("\n")[: len(lines)]
+    if "#" in text:
+        lines = [line.partition("#")[0] for line in lines]
+    return [line.strip(" \t\n\r\x0b\x0c") for line in lines]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1\n-2\n3",
+        "1\r\n-2\r\n",
+        "1\r-2\r3",
+        "1\r\n\r\n-2\r3\n4\r",
+        "# head\n1 # one\n\n  \n-2\t#\n#\n3",
+        "1\x1c2\n3\x854\n5\u2028",
+        "\x1c\n\x85\n# \x1c\n\x85 # \x85\n",
+        "",
+        "\n",
+        "\n\n1",
+    ],
+    ids=[
+        "no_final_break", "crlf", "lone_cr", "mixed_breaks", "comments_and_blanks",
+        "separators_inside_lines", "separators_and_comments", "empty", "one_break",
+        "blank_lines_first",
+    ],
+)
+def test_payloads_read_whole_are_those_read_line_by_line(tmp_path, text):
+    """One ``read`` gives the payloads, and so the line numbers, that ``readlines`` gave."""
+    path = tmp_path / "p.txt"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert cli._read_payloads(str(path)) == payloads_by_readlines(path)
 
 
 @settings(max_examples=150, deadline=None)

@@ -111,15 +111,18 @@ figure comes with the interquartile range of its rounds (``*_ref_iqr``, in
 the same unit), the spread of the same call on this host: a move between
 two files smaller than it is noise.
 
-With ``--parent DIR``, the verify and probe rows are also timed against
+With ``--parent DIR``, the intake's quantize, create and save steps (the
+save also at M = 4) and the verify and probe rows are also timed against
 another source checkout, in this process: ``DIR/src/dafir`` is imported
 as the package ``dafir_parent``, and before any other row, each row's
 call runs once on each tree untimed, then on both in turn, ``AB_PAIRS``
-times, the one that goes first alternating. Each pair gives the ratio of
-this tree's time to the parent's, and ``ab_rows`` holds each row's
-median ratio with its quartiles, so a host that changes speed between
-pairs moves both sides of a ratio alike. Separate runs of this tool on
-two trees cannot show a 10% move; these rows can.
+times, the one that goes first alternating. An intake call is
+``INTAKE_CALLS`` calls of its step, since one takes well under a
+millisecond. Each pair gives the ratio of this tree's time to the
+parent's, and ``ab_rows`` holds each row's median ratio with its
+quartiles, so a host that changes speed between pairs moves both sides
+of a ratio alike. Separate runs of this tool on two trees cannot show a
+10% move; these rows can.
 
 The result is written to ``BENCH_blocks.json`` beside ``src/``.
 """
@@ -182,6 +185,7 @@ CLA_CALLS = {1: 2000, 4 * LANES: 500}
 HALVES_VERIFY = (64, 16)  # (K, M) of the stored halves design verify is timed on
 HALVES_WINDOWS = 64
 AB_PAIRS = 15  # alternating parent/change pairs per row of ab_rows
+INTAKE_CALLS = 20  # intake calls per timed call of ab_rows, each well under a millisecond
 WIDTH = 16  # coefficient and sample bits
 SAMPLES = 4000
 TRACED_SAMPLES = 2000
@@ -327,6 +331,16 @@ def measure_traced(taps: int, group_size: int, mode: PpgMode, edited: bool = Fal
     return {**shape, "route": route(group_size, edited), **times}
 
 
+def intake_reals(taps: int, path: str) -> tuple[list[int], list]:
+    """Write the intake's K seeded reals to ``path``; what parsing them must give.
+
+    That is their codes rounded by ``Fraction`` (half to even), and no warnings.
+    """
+    reals = real_coefficients(random.Random(f"{SEED}:reals:{taps}"), taps, 9)
+    Path(path).write_text("".join(f"{r}\n" for r in reals), encoding="utf-8")
+    return [round(Fraction(r) * (1 << (WIDTH - 1))) for r in reals], []
+
+
 def measure_intake(taps: int, group_size: int, scratch: Path) -> dict:
     filt, values, samples = seeded(taps, group_size, PpgMode.STORED, SAMPLES)
     arch = ArchConfig(taps, WIDTH, WIDTH, group_size)
@@ -335,12 +349,9 @@ def measure_intake(taps: int, group_size: int, scratch: Path) -> dict:
     path = str(scratch / "design.json")
     design.save(path)
     text = Path(path).read_text(encoding="utf-8")  # what DesignFile.load decodes
-    reals = real_coefficients(random.Random(f"{SEED}:reals:{taps}"), taps, 9)
     reals_path = str(scratch / "coeffs.txt")
-    Path(reals_path).write_text("".join(f"{r}\n" for r in reals), encoding="utf-8")
-    if _parse_coefficients(reals_path, FixedFormat(WIDTH)) != (
-        [round(Fraction(r) * (1 << (WIDTH - 1))) for r in reals], []  # Fraction: half to even
-    ):
+    quantized = intake_reals(taps, reals_path)
+    if _parse_coefficients(reals_path, FixedFormat(WIDTH)) != quantized:
         raise SystemExit(f"intake K={taps}: quantized coefficients differ from Fraction rounding")
     m4 = DesignFile.create(ArchConfig(taps, WIDTH, WIDTH, 4), coeffs)
     m4_path = str(scratch / "m4.json")
@@ -573,19 +584,57 @@ def load_tree(src: Path, name: str):
     return module
 
 
-def ab_calls(package: str) -> dict[str, tuple]:
-    """(call, windows) of each verify and probe row, made with the tree imported as ``package``.
+def repeated(run, *args) -> tuple:
+    """(call, units): a call that runs ``run(*args)`` ``INTAKE_CALLS`` times, and that count."""
 
-    Each call checks its result as the rows' measurements do, and raises
-    SystemExit if it differs.
+    def call():
+        for _ in range(INTAKE_CALLS):
+            run(*args)
+
+    return call, INTAKE_CALLS
+
+
+def ab_calls(package: str, scratch: Path) -> dict[str, tuple]:
+    """(call, units) of each intake, verify and probe row, with the tree imported as ``package``.
+
+    An intake call runs its step ``INTAKE_CALLS`` times, and the step is
+    checked once, here: the coefficients parse to their ``Fraction``
+    rounding, the design created is the one this tree creates, and each
+    save writes what ``json.dumps`` does. Each verify and probe call checks
+    its result as the rows' measurements do. Either raises SystemExit if a
+    result differs.
     """
     tree = importlib.import_module(f"{package}.engine")
     adders = importlib.import_module(f"{package}.adders")
     numerics = importlib.import_module(f"{package}.numerics")
+    cli = importlib.import_module(f"{package}.cli")
+    design = importlib.import_module(f"{package}.design")
+    taps, group_size = INTAKE
+    width = numerics.FixedFormat(WIDTH)
+    reals_path = str(scratch / f"{package}-coeffs.txt")
+    quantized = intake_reals(taps, reals_path)
+    if cli._parse_coefficients(reals_path, width) != quantized:
+        raise SystemExit(f"{package} intake: quantized coefficients differ")
+    values = seeded(taps, group_size, PpgMode.STORED, 0)[1]
+    coeffs = numerics.CoefficientSet.from_integers(values, width)
+    arch = design.ArchConfig(taps, WIDTH, WIDTH, group_size)
+    calls = {
+        "intake quantize": repeated(cli._parse_coefficients, reals_path, width),
+        "intake create": repeated(design.DesignFile.create, arch, coeffs),
+    }
+    for m in (group_size, 4):
+        made = design.DesignFile.create(design.ArchConfig(taps, WIDTH, WIDTH, m), coeffs)
+        ours = CoefficientSet.from_integers(values, FixedFormat(WIDTH))
+        want = DesignFile.create(ArchConfig(taps, WIDTH, WIDTH, m), ours).to_dict()
+        path = str(scratch / f"{package}-m{m}.json")
+        made.save(path)
+        text = Path(path).read_text(encoding="utf-8")
+        if made.to_dict() != want or text != json.dumps(want, indent=2) + "\n":
+            raise SystemExit(f"{package} intake M={m}: the design or its file differs")
+        calls[f"intake save M={m}"] = repeated(made.save, path)
     fmt = numerics.FixedFormat(VERIFY_COEFF_WIDTH)
     coefficients = numerics.CoefficientSet.from_integers
     windows = list(all_windows(VERIFY_TAPS, VERIFY_INPUT_WIDTH))
-    calls = {}
 
     def verify(mode, group_size, listed):
         coeffs = coefficients(verify_values(group_size), fmt)
@@ -631,10 +680,10 @@ def ab_calls(package: str) -> dict[str, tuple]:
     return calls
 
 
-def measure_ab(parent: Path) -> list[dict]:
-    """Each verify and probe row timed on this tree and the parent's, alternating in pairs."""
+def measure_ab(parent: Path, scratch: Path) -> list[dict]:
+    """Each intake, verify and probe row timed on this tree and the parent's, in pairs."""
     load_tree(parent / "src", "dafir_parent")
-    sides = {"parent": ab_calls("dafir_parent"), "change": ab_calls("dafir")}
+    sides = {"parent": ab_calls("dafir_parent", scratch), "change": ab_calls("dafir", scratch)}
     rows = []
     for name, (_, units) in sides["change"].items():
         for calls in sides.values():
@@ -667,15 +716,16 @@ def measure_ab(parent: Path) -> list[dict]:
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description="Time block evaluation, verify and its probe.")
     parser.add_argument(
-        "--parent", type=Path, help="a source checkout to time the verify and probe rows against"
+        "--parent", type=Path,
+        help="a source checkout to time the intake, verify and probe rows against",
     )
     args = parser.parse_args(argv)
-    # First, while neither tree has run anything else: the tree that had run
-    # the other rows read up to 4% slower on identical code.
-    ab_rows = measure_ab(args.parent) if args.parent else None
-    rows = [measure(k, m, mode) for k, m in SHAPES for mode in PpgMode]
-    rows.append(measure(*EDITED, PpgMode.STORED, edited=True))
     with tempfile.TemporaryDirectory() as scratch:
+        # First, while neither tree has run anything else: the tree that had
+        # run the other rows read up to 4% slower on identical code.
+        ab_rows = measure_ab(args.parent, Path(scratch)) if args.parent else None
+        rows = [measure(k, m, mode) for k, m in SHAPES for mode in PpgMode]
+        rows.append(measure(*EDITED, PpgMode.STORED, edited=True))
         intake = measure_intake(*INTAKE, Path(scratch))
         halves_verify = measure_halves_verify(*HALVES_VERIFY, Path(scratch))
     for row in rows:
@@ -719,9 +769,10 @@ def main(argv: list[str]) -> int:
         "halves_verify: ms per call of verify_windows over random windows on the stored "
         "halves design, fresh = just loaded (the first call), warm = read by earlier calls; "
         "raw figures best of REPEATS, in one process; "
-        "ab_rows (with --parent): each verify and probe row's call on this tree and the "
-        "parent's, alternating, AB_PAIRS pairs: median raw us per window of each side, and the "
-        "median and quartiles of the pairs' change/parent time ratios",
+        "ab_rows (with --parent): each intake step's, verify row's and probe row's call on "
+        "this tree and the parent's, alternating, AB_PAIRS pairs: median raw us per call "
+        "(intake) or per window (verify, probe) of each side, and the median and quartiles "
+        "of the pairs' change/parent time ratios",
         "width": WIDTH,
         "samples": SAMPLES,
         "traced_samples": TRACED_SAMPLES,
@@ -795,7 +846,8 @@ def main(argv: list[str]) -> int:
         print(
             f"{row['row']:<32} change/parent {row['ratio_median']:>6} "
             f"(quartiles {row['ratio_q1']}-{row['ratio_q3']}), "
-            f"raw us/window {row['parent_us']} -> {row['change_us']}"
+            f"raw us/{'call' if row['row'].startswith('intake') else 'window'} "
+            f"{row['parent_us']} -> {row['change_us']}"
         )
     return 0
 
